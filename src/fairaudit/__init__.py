@@ -8,13 +8,11 @@ criteria that cannot hold together on the data at hand.
 
 __version__ = "0.1.0"
 
-from .conditions import ConditionPredicate, parse_condition
+from .conditions import ConditionPredicate
 from .dataset import (
     AuditDataset,
-    Record,
     apply_threshold,
     filter_condition,
-    from_records,
     impute_medians,
     load_csv,
 )
@@ -63,14 +61,11 @@ from .metrics import (
     ConfusionCounts,
     GroupMetrics,
     MetricId,
-    brier_score,
     calibration_curve,
-    confusion_counts,
     group_confusion,
     group_metric,
     group_metrics,
     is_defined,
-    mean_absolute_error,
 )
 from .multigroup import MetaMetricKind, MetaMetricResult, meta
 from .report import build_document, emit_markdown, load_report_schema, render_json
@@ -102,14 +97,12 @@ __all__ = [
     "MetaMetricResult",
     "MetricId",
     "PairIntervals",
-    "Record",
     "RowStatus",
     "UNDEFINED",
     "Verdict",
     "apply_threshold",
     "bootstrap_intervals",
     "bootstrap_replicates",
-    "brier_score",
     "build_document",
     "calibration_curve",
     "ci_diff",
@@ -117,14 +110,12 @@ __all__ = [
     "compare",
     "compare_calibration",
     "compare_conditional",
-    "confusion_counts",
     "criterion_category",
     "criterion_components",
     "emit_markdown",
     "epsilon_assessment",
     "evaluate_all",
     "filter_condition",
-    "from_records",
     "group_confusion",
     "group_metric",
     "group_metrics",
@@ -135,9 +126,7 @@ __all__ = [
     "load_csv",
     "load_report_schema",
     "make_comparison",
-    "mean_absolute_error",
     "meta",
-    "parse_condition",
     "prevalence_by_group",
     "render_json",
     "resample_within_groups",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -359,6 +360,16 @@ def _audit_handler(args: argparse.Namespace) -> dict:
     return run_audit(request)
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises instead of exiting so all errors share one reporting path."""
 
@@ -442,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", action="append", help="meta-metric kind (repeatable; default all)"
     )
     meta_cmd.add_argument(
-        "--exponent", type=float, default=None, help="generalized entropy exponent (default 2)"
+        "--exponent", type=_finite_float, default=None, help="generalized entropy exponent (default 2)"
     )
     meta_cmd.set_defaults(handler=run_meta)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InputError
 
 if TYPE_CHECKING:
-    from .dataset import AuditDataset, Record
+    from .dataset import AuditDataset
 
 _TOKEN = re.compile(
     r"""\s*(?:
@@ -69,33 +69,10 @@ class Clause:
     op: str
     value: float | str
 
-    def matches(self, raw: object) -> bool:
-        """Evaluate against one covariate value; missing never matches."""
-        if raw is None:
-            return False
-        if isinstance(self.value, str):
-            if self.op not in ("==", "!="):
-                raise InputError(
-                    f"operator {self.op!r} needs a numeric literal, got a string"
-                )
-            if not isinstance(raw, str):
-                raise InputError(
-                    f"condition on {self.name!r} compares a string against a numeric value"
-                )
-            return (raw == self.value) if self.op == "==" else (raw != self.value)
-        if isinstance(raw, str):
-            raise InputError(
-                f"condition on {self.name!r} compares a number against a categorical value"
-            )
-        number = float(raw)
-        if np.isnan(number):
-            return False
-        return bool(_NUMERIC_OPS[self.op](number, self.value))
-
 
 @dataclass(frozen=True)
 class ConditionPredicate:
-    """Parsed conjunction of clauses, evaluable per record or per dataset.
+    """Parsed conjunction of clauses, evaluated as a row mask over a dataset.
 
     An empty clause tuple matches everything.
     """
@@ -132,8 +109,6 @@ class ConditionPredicate:
                 raise InputError(
                     f"expected a number or quoted string after {name} {op}, got {raw!r}"
                 )
-            if value == "" and kind == "string" and op not in ("==", "!="):
-                raise InputError(f"operator {op!r} needs a numeric literal")
             if isinstance(value, str) and op not in ("==", "!="):
                 raise InputError(f"operator {op!r} needs a numeric literal")
             clauses.append(Clause(name, op, value))
@@ -145,15 +120,6 @@ class ConditionPredicate:
                 raise InputError(f"expected AND between clauses in condition {text!r}")
             pos += 1
         return cls(clauses=tuple(clauses), source=text.strip())
-
-    def evaluate(self, record: "Record") -> bool:
-        """True when every clause matches the record's covariates."""
-        for clause in self.clauses:
-            if clause.name not in record.covariates:
-                raise InputError(f"unknown covariate in condition: {clause.name!r}")
-            if not clause.matches(record.covariates[clause.name]):
-                return False
-        return True
 
     def mask(self, dataset: "AuditDataset") -> np.ndarray:
         """Boolean row mask over the dataset; missing values never match."""
@@ -193,8 +159,3 @@ def _clause_mask(clause: Clause, column: np.ndarray) -> np.ndarray:
     eq = np.array([v == clause.value for v in column], dtype=bool)
     hit = eq if clause.op == "==" else ~eq
     return hit & valid
-
-
-def parse_condition(text: str) -> ConditionPredicate:
-    """Convenience wrapper around ConditionPredicate.parse."""
-    return ConditionPredicate.parse(text)

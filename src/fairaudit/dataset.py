@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,22 +22,6 @@ from .errors import InputError
 # Covariates with a higher fraction of missing cells than this are dropped
 # by impute_medians rather than imputed.
 MAX_MISSING_DEFAULT = 0.10
-
-
-@dataclass(frozen=True)
-class Record:
-    """One scored unit: outcome, group label, optional score and decision.
-
-    ``outcome`` and ``decision`` are 0/1; ``score`` lies in [0, 1].
-    ``covariates`` maps column names to floats, strings, or None for
-    missing values.
-    """
-
-    outcome: int
-    group: str
-    score: float | None = None
-    decision: int | None = None
-    covariates: Mapping[str, object] = field(default_factory=dict)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -184,79 +168,6 @@ class AuditDataset:
             dropped_covariates=dict(self.dropped_covariates),
         )
 
-    def record(self, index: int) -> Record:
-        score = None
-        if self.score is not None and not math.isnan(self.score[index]):
-            score = float(self.score[index])
-        decision = None
-        if self.decision is not None and self.decision[index] >= 0:
-            decision = int(self.decision[index])
-        covariates = {}
-        for name, column in self.covariates.items():
-            value = column[index]
-            if column.dtype.kind == "f":
-                covariates[name] = None if math.isnan(value) else float(value)
-            else:
-                covariates[name] = value
-        return Record(
-            outcome=int(self.outcome[index]),
-            group=str(self.group[index]),
-            score=score,
-            decision=decision,
-            covariates=covariates,
-        )
-
-    def iter_records(self) -> Iterator[Record]:
-        for index in range(self.n):
-            yield self.record(index)
-
-    @property
-    def records(self) -> tuple[Record, ...]:
-        """Row-oriented view; built on demand, intended for small data."""
-        return tuple(self.iter_records())
-
-
-def from_records(
-    records: Iterable[Record],
-    *,
-    threshold: float | None = None,
-    n_dropped: int = 0,
-) -> AuditDataset:
-    """Assemble a dataset from row objects; covariate columns are unioned."""
-    records = list(records)
-    if not records:
-        raise InputError("no records")
-    names: list[str] = []
-    for record in records:
-        for name in record.covariates:
-            if name not in names:
-                names.append(name)
-    score_cells = [r.score for r in records]
-    decision_cells = [r.decision for r in records]
-    covariates = {}
-    for name in names:
-        cells = [r.covariates.get(name) for r in records]
-        numeric = all(c is None or not isinstance(c, str) for c in cells)
-        if numeric:
-            covariates[name] = np.array(
-                [np.nan if c is None else float(c) for c in cells], dtype=np.float64
-            )
-        else:
-            covariates[name] = np.array(cells, dtype=object)
-    return AuditDataset(
-        outcome=np.array([r.outcome for r in records]),
-        group=np.array([r.group for r in records], dtype=object),
-        score=None
-        if all(c is None for c in score_cells)
-        else np.array([np.nan if c is None else c for c in score_cells], dtype=np.float64),
-        decision=None
-        if all(c is None for c in decision_cells)
-        else np.array([-1 if c is None else c for c in decision_cells]),
-        covariates=covariates,
-        threshold=threshold,
-        n_dropped=n_dropped,
-    )
-
 
 def _parse_binary(cell: str, column: str) -> int | None:
     cell = cell.strip()
@@ -294,7 +205,6 @@ def load_csv(
     score: str | None = None,
     decision: str | None = None,
     covariates: Sequence[str] | None = None,
-    encoding: str = "utf-8",
 ) -> AuditDataset:
     """Load a CSV file into an AuditDataset.
 
@@ -305,6 +215,7 @@ def load_csv(
     whose non-missing cells all parse as numbers become float columns
     (NaN for missing); anything else stays categorical (None for
     missing). Covariate columns that are entirely missing are dropped.
+    The file is read as UTF-8; a leading byte-order mark is skipped.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
@@ -318,7 +229,7 @@ def load_csv(
         raise InputError("outcome/score/decision/group column names must be distinct")
 
     try:
-        handle = open(path, newline="", encoding=encoding)
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
 

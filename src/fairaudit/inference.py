@@ -28,10 +28,9 @@ from .dataset import AuditDataset
 from .errors import ComputationError, InputError
 from .metrics import (
     CONFUSION_METRICS,
-    DECISION_METRICS,
-    SCORE_METRICS,
     MetricId,
     _confusion_from_arrays,
+    _group_arrays,
     coerce_metric,
     compute_metric,
     group_metric,
@@ -130,28 +129,13 @@ class _GroupSampler:
     """Caches one group's columns and evaluates metrics on index draws."""
 
     def __init__(self, dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...]):
-        rows = dataset.group_positions(label)
         self.label = label
-        self.size = int(rows.shape[0])
         self.metrics = metrics
-        self.outcome = dataset.outcome[rows]
-        self.score = None
-        self.decision = None
-        if any(m in SCORE_METRICS for m in metrics):
-            if dataset.score is None:
-                raise InputError("bootstrap metric needs risk scores, none loaded")
-            self.score = dataset.score[rows]
-            if np.isnan(self.score).any():
-                raise InputError(f"group {label!r} has records without scores")
-        if any(m in DECISION_METRICS for m in metrics):
-            if dataset.decision is None:
-                raise InputError("bootstrap metric needs decisions, none set")
-            self.decision = dataset.decision[rows]
-            if (self.decision < 0).any():
-                raise InputError(f"group {label!r} has records without decisions")
+        self.outcome, self.score, self.decision = _group_arrays(dataset, label, metrics)
+        self.size = int(self.outcome.shape[0])
         self.need_counts = any(m in CONFUSION_METRICS for m in metrics)
 
-    def evaluate(self, draw: np.ndarray, out: np.ndarray) -> None:
+    def evaluate_draw(self, draw: np.ndarray, out: np.ndarray) -> None:
         outcome = self.outcome[draw]
         score = self.score[draw] if self.score is not None else None
         decision = self.decision[draw] if self.decision is not None else None
@@ -212,7 +196,7 @@ def bootstrap_replicates(
             for sampler, out in zip(samplers, values):
                 rng = _substream(config.seed, iteration, sampler.label)
                 draw = rng.integers(0, sampler.size, sampler.size)
-                sampler.evaluate(draw, out[iteration])
+                sampler.evaluate_draw(draw, out[iteration])
 
     if workers == 1:
         fill(0, B)

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .dataset import AuditDataset, Record
+from .dataset import AuditDataset
 from .errors import InputError
 
 
@@ -151,27 +151,6 @@ def _confusion_from_arrays(outcome: np.ndarray, decision: np.ndarray) -> Confusi
     return ConfusionCounts(tp=int(c[3]), fp=int(c[1]), tn=int(c[0]), fn=int(c[2]))
 
 
-def confusion_counts(records: Iterable[Record]) -> ConfusionCounts:
-    """Count TP/FP/TN/FN over records; every record needs a decision."""
-    tp = fp = tn = fn = 0
-    for record in records:
-        if record.decision is None:
-            raise InputError("record without a decision in confusion_counts")
-        if record.outcome not in (0, 1) or record.decision not in (0, 1):
-            raise InputError("outcome and decision must be 0 or 1")
-        if record.outcome == 1:
-            if record.decision == 1:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if record.decision == 1:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
 def _ratio(numerator: float, denominator: float) -> MetricValue:
     if denominator == 0:
         return UNDEFINED
@@ -213,7 +192,7 @@ def compute_metric(
     This is the single arithmetic path: the public per-group accessors and
     the bootstrap resampler both call it, so point estimates and resampled
     statistics can never disagree on a formula. Capability checks (is a
-    score column present at all) happen in the callers.
+    score column present at all) happen in ``_group_arrays``.
     """
     if metric is MetricId.PREVALENCE:
         return float(outcome.mean())
@@ -236,21 +215,28 @@ def compute_metric(
 
 
 def _group_arrays(
-    dataset: AuditDataset, group: str, metric: MetricId
+    dataset: AuditDataset, group: str, metrics: tuple[MetricId, ...]
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One group's outcome, score and decision columns for these metrics.
+
+    The score (decision) slice is None unless some metric needs it; a
+    needed column that is unbound or has unset cells in the group raises.
+    """
     rows = dataset.group_positions(group)
     outcome = dataset.outcome[rows]
     score = decision = None
-    if metric in SCORE_METRICS:
+    needs_score = [m for m in metrics if m in SCORE_METRICS]
+    if needs_score:
         if dataset.score is None:
-            raise InputError(f"metric {metric.value} needs risk scores, none loaded")
+            raise InputError(f"metric {needs_score[0].value} needs risk scores, none loaded")
         score = dataset.score[rows]
         if np.isnan(score).any():
             raise InputError(f"group {group!r} has records without scores")
-    if metric in DECISION_METRICS:
+    needs_decision = [m for m in metrics if m in DECISION_METRICS]
+    if needs_decision:
         if dataset.decision is None:
             raise InputError(
-                f"metric {metric.value} needs decisions; apply a threshold or bind a decision column"
+                f"metric {needs_decision[0].value} needs decisions; apply a threshold or bind a decision column"
             )
         decision = dataset.decision[rows]
         if (decision < 0).any():
@@ -261,13 +247,13 @@ def _group_arrays(
 def group_metric(dataset: AuditDataset, group: str, metric: MetricId | str) -> MetricValue:
     """One metric for one group; UNDEFINED on a zero denominator."""
     metric = coerce_metric(metric)
-    outcome, score, decision = _group_arrays(dataset, group, metric)
+    outcome, score, decision = _group_arrays(dataset, group, (metric,))
     return compute_metric(metric, outcome, score, decision)
 
 
 def group_confusion(dataset: AuditDataset, group: str) -> ConfusionCounts:
     """Confusion table for one group of a thresholded dataset."""
-    outcome, _, decision = _group_arrays(dataset, group, MetricId.ACCURACY)
+    outcome, _, decision = _group_arrays(dataset, group, (MetricId.ACCURACY,))
     return _confusion_from_arrays(outcome, decision)
 
 
@@ -281,30 +267,6 @@ def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
         except InputError:
             continue
     return GroupMetrics(group=group, n=int(rows.shape[0]), values=values)
-
-
-def brier_score(records: Iterable[Record]) -> float:
-    """Mean squared difference between score and outcome."""
-    score, outcome = _score_arrays(records)
-    return float(compute_metric(MetricId.BRIER_SCORE, outcome, score, None))
-
-
-def mean_absolute_error(records: Iterable[Record]) -> float:
-    """Mean absolute difference between score and outcome."""
-    score, outcome = _score_arrays(records)
-    return float(compute_metric(MetricId.MEAN_ABSOLUTE_ERROR, outcome, score, None))
-
-
-def _score_arrays(records: Iterable[Record]) -> tuple[np.ndarray, np.ndarray]:
-    records = list(records)
-    if not records:
-        raise InputError("empty record list")
-    for record in records:
-        if record.score is None:
-            raise InputError("record without a score")
-    score = np.array([r.score for r in records], dtype=np.float64)
-    outcome = np.array([r.outcome for r in records], dtype=np.int8)
-    return score, outcome
 
 
 def calibration_curve(

@@ -65,8 +65,9 @@ def meta(
 
     Accepts a sequence of values or a mapping from group label to value.
     All values must be defined; ratio and entropy kinds additionally need
-    them strictly positive. The generalized entropy exponent must avoid
-    0 and 1, where the formula degenerates; it defaults to 2.
+    them strictly positive. The generalized entropy exponent must be
+    finite and avoid 0 and 1, where the formula degenerates; it defaults
+    to 2.
 
     Identical inputs yield exactly 0 (exactly 1 for the ratio kind).
     """
@@ -93,6 +94,8 @@ def meta(
     if kind is MetaMetricKind.GENERALIZED_ENTROPY:
         if exponent is None:
             exponent = GEI_DEFAULT_EXPONENT
+        if not np.isfinite(exponent):
+            raise InputError("generalized entropy exponent must be finite")
         if exponent in (0.0, 1.0):
             raise InputError("generalized entropy exponent must avoid 0 and 1")
     elif exponent is not None:

@@ -514,6 +514,29 @@ class TestMetaSubcommand:
         assert "## Meta-metrics" in out
         assert "| positive_rate | max_min_diff |" in out
 
+    @pytest.mark.parametrize("exponent", ["nan", "inf"])
+    def test_non_finite_exponent_rejected(self, capsys, three_group_csv, exponent):
+        code, out, err = run(
+            capsys,
+            "meta",
+            "--input",
+            three_group_csv,
+            "--outcome",
+            "y",
+            "--group",
+            "g",
+            "--decision",
+            "d",
+            "--exponent",
+            exponent,
+            "--format",
+            "json",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fairaudit: ") and err.count("\n") == 1
+        assert "finite" in err
+
 
 class TestDiagnoseSubcommand:
     def test_json_document(self, capsys, clinical_csv):
@@ -592,6 +615,22 @@ class TestTopLevel:
     def test_subcommand_required(self, capsys):
         assert main([]) == 1
         assert capsys.readouterr().err.startswith("fairaudit: ")
+
+    def test_public_names(self):
+        import fairaudit
+
+        for name in fairaudit.__all__:
+            assert hasattr(fairaudit, name), name
+        removed = (
+            "Record",
+            "from_records",
+            "confusion_counts",
+            "brier_score",
+            "mean_absolute_error",
+            "parse_condition",
+        )
+        for name in removed:
+            assert not hasattr(fairaudit, name), name
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairaudit import AuditDataset, ConditionPredicate, InputError, Record
+from fairaudit import AuditDataset, ConditionPredicate, InputError
 from fairaudit.conditions import Clause
 
 
@@ -57,6 +57,7 @@ class TestParse:
             "age >= 60 age < 70",
             "AND age >= 60",
             "age >= sixty",
+            "ward > ''",
         ],
     )
     def test_malformed(self, text):
@@ -72,40 +73,17 @@ class TestParse:
             ConditionPredicate.parse("age >= 60 && ward == 'icu'")
 
 
-class TestRecordEvaluation:
-    def record(self, **covariates):
-        return Record(outcome=1, group="a", score=0.5, covariates=covariates)
-
-    def test_numeric_comparisons(self):
-        pred = ConditionPredicate.parse("age >= 60")
-        assert pred.evaluate(self.record(age=60)) is True
-        assert pred.evaluate(self.record(age=59.9)) is False
-
-    def test_missing_value_never_matches(self):
-        assert ConditionPredicate.parse("age >= 60").evaluate(self.record(age=None)) is False
-        assert ConditionPredicate.parse("ward != 'icu'").evaluate(self.record(ward=None)) is False
-
-    def test_unknown_covariate(self):
-        with pytest.raises(InputError, match="unknown covariate"):
-            ConditionPredicate.parse("weight > 100").evaluate(self.record(age=50))
-
-    def test_type_mismatch(self):
-        with pytest.raises(InputError, match="categorical"):
-            ConditionPredicate.parse("ward >= 2").evaluate(self.record(ward="icu"))
-        with pytest.raises(InputError, match="string"):
-            ConditionPredicate.parse("age == 'old'").evaluate(self.record(age=50))
-
-    def test_conjunction_short_circuits(self):
-        pred = ConditionPredicate.parse("age >= 60 AND ward == 'icu'")
-        assert pred.evaluate(self.record(age=70, ward="icu")) is True
-        assert pred.evaluate(self.record(age=70, ward="med")) is False
-        assert pred.evaluate(self.record(age=50, ward="icu")) is False
-
-
 class TestMask:
     def test_numeric_mask_excludes_nan(self):
         mask = ConditionPredicate.parse("age >= 60").mask(dataset())
         assert list(mask) == [True, False, False, True]
+
+    def test_numeric_boundary(self):
+        # row 3 has age exactly 60
+        at_least = ConditionPredicate.parse("age >= 60").mask(dataset())
+        above = ConditionPredicate.parse("age > 60").mask(dataset())
+        assert at_least[3] and not above[3]
+        assert list(above) == [True, False, False, False]
 
     def test_not_equal_excludes_nan(self):
         mask = ConditionPredicate.parse("age != 70").mask(dataset())
@@ -126,6 +104,10 @@ class TestMask:
     def test_ordering_on_categorical_column(self):
         with pytest.raises(InputError, match="not defined for categorical"):
             ConditionPredicate.parse("ward > 2").mask(dataset())
+
+    def test_numeric_literal_on_categorical_column(self):
+        with pytest.raises(InputError, match="categorical column"):
+            ConditionPredicate.parse("ward == 2").mask(dataset())
 
     def test_string_literal_on_numeric_column(self):
         with pytest.raises(InputError, match="numeric column"):

@@ -9,10 +9,8 @@ from fairaudit import (
     AuditDataset,
     ConditionPredicate,
     InputError,
-    Record,
     apply_threshold,
     filter_condition,
-    from_records,
     impute_medians,
     load_csv,
 )
@@ -126,6 +124,14 @@ class TestLoadCsv:
         text = "y,s,g\n1.0,0.5,a\n0.0,0.4,b\n"
         ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
         assert list(ds.outcome) == [1, 0]
+
+    def test_byte_order_mark_stripped_from_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,g,s,age\n1,a,0.5,40\n0,b,0.4,50\n")
+        ds = load_csv(str(path), outcome="y", score="s", group="g")
+        assert list(ds.outcome) == [1, 0]
+        assert ds.groups == ("a", "b")
+        assert set(ds.covariates) == {"age"}
 
 
 class TestImputeMedians:
@@ -309,19 +315,6 @@ class TestAuditDataset:
         )
         assert not ds.has_scores
         assert not ds.has_decisions
-
-    def test_records_round_trip(self, toy):
-        rebuilt = from_records(toy.records)
-        assert np.array_equal(rebuilt.outcome, toy.outcome)
-        assert np.array_equal(rebuilt.decision, toy.decision)
-        assert np.array_equal(rebuilt.score, toy.score)
-        assert list(rebuilt.group) == list(toy.group)
-
-    def test_record_view(self, toy):
-        record = toy.record(0)
-        assert record == Record(
-            outcome=1, group="F", score=0.9, decision=1, covariates={}
-        )
 
     def test_take_with_repeats(self, toy):
         out = toy.take(np.array([0, 0, 8, 9]))

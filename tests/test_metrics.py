@@ -10,16 +10,12 @@ from fairaudit import (
     ConfusionCounts,
     InputError,
     MetricId,
-    Record,
     UNDEFINED,
-    brier_score,
     calibration_curve,
-    confusion_counts,
     group_confusion,
     group_metric,
     group_metrics,
     is_defined,
-    mean_absolute_error,
 )
 
 F_SCORES = [0.9, 0.3, 0.8, 0.6, 0.2, 0.1, 0.4, 0.45]
@@ -30,18 +26,6 @@ class TestConfusionCounts:
     def test_toy_counts(self, toy):
         assert group_confusion(toy, "F") == ConfusionCounts(tp=2, fp=1, tn=3, fn=2)
         assert group_confusion(toy, "M") == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
-
-    def test_from_records(self, toy):
-        counts = confusion_counts(toy.records[:8])
-        assert counts == ConfusionCounts(tp=2, fp=1, tn=3, fn=2)
-        assert counts.n == 8
-
-    def test_empty_is_all_zero(self):
-        assert confusion_counts([]) == ConfusionCounts(0, 0, 0, 0)
-
-    def test_record_without_decision(self):
-        with pytest.raises(InputError, match="without a decision"):
-            confusion_counts([Record(outcome=1, group="a", score=0.5)])
 
 
 class TestGroupMetric:
@@ -154,24 +138,6 @@ class TestCapabilityErrors:
         assert MetricId.BRIER_SCORE in summary.values
         assert MetricId.PREVALENCE in summary.values
         assert MetricId.TPR not in summary.values
-
-
-class TestRecordLevelScores:
-    def test_brier_and_mae(self):
-        records = [
-            Record(outcome=1, group="a", score=0.8),
-            Record(outcome=0, group="a", score=0.3),
-        ]
-        assert brier_score(records) == pytest.approx((0.04 + 0.09) / 2, rel=1e-12)
-        assert mean_absolute_error(records) == pytest.approx((0.2 + 0.3) / 2, rel=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError, match="empty"):
-            brier_score([])
-
-    def test_missing_score_rejected(self):
-        with pytest.raises(InputError, match="without a score"):
-            mean_absolute_error([Record(outcome=1, group="a", decision=1)])
 
 
 class TestCalibrationCurve:

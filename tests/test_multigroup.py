@@ -126,6 +126,11 @@ class TestValidation:
         with pytest.raises(InputError, match="avoid 0 and 1"):
             meta([0.2, 0.4], "generalized_entropy", exponent=1.0)
 
+    @pytest.mark.parametrize("exponent", [math.nan, math.inf, -math.inf])
+    def test_entropy_exponent_must_be_finite(self, exponent):
+        with pytest.raises(InputError, match="finite"):
+            meta([0.2, 0.4], "generalized_entropy", exponent=exponent)
+
     def test_exponent_rejected_elsewhere(self):
         with pytest.raises(InputError, match="takes no exponent"):
             meta([0.2, 0.4], "variance", exponent=2.0)
