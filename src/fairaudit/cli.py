@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--epsilon",
         action="append",
-        type=float,
+        type=_finite_float,
         help="tolerance for approximate-fairness verdicts (repeatable)",
     )
     audit.add_argument("--workers", type=int, default=1, help="bootstrap worker threads")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class AuditDataset:
     unset cells, or None. ``group`` holds one non-empty label per record
     and must contain at least two distinct labels. Every record carries a
     score, a decision, or both.
+
+    The group index (each label's rows) is built once, at construction.
+    Derived datasets go through the same constructor, so they are
+    validated and indexed the same way.
     """
 
     outcome: np.ndarray
@@ -51,6 +55,7 @@ class AuditDataset:
     n_dropped: int = 0
     imputation_log: Mapping[str, float] = field(default_factory=dict)
     dropped_covariates: Mapping[str, float] = field(default_factory=dict)
+    _group_index: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         outcome = np.asarray(self.outcome)
@@ -64,13 +69,18 @@ class AuditDataset:
         group = np.asarray(self.group, dtype=object)
         if group.shape != (n,):
             raise InputError("group column length does not match outcome")
-        labels = set()
-        for value in group:
-            if not isinstance(value, str) or not value:
-                raise InputError("group labels must be non-empty strings")
-            labels.add(value)
+        values = group.tolist()
+        try:
+            labels = sorted(set(values))
+        except TypeError:  # unhashable labels, or labels of unorderable types
+            raise InputError("group labels must be non-empty strings") from None
+        if not all(isinstance(label, str) and label for label in labels):
+            raise InputError("group labels must be non-empty strings")
         if len(labels) < 2:
             raise InputError("fewer than 2 distinct groups")
+        code = {label: i for i, label in enumerate(labels)}
+        codes = np.fromiter(map(code.__getitem__, values), np.intp, n)
+        rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
 
         score = self.score
         if score is not None:
@@ -121,6 +131,8 @@ class AuditDataset:
         object.__setattr__(
             self, "dropped_covariates", MappingProxyType(dict(self.dropped_covariates))
         )
+        index = MappingProxyType(dict(zip(labels, map(_read_only, rows))))
+        object.__setattr__(self, "_group_index", index)
 
     @property
     def n(self) -> int:
@@ -132,16 +144,17 @@ class AuditDataset:
     @property
     def groups(self) -> tuple[str, ...]:
         """Distinct group labels in sorted order."""
-        return tuple(sorted(set(self.group)))
+        return tuple(self._group_index)
 
     def group_positions(self, label: str) -> np.ndarray:
-        """Row indices belonging to one group, in record order."""
-        if label not in self.groups:
-            raise InputError(f"unknown group: {label!r}")
-        return np.flatnonzero(self.group == label)
+        """Row indices belonging to one group, in record order (read-only)."""
+        try:
+            return self._group_index[label]
+        except KeyError:
+            raise InputError(f"unknown group: {label!r}") from None
 
     def group_sizes(self) -> dict[str, int]:
-        return {label: int((self.group == label).sum()) for label in self.groups}
+        return {label: len(rows) for label, rows in self._group_index.items()}
 
     @property
     def has_scores(self) -> bool:
@@ -156,16 +169,13 @@ class AuditDataset:
     def take(self, indices: np.ndarray) -> "AuditDataset":
         """New dataset holding the given rows (repeats allowed)."""
         indices = np.asarray(indices, dtype=np.intp)
-        return AuditDataset(
+        return replace(
+            self,
             outcome=self.outcome[indices],
             group=self.group[indices],
             score=self.score[indices] if self.score is not None else None,
             decision=self.decision[indices] if self.decision is not None else None,
             covariates={name: col[indices] for name, col in self.covariates.items()},
-            threshold=self.threshold,
-            n_dropped=self.n_dropped,
-            imputation_log=dict(self.imputation_log),
-            dropped_covariates=dict(self.dropped_covariates),
         )
 
 
@@ -197,6 +207,14 @@ def _parse_score(cell: str, column: str) -> float:
     return value
 
 
+def _decoded(lines: Iterable[str], path: str) -> Iterator[str]:
+    """The file's lines; a byte sequence that is not UTF-8 raises InputError."""
+    try:
+        yield from lines
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
+
+
 def load_csv(
     path: str,
     *,
@@ -216,15 +234,12 @@ def load_csv(
     (NaN for missing); anything else stays categorical (None for
     missing). Covariate columns that are entirely missing are dropped.
     The file is read as UTF-8; a leading byte-order mark is skipped.
+    Bytes that are not UTF-8, and a row with non-blank cells beyond the
+    header, raise InputError.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
-    core = {"outcome": outcome, "group": group}
-    if score is not None:
-        core["score"] = score
-    if decision is not None:
-        core["decision"] = decision
-    bound = list(core.values())
+    bound = [name for name in (outcome, group, score, decision) if name is not None]
     if len(set(bound)) != len(bound):
         raise InputError("outcome/score/decision/group column names must be distinct")
 
@@ -234,17 +249,12 @@ def load_csv(
         raise InputError(f"cannot read {path!r}: {exc}") from None
 
     with handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(_decoded(handle, path))
         try:
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path!r} is empty") from None
         header = [name.strip() for name in header]
-        for name in bound:
-            if header.count(name) == 0:
-                raise InputError(f"unknown column name: {name!r}")
-            if header.count(name) > 1:
-                raise InputError(f"duplicate column name: {name!r}")
         if covariates is None:
             covariate_names = [name for name in header if name and name not in bound]
         else:
@@ -252,10 +262,11 @@ def load_csv(
             for name in covariate_names:
                 if name in bound:
                     raise InputError(f"column {name!r} is already bound")
-                if header.count(name) == 0:
-                    raise InputError(f"unknown column name: {name!r}")
-                if header.count(name) > 1:
-                    raise InputError(f"duplicate column name: {name!r}")
+        for name in bound + covariate_names:
+            if header.count(name) == 0:
+                raise InputError(f"unknown column name: {name!r}")
+            if header.count(name) > 1:
+                raise InputError(f"duplicate column name: {name!r}")
         position = {name: header.index(name) for name in bound + covariate_names}
 
         outcomes: list[int] = []
@@ -268,6 +279,10 @@ def load_csv(
         for row in reader:
             if not any(cell.strip() for cell in row):
                 continue
+            if any(extra.strip() for extra in row[len(header) :]):
+                raise InputError(
+                    f"line {reader.line_num} of {path!r} has more cells than the header"
+                )
 
             def cell(name: str) -> str:
                 index = position[name]
@@ -368,16 +383,8 @@ def impute_medians(
         log[name] = median
     if not changed:
         return dataset
-    return AuditDataset(
-        outcome=dataset.outcome,
-        group=dataset.group,
-        score=dataset.score,
-        decision=dataset.decision,
-        covariates=columns,
-        threshold=dataset.threshold,
-        n_dropped=dataset.n_dropped,
-        imputation_log=log,
-        dropped_covariates=dropped,
+    return replace(
+        dataset, covariates=columns, imputation_log=log, dropped_covariates=dropped
     )
 
 
@@ -392,16 +399,8 @@ def apply_threshold(dataset: AuditDataset, cutoff: float) -> AuditDataset:
         raise InputError("threshold outside [0, 1]")
     if dataset.score is None or np.isnan(dataset.score).any():
         raise InputError("cannot apply a threshold: some records have no score")
-    return AuditDataset(
-        outcome=dataset.outcome,
-        group=dataset.group,
-        score=dataset.score,
-        decision=(dataset.score > cutoff).astype(np.int8),
-        covariates=dict(dataset.covariates),
-        threshold=float(cutoff),
-        n_dropped=dataset.n_dropped,
-        imputation_log=dict(dataset.imputation_log),
-        dropped_covariates=dict(dataset.dropped_covariates),
+    return replace(
+        dataset, decision=(dataset.score > cutoff).astype(np.int8), threshold=float(cutoff)
     )
 
 
@@ -419,9 +418,8 @@ def filter_condition(
     keep = predicate.mask(dataset)
     if not keep.any():
         raise InputError(f"condition {str(predicate)!r} matches no records")
-    kept_labels = set(dataset.group[keep])
     for label in dataset.groups:
-        if label not in kept_labels:
+        if not keep[dataset.group_positions(label)].any():
             raise InputError(
                 f"condition {str(predicate)!r} leaves group {label!r} empty"
             )

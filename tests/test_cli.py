@@ -370,6 +370,16 @@ class TestErrors:
         assert code == 1
         assert "epsilon" in err
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_rejected(self, capsys, clinical_csv, epsilon):
+        code, out, err = run(
+            capsys, *audit_args(clinical_csv, "--epsilon", epsilon, "--format", "json")
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fairaudit: ") and err.count("\n") == 1
+        assert "finite" in err
+
     def test_no_decisions_available(self, capsys, clinical_csv):
         code, _, err = run(
             capsys,

@@ -133,6 +133,27 @@ class TestLoadCsv:
         assert ds.groups == ("a", "b")
         assert set(ds.covariates) == {"age"}
 
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_non_utf8_bytes_rejected(self, tmp_path, where):
+        # Latin-1 e-acute; the row case sits past the decoder's first chunk
+        header = b"y,s,g\xe9\n" if where == "header" else b"y,s,g\n"
+        rows = b"1,0.5,a\n0,0.4,b\n" * 2000 + b"1,0.5,caf\xe9\n"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(header + rows)
+        with pytest.raises(InputError, match="latin1.csv.*not UTF-8"):
+            load_csv(str(path), outcome="y", score="s", group="g")
+
+    def test_extra_non_blank_cells_rejected(self, tmp_path):
+        text = "y,s,g\n1,0.9,a\n\n1,0.9,a,EXTRA,MORE\n0,0.2,b\n"
+        with pytest.raises(InputError, match="line 4 of .* more cells than the header"):
+            load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+
+    def test_blank_extra_cells_load_and_short_rows_drop(self, tmp_path):
+        text = "y,s,g\n1,0.9,a,,\n0,0.2,b, \n1,0.5\n"
+        ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+        assert list(ds.group) == ["a", "b"]
+        assert ds.n_dropped == 1
+
 
 class TestImputeMedians:
     def make(self, tmp_path, age_cells):
@@ -316,16 +337,58 @@ class TestAuditDataset:
         assert not ds.has_scores
         assert not ds.has_decisions
 
+    def test_group_positions_follow_record_order(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0, 1, 0, 1]),
+            group=np.array(["b", "a", "b", "a", "b"], dtype=object),
+            score=np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+        )
+        assert ds.groups == ("a", "b")
+        assert list(ds.group_positions("a")) == [1, 3]
+        assert list(ds.group_positions("b")) == [0, 2, 4]
+        assert ds.group_sizes() == {"a": 2, "b": 3}
+        with pytest.raises(ValueError):
+            ds.group_positions("b")[0] = 1
+
+    def test_derived_datasets_keep_provenance(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0, 1, 0]),
+            group=np.array(["a", "a", "b", "b"], dtype=object),
+            score=np.array([0.9, 0.2, 0.6, 0.4]),
+            covariates={"age": np.array([40.0, np.nan, 50.0, 60.0])},
+            threshold=0.5,
+            n_dropped=3,
+            imputation_log={"weight": 70.0},
+            dropped_covariates={"ward": 0.5},
+        )
+        imputed = impute_medians(ds, max_missing=0.5)
+        assert imputed.imputation_log == {"weight": 70.0, "age": 50.0}
+        thresholded = apply_threshold(ds, 0.5)
+        assert thresholded.threshold == 0.5
+        for out in (ds.take(np.array([3, 0, 2])), imputed, thresholded):
+            assert out.threshold == 0.5
+            assert out.n_dropped == 3
+            assert out.dropped_covariates == {"ward": 0.5}
+        for out in (ds.take(np.array([3, 0, 2])), thresholded):
+            assert out.imputation_log == {"weight": 70.0}
+
     def test_take_with_repeats(self, toy):
         out = toy.take(np.array([0, 0, 8, 9]))
         assert out.n == 4
         assert list(out.group) == ["F", "F", "M", "M"]
         assert out.outcome[0] == out.outcome[1] == 1
 
-    def test_group_labels_must_be_strings(self):
+    @pytest.mark.parametrize(
+        "labels",
+        [["a", ""], ["a", None], ["a", 3], ["a", ["x"]], [1, 2]],
+        ids=["empty", "none", "mixed-int", "list", "all-int"],
+    )
+    def test_group_labels_must_be_strings(self, labels):
+        group = np.empty(2, dtype=object)
+        group[:] = labels
         with pytest.raises(InputError, match="non-empty strings"):
             AuditDataset(
                 outcome=np.array([1, 0]),
-                group=np.array(["a", ""], dtype=object),
+                group=group,
                 score=np.array([0.1, 0.5]),
             )
