@@ -62,7 +62,6 @@ class AuditRequest:
     epsilon: tuple[float, ...] = ()
     format: str = "markdown"
     output: str | None = None
-    workers: int = 1
     meta: bool = False
     impute_max_missing: float = MAX_MISSING_DEFAULT
 
@@ -99,8 +98,6 @@ class AuditRequest:
             raise InputError(f"unknown format: {self.format!r}")
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise InputError("threshold outside [0, 1]")
-        if self.workers < 1:
-            raise InputError("workers must be at least 1")
         if self.bins < 2:
             raise InputError("bins must be at least 2")
         if self.min_bin_count < 1:
@@ -113,8 +110,6 @@ class AuditRequest:
         self.bootstrap_config()
 
     def echo(self) -> dict:
-        # workers is deliberately absent: reports must be byte-identical
-        # across worker counts, and the echo is part of the report
         return {
             "command": "audit",
             "input": self.input,
@@ -196,7 +191,6 @@ def run_audit(request: AuditRequest) -> dict:
             criteria=criteria,
             conditions=conditions,
             bootstrap=config,
-            workers=request.workers,
             bins=request.bins,
             min_bin_count=request.min_bin_count,
         )
@@ -335,6 +329,8 @@ def _audit_handler(args: argparse.Namespace) -> dict:
         if name in conditions:
             raise InputError(f"duplicate condition name: {name!r}")
         conditions[name] = expr.strip()
+    if args.workers < 1:
+        raise InputError("workers must be at least 1")
     request = AuditRequest(
         input=args.input,
         outcome=args.outcome,
@@ -353,7 +349,6 @@ def _audit_handler(args: argparse.Namespace) -> dict:
         epsilon=tuple(args.epsilon or []),
         format=args.format,
         output=args.output,
-        workers=args.workers,
         meta=args.meta,
         impute_max_missing=args.impute_max_missing,
     )
@@ -430,7 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=_finite_float,
         help="tolerance for approximate-fairness verdicts (repeatable)",
     )
-    audit.add_argument("--workers", type=int, default=1, help="bootstrap worker threads")
+    audit.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility but has no effect; the bootstrap runs in one thread",
+    )
     audit.add_argument(
         "--meta", action="store_true", help="include meta-metrics even with two groups"
     )

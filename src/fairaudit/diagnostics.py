@@ -10,7 +10,6 @@ instead of letting the reader over-interpret a failed pair.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple
@@ -24,6 +23,7 @@ from .fairness import FairnessReport, RowStatus
 from .metrics import MetricId, group_metric, is_defined
 
 DEFAULT_TEST_LEVEL = 0.05
+MIN_EXPECTED_COUNT = 5.0
 
 
 class IncompatiblePair(Enum):
@@ -33,11 +33,16 @@ class IncompatiblePair(Enum):
 
 
 class IndependenceTest(NamedTuple):
-    """Pearson chi-square test of outcome against group membership."""
+    """Pearson chi-square test of outcome against group membership.
+
+    ``min_expected`` is the smallest expected cell count; below
+    :data:`MIN_EXPECTED_COUNT` the chi-square approximation is unreliable.
+    """
 
     statistic: float
     p_value: float
     reject: bool
+    min_expected: float
 
 
 def prevalence_by_group(dataset: AuditDataset) -> dict[str, float]:
@@ -53,9 +58,7 @@ def independence_test(
 ) -> IndependenceTest:
     """Chi-square test of whether outcome rates differ across groups.
 
-    Uses the Pearson statistic without continuity correction. Warns when
-    any expected cell count falls below 5, where the chi-square
-    approximation gets unreliable.
+    Uses the Pearson statistic without continuity correction.
     """
     if not 0.0 < level < 1.0:
         raise InputError("test level outside (0, 1)")
@@ -68,18 +71,12 @@ def independence_test(
         table[i, 1] = outcome.shape[0] - positives
     if (table.sum(axis=0) == 0).any():
         raise InputError("independence test needs both outcome values present")
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
-    if (expected < 5).any():
-        warnings.warn(
-            "chi-square approximation is unreliable: an expected cell count is below 5",
-            UserWarning,
-            stacklevel=2,
-        )
-    statistic, p_value, _, _ = chi2_contingency(table, correction=False)
+    statistic, p_value, _, expected = chi2_contingency(table, correction=False)
     return IndependenceTest(
         statistic=float(statistic),
         p_value=float(p_value),
         reject=bool(p_value < level),
+        min_expected=float(expected.min()),
     )
 
 
@@ -92,7 +89,9 @@ class IncompatibilityVerdict:
     when at least one record is misclassified. Flags require rejecting
     outcome/group independence, plus informativeness for the
     independence/separation pair and imperfection for the
-    separation/sufficiency pair.
+    separation/sufficiency pair. ``notes`` carries caveats on the test,
+    such as expected cell counts too small for the chi-square
+    approximation.
     """
 
     prevalence: Mapping[str, float]
@@ -103,6 +102,7 @@ class IncompatibilityVerdict:
     imperfect: bool
     flagged: tuple[IncompatiblePair, ...]
     level: float = DEFAULT_TEST_LEVEL
+    notes: tuple[str, ...] = ()
 
 
 def incompatibility_verdict(
@@ -124,6 +124,12 @@ def incompatibility_verdict(
             flagged.append(IncompatiblePair.INDEPENDENCE_SEPARATION)
         if imperfect:
             flagged.append(IncompatiblePair.SEPARATION_SUFFICIENCY)
+    notes = []
+    if test.min_expected < MIN_EXPECTED_COUNT:
+        notes.append(
+            "chi-square approximation is unreliable: the smallest expected cell "
+            f"count is {test.min_expected:.3g}, below {MIN_EXPECTED_COUNT:g}"
+        )
     return IncompatibilityVerdict(
         prevalence=prevalence_by_group(dataset),
         statistic=test.statistic,
@@ -133,6 +139,7 @@ def incompatibility_verdict(
         imperfect=imperfect,
         flagged=tuple(flagged),
         level=level,
+        notes=tuple(notes),
     )
 
 

@@ -277,11 +277,17 @@ def compare_conditional(
         predicate = ConditionPredicate.parse(predicate)
     _check_pair(dataset, group_a, group_b)
     stratum = filter_condition(dataset, predicate)
+    return _conditional_row(stratum, group_a, group_b, name or str(predicate))
+
+
+def _conditional_row(
+    stratum: AuditDataset, group_a: str, group_b: str, condition: str
+) -> Comparison:
     inner = compare(stratum, FairnessCriterion.STATISTICAL_PARITY, group_a, group_b)[0]
     return dataclasses.replace(
         inner,
         criterion=FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY,
-        condition=name or str(predicate),
+        condition=condition,
     )
 
 
@@ -394,7 +400,6 @@ def evaluate_all(
     criteria: Sequence[FairnessCriterion | str] | None = None,
     conditions: Mapping[str, ConditionPredicate | str] | None = None,
     bootstrap: BootstrapConfig | None = None,
-    workers: int = 1,
     bins: int = 10,
     min_bin_count: int = 10,
 ) -> FairnessReport:
@@ -405,7 +410,8 @@ def evaluate_all(
     and per-row input problems (say, a condition that empties a stratum)
     become rows with ERROR status. With a bootstrap config, difference
     and ratio intervals are attached to every evaluated row; all rows
-    share one set of resamples per stratum.
+    share one set of resamples per stratum. Each condition's stratum is
+    filtered once and serves both its row and its intervals.
     """
     _check_pair(dataset, group_a, group_b)
     if not dataset.has_decisions:
@@ -422,7 +428,7 @@ def evaluate_all(
 
     report_notes: list[str] = []
     rows: list[Comparison] = []
-    conditional_rows: dict[str, Comparison] = {}
+    strata: dict[str, AuditDataset] = {}  # conditions whose row evaluated
 
     for criterion in CANONICAL_ORDER:
         if criterion not in selected:
@@ -432,7 +438,8 @@ def evaluate_all(
         if criterion is FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY:
             for name, predicate in conditions.items():
                 try:
-                    row = compare_conditional(dataset, predicate, group_a, group_b, name)
+                    stratum = filter_condition(dataset, predicate)
+                    row = _conditional_row(stratum, group_a, group_b, name)
                 except InputError as exc:
                     row = _not_evaluated(
                         criterion,
@@ -443,7 +450,8 @@ def evaluate_all(
                         condition=name,
                         status=RowStatus.ERROR,
                     )
-                conditional_rows[name] = row
+                else:
+                    strata[name] = stratum
                 rows.append(row)
             continue
         components = CRITERION_COMPONENTS[criterion]
@@ -468,25 +476,16 @@ def evaluate_all(
             key=lambda m: m.value,
         )
         base_intervals = (
-            bootstrap_intervals(
-                dataset, base_metrics, group_a, group_b, bootstrap, workers=workers
-            )
+            bootstrap_intervals(dataset, base_metrics, group_a, group_b, bootstrap)
             if base_metrics
             else {}
         )
-        stratum_intervals: dict[str, dict] = {}
-        for name, predicate in conditions.items():
-            if conditional_rows[name].status is not RowStatus.EVALUATED:
-                continue
-            stratum = filter_condition(dataset, predicate)
-            stratum_intervals[name] = bootstrap_intervals(
-                stratum,
-                (MetricId.POSITIVE_RATE,),
-                group_a,
-                group_b,
-                bootstrap,
-                workers=workers,
+        stratum_intervals = {
+            name: bootstrap_intervals(
+                stratum, (MetricId.POSITIVE_RATE,), group_a, group_b, bootstrap
             )
+            for name, stratum in strata.items()
+        }
         decorated = []
         for row in rows:
             if row.status is not RowStatus.EVALUATED:

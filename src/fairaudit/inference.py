@@ -3,8 +3,8 @@
 Resampling draws records with replacement within each group, keeping
 group sizes fixed. Every (seed, iteration, group label) triple addresses
 its own random substream, so replicates are a pure function of the data
-order and those three values: reruns reproduce bit for bit, regardless
-of how iterations are partitioned across workers.
+order and those three values: reruns reproduce bit for bit, and a
+group's replicates are the same in every pair it joins.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences; the ratio interval is
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -125,29 +124,6 @@ def resample_within_groups(
     return dataset.take(np.concatenate(parts))
 
 
-class _GroupSampler:
-    """Caches one group's columns and evaluates metrics on index draws."""
-
-    def __init__(self, dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...]):
-        self.label = label
-        self.metrics = metrics
-        self.outcome, self.score, self.decision = _group_arrays(dataset, label, metrics)
-        self.size = int(self.outcome.shape[0])
-        self.need_counts = any(m in CONFUSION_METRICS for m in metrics)
-
-    def evaluate_draw(self, draw: np.ndarray, out: np.ndarray) -> None:
-        outcome = self.outcome[draw]
-        score = self.score[draw] if self.score is not None else None
-        decision = self.decision[draw] if self.decision is not None else None
-        counts = _confusion_from_arrays(outcome, decision) if self.need_counts else None
-        for j, metric in enumerate(self.metrics):
-            if metric in CONFUSION_METRICS:
-                value = metric_from_counts(metric, counts)
-            else:
-                value = compute_metric(metric, outcome, score, decision)
-            out[j] = value if is_defined(value) else math.nan
-
-
 @dataclass(frozen=True)
 class BootstrapReplicates:
     """Per-iteration metric values for two groups; NaN marks undefined."""
@@ -159,64 +135,53 @@ class BootstrapReplicates:
     values_b: np.ndarray
 
 
+def _group_replicates(
+    dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...], config: BootstrapConfig
+) -> np.ndarray:
+    """Metric values on each of one group's resamples (B x metrics, NaN = undefined)."""
+    outcome, score, decision = _group_arrays(dataset, label, metrics)
+    size = outcome.shape[0]
+    need_counts = any(m in CONFUSION_METRICS for m in metrics)
+    values = np.empty((config.iterations, len(metrics)), dtype=np.float64)
+    for iteration, out in enumerate(values):
+        draw = _substream(config.seed, iteration, label).integers(0, size, size)
+        drawn_outcome = outcome[draw]
+        drawn_score = score[draw] if score is not None else None
+        drawn_decision = decision[draw] if decision is not None else None
+        counts = _confusion_from_arrays(drawn_outcome, drawn_decision) if need_counts else None
+        for j, metric in enumerate(metrics):
+            if metric in CONFUSION_METRICS:
+                value = metric_from_counts(metric, counts)
+            else:
+                value = compute_metric(metric, drawn_outcome, drawn_score, drawn_decision)
+            out[j] = value if is_defined(value) else math.nan
+    return values
+
+
 def bootstrap_replicates(
     dataset: AuditDataset,
     metrics,
     group_a: str,
     group_b: str,
     config: BootstrapConfig,
-    *,
-    workers: int = 1,
 ) -> BootstrapReplicates:
     """Evaluate metrics on every stratified resample of a group pair.
 
     All requested metrics share one draw per (iteration, group), so adding
-    a metric never changes the resamples of the others. Output is
-    identical for any worker count.
+    a metric never changes the resamples of the others, and each group's
+    replicates depend only on that group, never on the pair it joins.
     """
     metric_tuple = tuple(dict.fromkeys(coerce_metric(m) for m in metrics))
     if not metric_tuple:
         raise InputError("no metrics requested")
     if group_a == group_b:
         raise InputError("group pair must name two distinct groups")
-    if workers < 1:
-        raise InputError("workers must be at least 1")
-    samplers = (
-        _GroupSampler(dataset, group_a, metric_tuple),
-        _GroupSampler(dataset, group_b, metric_tuple),
-    )
-    B = config.iterations
-    values = (
-        np.empty((B, len(metric_tuple)), dtype=np.float64),
-        np.empty((B, len(metric_tuple)), dtype=np.float64),
-    )
-
-    def fill(lo: int, hi: int) -> None:
-        for iteration in range(lo, hi):
-            for sampler, out in zip(samplers, values):
-                rng = _substream(config.seed, iteration, sampler.label)
-                draw = rng.integers(0, sampler.size, sampler.size)
-                sampler.evaluate_draw(draw, out[iteration])
-
-    if workers == 1:
-        fill(0, B)
-    else:
-        bounds = np.linspace(0, B, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(fill, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for future in futures:
-                future.result()
-
     return BootstrapReplicates(
         metrics=metric_tuple,
         group_a=group_a,
         group_b=group_b,
-        values_a=values[0],
-        values_b=values[1],
+        values_a=_group_replicates(dataset, group_a, metric_tuple, config),
+        values_b=_group_replicates(dataset, group_b, metric_tuple, config),
     )
 
 
@@ -277,8 +242,6 @@ def ci_diff(
     group_a: str,
     group_b: str,
     config: BootstrapConfig | None = None,
-    *,
-    workers: int = 1,
 ) -> Interval:
     """Wald interval for the between-group difference of one metric."""
     config = config or BootstrapConfig()
@@ -286,9 +249,7 @@ def ci_diff(
     point_a, point_b = _points(dataset, metric, group_a, group_b)
     if not is_defined(point_a) or not is_defined(point_b):
         raise InputError(f"point estimate of {metric.value} is undefined")
-    replicates = bootstrap_replicates(
-        dataset, (metric,), group_a, group_b, config, workers=workers
-    )
+    replicates = bootstrap_replicates(dataset, (metric,), group_a, group_b, config)
     return _diff_interval(
         replicates.values_a[:, 0], replicates.values_b[:, 0], point_a, point_b, config
     )
@@ -300,8 +261,6 @@ def ci_ratio(
     group_a: str,
     group_b: str,
     config: BootstrapConfig | None = None,
-    *,
-    workers: int = 1,
 ) -> Interval:
     """Wald interval for the between-group ratio, built on the log scale."""
     config = config or BootstrapConfig()
@@ -313,9 +272,7 @@ def ci_ratio(
         raise InputError(
             f"ratio interval for {metric.value} needs strictly positive point estimates"
         )
-    replicates = bootstrap_replicates(
-        dataset, (metric,), group_a, group_b, config, workers=workers
-    )
+    replicates = bootstrap_replicates(dataset, (metric,), group_a, group_b, config)
     return _ratio_interval(
         replicates.values_a[:, 0], replicates.values_b[:, 0], point_a, point_b, config
     )
@@ -340,8 +297,6 @@ def bootstrap_intervals(
     group_a: str,
     group_b: str,
     config: BootstrapConfig | None = None,
-    *,
-    workers: int = 1,
 ) -> dict[MetricId, PairIntervals]:
     """Difference and ratio intervals for several metrics in one pass.
 
@@ -350,7 +305,7 @@ def bootstrap_intervals(
     discard tolerance still raises.
     """
     config = config or BootstrapConfig()
-    replicates = bootstrap_replicates(dataset, metrics, group_a, group_b, config, workers=workers)
+    replicates = bootstrap_replicates(dataset, metrics, group_a, group_b, config)
     out: dict[MetricId, PairIntervals] = {}
     for j, metric in enumerate(replicates.metrics):
         point_a, point_b = _points(dataset, metric, group_a, group_b)

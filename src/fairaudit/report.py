@@ -144,6 +144,7 @@ def _diagnostics_block(verdict: IncompatibilityVerdict | Mapping | None) -> dict
         "informative": verdict.informative,
         "imperfect": verdict.imperfect,
         "flagged": [pair.value for pair in verdict.flagged],
+        "notes": list(verdict.notes),
     }
 
 
@@ -402,6 +403,8 @@ def emit_markdown(document: Mapping) -> str:
                     "- criterion families that cannot both hold here: "
                     + ", ".join(flagged)
                 )
+            for note in diagnostics.get("notes", []):
+                lines.append(f"- {note}")
         lines.append("")
 
     for assessment in document.get("epsilon_assessments", []):

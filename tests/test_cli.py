@@ -199,7 +199,6 @@ class TestMetaMetricsViaAudit:
         kinds = {entry["kind"] for entry in results}
         assert "max_min_diff" in kinds and "generalized_entropy" in kinds
 
-    @pytest.mark.filterwarnings("ignore:chi-square approximation")
     def test_three_groups_get_meta_automatically(self, capsys, three_group_csv):
         code, out, _ = run(
             capsys,
@@ -379,6 +378,12 @@ class TestErrors:
         assert out == ""
         assert err.startswith("fairaudit: ") and err.count("\n") == 1
         assert "finite" in err
+
+    def test_zero_workers_rejected(self, capsys, clinical_csv):
+        code, out, err = run(capsys, *audit_args(clinical_csv, "--workers", "0"))
+        assert code == 1
+        assert out == ""
+        assert err == "fairaudit: workers must be at least 1\n"
 
     def test_no_decisions_available(self, capsys, clinical_csv):
         code, _, err = run(
@@ -613,6 +618,24 @@ class TestDiagnoseSubcommand:
         )
         assert code == 1
         assert "decisions" in err
+
+    @pytest.mark.parametrize("command", ["audit", "diagnose"])
+    def test_small_counts_become_a_note(self, capsys, tmp_path, command):
+        path = tmp_path / "tiny.csv"
+        path.write_text("y,g,s\n1,a,0.9\n0,a,0.2\n1,b,0.7\n0,b,0.4\n", encoding="utf-8")
+        argv = [
+            command, "--input", str(path), "--outcome", "y", "--group", "g",
+            "--score", "s", "--threshold", "0.5",
+        ]
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_report_schema())
+        (note,) = doc["diagnostics"]["notes"]
+        assert note.startswith("chi-square approximation is unreliable")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert f"- {note}" in out.splitlines()
 
 
 class TestTopLevel:

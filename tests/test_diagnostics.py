@@ -98,10 +98,13 @@ class TestIndependenceTest:
         assert result.p_value == 1.0
         assert result.reject is False
 
-    def test_warns_on_small_expected_counts(self):
+    def test_small_expected_counts_become_a_note(self):
         ds = two_group_dataset(2, 6, 1, 6)
-        with pytest.warns(UserWarning, match="below 5"):
-            independence_test(ds)
+        assert independence_test(ds).min_expected == 1.5
+        assert incompatibility_verdict(ds).notes == (
+            "chi-square approximation is unreliable: the smallest expected cell "
+            "count is 1.5, below 5",
+        )
 
     def test_needs_both_outcome_values(self):
         ds = two_group_dataset(0, 10, 0, 10)
@@ -143,6 +146,7 @@ class TestIncompatibilityVerdict:
         )
         assert verdict.prevalence == {"a": 0.19, "b": 0.14}
         assert verdict.level == 0.05
+        assert verdict.notes == ()
 
     def test_equal_base_rates_flag_nothing(self):
         ds = two_group_dataset(60, 400, 60, 400, flips=10)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 
 import jsonschema
 import numpy as np
@@ -114,11 +113,7 @@ def full_document():
         bootstrap=BootstrapConfig(iterations=40, seed=3, degenerate_tolerance=1.0),
     )
     values = {"F": 3 / 8, "M": 2 / 4}
-    with warnings.catch_warnings():
-        # 12 records leave expected cell counts below 5; the warning is
-        # exercised in the diagnostics tests
-        warnings.simplefilter("ignore", UserWarning)
-        verdict = incompatibility_verdict(ds)
+    verdict = incompatibility_verdict(ds)
     return build_document(
         version="0.1.0",
         request={"input": "toy.csv", "reference": "F"},
@@ -330,6 +325,10 @@ def handmade_document():
                 "independence_separation",
                 "separation_sufficiency",
             ],
+            "notes": [
+                "chi-square approximation is unreliable: the smallest expected cell "
+                "count is 4.2, below 5"
+            ],
         },
         "epsilon_assessments": [
             {
@@ -441,6 +440,10 @@ class TestMarkdown:
             "- criterion families that cannot both hold here: "
             "independence_sufficiency, independence_separation, separation_sufficiency"
             in lines
+        )
+        assert (
+            "- chi-square approximation is unreliable: the smallest expected cell count "
+            "is 4.2, below 5" in lines
         )
 
     def test_tolerance_section(self):
