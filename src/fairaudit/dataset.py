@@ -215,6 +215,19 @@ def _decoded(lines: Iterable[str], path: str) -> Iterator[str]:
         raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
 
 
+def _check_one_line(row: list[str], start: int, end: int, path: str) -> None:
+    """Reject a row that holds a line break in a cell, naming the line it began on.
+
+    The reader only crosses a line end inside a quoted cell, so such a row
+    ends on a later line than it began; a quote still open at the end of
+    the file leaves the break in the row's last cell instead.
+    """
+    if end != start or (row and row[-1].endswith(("\n", "\r"))):
+        raise InputError(
+            f"line {start} of {path!r} has a line break inside a cell; is a quote left open?"
+        )
+
+
 def load_csv(
     path: str,
     *,
@@ -234,8 +247,9 @@ def load_csv(
     (NaN for missing); anything else stays categorical (None for
     missing). Covariate columns that are entirely missing are dropped.
     The file is read as UTF-8; a leading byte-order mark is skipped.
-    Bytes that are not UTF-8, and a row with non-blank cells beyond the
-    header, raise InputError.
+    Bytes that are not UTF-8, a row with non-blank cells beyond the
+    header, and a cell holding a line break (usually an unclosed quote,
+    which would swallow every later row) raise InputError.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
@@ -254,6 +268,7 @@ def load_csv(
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path!r} is empty") from None
+        _check_one_line(header, 1, reader.line_num, path)
         header = [name.strip() for name in header]
         if covariates is None:
             covariate_names = [name for name in header if name and name not in bound]
@@ -276,13 +291,15 @@ def load_csv(
         raw_covariates: dict[str, list[str]] = {name: [] for name in covariate_names}
         n_dropped = 0
 
+        line, row = 1, []
         for row in reader:
+            line += 1
+            if reader.line_num != line:
+                break  # a cell holds a line break: reported below
             if not any(cell.strip() for cell in row):
                 continue
             if any(extra.strip() for extra in row[len(header) :]):
-                raise InputError(
-                    f"line {reader.line_num} of {path!r} has more cells than the header"
-                )
+                raise InputError(f"line {line} of {path!r} has more cells than the header")
 
             def cell(name: str) -> str:
                 index = position[name]
@@ -301,6 +318,7 @@ def load_csv(
             decisions.append(-1 if d is None else d)
             for name in covariate_names:
                 raw_covariates[name].append(cell(name).strip())
+        _check_one_line(row, line, reader.line_num, path)  # the row that ended the loop
 
     if not outcomes:
         raise InputError(f"no usable records in {path!r}")

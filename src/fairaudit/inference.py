@@ -19,9 +19,9 @@ import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .dataset import AuditDataset
 from .errors import ComputationError, InputError
@@ -63,7 +63,7 @@ class BootstrapConfig:
 
     @property
     def z(self) -> float:
-        return float(ndtri(1.0 - self.alpha / 2.0))
+        return NormalDist().inv_cdf(1.0 - self.alpha / 2.0)
 
 
 class IntervalMethod(Enum):

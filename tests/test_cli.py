@@ -4,12 +4,32 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from fairaudit import __version__, load_report_schema
 from fairaudit.cli import main
+
+
+def test_import_loads_no_scipy():
+    # importing scipy would outweigh a small audit; the runtime needs none of it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, fairaudit.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -303,6 +323,21 @@ class TestErrors:
         )
         assert code == 1
         assert "nope" in err
+
+    def test_unclosed_quote_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "quote.csv"
+        path.write_text(
+            "y,s,g,ward\n1,0.9,a,icu\n0,0.2,b,med\n1,0.8,a,med\n"
+            '0,0.3,b,"icu\n1,0.6,a,icu\n0,0.1,b,med\n1,0.7,b,icu\n'
+        )
+        code, out, err = run(
+            capsys, "audit", "--input", str(path), "--outcome", "y", "--group", "g",
+            "--score", "s", "--threshold", "0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("fairaudit: line 5 of ")
+        assert err.count("\n") == 1
 
     def test_missing_file(self, capsys):
         code, _, err = run(

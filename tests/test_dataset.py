@@ -148,6 +148,31 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="line 4 of .* more cells than the header"):
             load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # the reader would fold every line after row 4 into its ward cell
+            (
+                "y,s,g,ward\n1,0.9,a,icu\n0,0.2,b,med\n1,0.8,a,med\n"
+                '0,0.3,b,"icu\n1,0.6,a,icu\n0,0.1,b,med\n1,0.7,b,icu\n',
+                5,
+            ),
+            ('y,"s,g,ward\n1,0.9,a,icu\n0,0.2,b,med\n', 1),
+            ('y,s,g,ward\n1,0.9,a,icu\n0,0.2,b,"med\n', 3),
+            ('y,s,g,ward\n1,0.9,a,"icu\nnorth"\n0,0.2,b,med\n', 2),
+        ],
+        ids=["unclosed", "unclosed-header", "unclosed-at-end", "closed"],
+    )
+    def test_line_break_in_cell_rejected(self, tmp_path, text, line):
+        with pytest.raises(InputError, match=f"line {line} of .* line break inside a cell"):
+            load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+
+    def test_quoted_cell_with_comma_loads(self, tmp_path):
+        text = 'y,s,g,ward\n1,0.9,a,"icu, north"\n0,0.2,b,med\n'
+        ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+        assert ds.n == 2
+        assert list(ds.covariates["ward"]) == ["icu, north", "med"]
+
     def test_blank_extra_cells_load_and_short_rows_drop(self, tmp_path):
         text = "y,s,g\n1,0.9,a,,\n0,0.2,b, \n1,0.5\n"
         ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")

@@ -25,6 +25,7 @@ from fairaudit import (
     is_defined,
     prevalence_by_group,
 )
+from fairaudit.diagnostics import _chi2_survival
 
 from conftest import toy_dataset
 
@@ -121,6 +122,32 @@ class TestIndependenceTest:
         ds = two_group_dataset(95, 500, 70, 500)
         assert independence_test(ds, 0.05).reject is True
         assert independence_test(ds, 0.01).reject is False
+
+
+class TestChi2Survival:
+    def test_matches_scipy_oracle(self):
+        from scipy.stats import chi2
+
+        statistics = np.geomspace(1e-8, 5e3, 400)
+        for dof in [*range(1, 60), 99, 199, 499, 999]:
+            reference = chi2.sf(statistics, dof)
+            for statistic, expected in zip(statistics, reference):
+                if expected > 1e-300:
+                    assert _chi2_survival(float(statistic), dof) == pytest.approx(
+                        expected, rel=1e-12, abs=0.0
+                    ), (statistic, dof)
+
+    def test_zero_dof_is_one(self):
+        assert _chi2_survival(3.0, 0) == 1.0
+
+    def test_zero_statistic_is_one(self):
+        for dof in (1, 2, 7):
+            assert _chi2_survival(0.0, dof) == 1.0
+
+    def test_huge_statistic_underflows_quietly(self):
+        p_value = _chi2_survival(1e6, 999)
+        assert math.isfinite(p_value)
+        assert p_value >= 0.0
 
 
 class TestPrevalence:
