@@ -40,6 +40,11 @@ from .report import build_document, emit_markdown, render_json
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
+# Upper bounds that stop a mistyped --bootstrap or --bins before it
+# allocates; no meaningful audit comes near either.
+MAX_BOOTSTRAP = 10**6
+MAX_BINS = 10**4
+
 
 @dataclass(frozen=True)
 class AuditRequest:
@@ -100,6 +105,10 @@ class AuditRequest:
             raise InputError("threshold outside [0, 1]")
         if self.bins < 2:
             raise InputError("bins must be at least 2")
+        if self.bins > MAX_BINS:
+            raise InputError(f"bins must be at most {MAX_BINS}")
+        if self.bootstrap is not None and self.bootstrap > MAX_BOOTSTRAP:
+            raise InputError(f"bootstrap must be at most {MAX_BOOTSTRAP}")
         if self.min_bin_count < 1:
             raise InputError("min-bin-count must be at least 1")
         for value in self.epsilon:

@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import AuditDataset
 from .errors import InputError
 from .fairness import FairnessReport, RowStatus
-from .metrics import MetricId, group_metric, is_defined
+from .metrics import _N, _Y, MetricId, _group_sums, group_metric, is_defined
 
 DEFAULT_TEST_LEVEL = 0.05
 MIN_EXPECTED_COUNT = 5.0
@@ -88,12 +88,10 @@ def independence_test(
     if not 0.0 < level < 1.0:
         raise InputError("test level outside (0, 1)")
     labels = dataset.groups
-    table = np.empty((len(labels), 2), dtype=np.int64)
-    for i, label in enumerate(labels):
-        outcome = dataset.outcome[dataset.group_positions(label)]
-        positives = int(outcome.sum())
-        table[i, 0] = positives
-        table[i, 1] = outcome.shape[0] - positives
+    sums = np.array(
+        [_group_sums(dataset.outcome[dataset.group_positions(g)], None, None) for g in labels]
+    )
+    table = np.column_stack([sums[:, _Y], sums[:, _N] - sums[:, _Y]])
     if (table.sum(axis=0) == 0).any():
         raise InputError("independence test needs both outcome values present")
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()

@@ -26,15 +26,14 @@ import numpy as np
 from .dataset import AuditDataset
 from .errors import ComputationError, InputError
 from .metrics import (
-    CONFUSION_METRICS,
+    _SUM_COLUMNS,
     MetricId,
-    _confusion_from_arrays,
     _group_arrays,
+    _group_sums,
+    _metric_values,
     coerce_metric,
-    compute_metric,
     group_metric,
     is_defined,
-    metric_from_counts,
 )
 
 
@@ -139,23 +138,13 @@ def _group_replicates(
     dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...], config: BootstrapConfig
 ) -> np.ndarray:
     """Metric values on each of one group's resamples (B x metrics, NaN = undefined)."""
-    outcome, score, decision = _group_arrays(dataset, label, metrics)
-    size = outcome.shape[0]
-    need_counts = any(m in CONFUSION_METRICS for m in metrics)
-    values = np.empty((config.iterations, len(metrics)), dtype=np.float64)
-    for iteration, out in enumerate(values):
+    columns = _group_arrays(dataset, label, metrics)
+    size = columns[0].shape[0]
+    sums = np.empty((config.iterations, _SUM_COLUMNS), dtype=np.float64)
+    for iteration, row in enumerate(sums):
         draw = _substream(config.seed, iteration, label).integers(0, size, size)
-        drawn_outcome = outcome[draw]
-        drawn_score = score[draw] if score is not None else None
-        drawn_decision = decision[draw] if decision is not None else None
-        counts = _confusion_from_arrays(drawn_outcome, drawn_decision) if need_counts else None
-        for j, metric in enumerate(metrics):
-            if metric in CONFUSION_METRICS:
-                value = metric_from_counts(metric, counts)
-            else:
-                value = compute_metric(metric, drawn_outcome, drawn_score, drawn_decision)
-            out[j] = value if is_defined(value) else math.nan
-    return values
+        row[:] = _group_sums(*(c if c is None else c[draw] for c in columns))
+    return _metric_values(sums, metrics)
 
 
 def bootstrap_replicates(

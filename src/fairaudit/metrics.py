@@ -1,11 +1,15 @@
 """Per-group confusion counts, classification metrics, and calibration.
 
-Metrics with a zero denominator evaluate to the UNDEFINED sentinel, never
-to an exception; callers decide how to surface that.
+Every metric is a ratio of two per-group sums (n, Σy, Σd, Σyd, the score
+sums over positive and over negative outcomes, Σ(s−y)² and Σ|s−y|), for
+point estimates and bootstrap replicates alike. A zero denominator gives
+the UNDEFINED sentinel, never an exception; callers decide how to surface
+that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -145,73 +149,66 @@ class CalibrationCurve:
         return int(self.counts.sum())
 
 
-def _confusion_from_arrays(outcome: np.ndarray, decision: np.ndarray) -> ConfusionCounts:
-    codes = (outcome.astype(np.int8) << 1) | decision.astype(np.int8)
-    c = np.bincount(codes, minlength=4)
-    return ConfusionCounts(tp=int(c[3]), fp=int(c[1]), tn=int(c[0]), fn=int(c[2]))
+# Column order of a per-group sums row.
+_N, _Y, _D, _YD, _S_POS, _S_NEG, _SQ_ERR, _ABS_ERR = range(8)
+_SUM_COLUMNS = 8
 
 
-def _ratio(numerator: float, denominator: float) -> MetricValue:
-    if denominator == 0:
-        return UNDEFINED
-    return numerator / denominator
+def _group_sums(
+    outcome: np.ndarray, score: np.ndarray | None, decision: np.ndarray | None
+) -> np.ndarray:
+    """One group's sums row; the columns of a None score or decision are NaN.
 
-
-CONFUSION_METRICS = frozenset(DECISION_METRICS - {MetricId.POSITIVE_RATE})
-
-
-def metric_from_counts(metric: MetricId, counts: ConfusionCounts) -> MetricValue:
-    """Evaluate a confusion-derived metric; UNDEFINED on zero denominator."""
-    if metric is MetricId.TPR:
-        return _ratio(counts.tp, counts.tp + counts.fn)
-    if metric is MetricId.TNR:
-        return _ratio(counts.tn, counts.tn + counts.fp)
-    if metric is MetricId.FPR:
-        return _ratio(counts.fp, counts.fp + counts.tn)
-    if metric is MetricId.FNR:
-        return _ratio(counts.fn, counts.tp + counts.fn)
-    if metric is MetricId.PPV:
-        return _ratio(counts.tp, counts.tp + counts.fp)
-    if metric is MetricId.NPV:
-        return _ratio(counts.tn, counts.tn + counts.fn)
-    if metric is MetricId.ACCURACY:
-        return _ratio(counts.tp + counts.tn, counts.n)
-    if metric is MetricId.FN_FP_RATIO:
-        return _ratio(counts.fn, counts.fp)
-    raise InputError(f"metric {metric.value} is not derived from confusion counts")
-
-
-def compute_metric(
-    metric: MetricId,
-    outcome: np.ndarray,
-    score: np.ndarray | None,
-    decision: np.ndarray | None,
-) -> MetricValue:
-    """Evaluate one metric on raw group arrays.
-
-    This is the single arithmetic path: the public per-group accessors and
-    the bootstrap resampler both call it, so point estimates and resampled
-    statistics can never disagree on a formula. Capability checks (is a
-    score column present at all) happen in ``_group_arrays``.
+    Counts are exact integers and each score sum is reduced over its own
+    array, so no metric is a difference of large sums.
     """
-    if metric is MetricId.PREVALENCE:
-        return float(outcome.mean())
-    if metric in SCORE_METRICS:
-        assert score is not None
-        if metric is MetricId.BRIER_SCORE:
-            return float(np.mean((score - outcome) ** 2))
-        if metric is MetricId.MEAN_ABSOLUTE_ERROR:
-            return float(np.mean(np.abs(score - outcome)))
-        selected = score[outcome == 1] if metric is MetricId.MEAN_SCORE_POS else score[outcome == 0]
-        if selected.shape[0] == 0:
-            return UNDEFINED
-        return float(selected.mean())
-    assert decision is not None
-    if metric is MetricId.POSITIVE_RATE:
-        return float(decision.mean())
-    if metric in CONFUSION_METRICS:
-        return metric_from_counts(metric, _confusion_from_arrays(outcome, decision))
-    raise InputError(f"unknown metric: {metric!r}")
+    sums = np.full(_SUM_COLUMNS, np.nan)
+    positive = outcome.astype(bool)
+    sums[_N] = outcome.shape[0]
+    sums[_Y] = np.count_nonzero(positive)
+    if decision is not None:
+        sums[_D] = np.count_nonzero(decision)
+        sums[_YD] = np.count_nonzero(decision & outcome)
+    if score is not None:
+        # compress selects what score[positive] does, several times faster
+        sums[_S_POS] = score.compress(positive).sum()
+        sums[_S_NEG] = score.compress(~positive).sum()
+        residual = score - outcome
+        sums[_SQ_ERR] = (residual * residual).sum()
+        sums[_ABS_ERR] = np.abs(residual).sum()
+    return sums
+
+
+def _metric_values(sums: np.ndarray, metrics: tuple[MetricId, ...]) -> np.ndarray:
+    """Metric values from sums rows: (k,) -> (m,), (B, k) -> (B, m); NaN on a zero denominator."""
+    n, y, d, yd, s_pos, s_neg, sq_err, abs_err = sums.T
+    fp, fn = d - yd, y - yd
+    tn = n - y - fp
+    ratios = {
+        MetricId.TPR: (yd, y),
+        MetricId.TNR: (tn, n - y),
+        MetricId.FPR: (fp, n - y),
+        MetricId.FNR: (fn, y),
+        MetricId.PPV: (yd, d),
+        MetricId.NPV: (tn, n - d),
+        MetricId.ACCURACY: (yd + tn, n),
+        MetricId.BRIER_SCORE: (sq_err, n),
+        MetricId.MEAN_ABSOLUTE_ERROR: (abs_err, n),
+        MetricId.POSITIVE_RATE: (d, n),
+        MetricId.PREVALENCE: (y, n),
+        MetricId.MEAN_SCORE_POS: (s_pos, y),
+        MetricId.MEAN_SCORE_NEG: (s_neg, n - y),
+        MetricId.FN_FP_RATIO: (fn, fp),
+    }
+    values = np.full(sums.shape[:-1] + (len(metrics),), np.nan)
+    for j, metric in enumerate(metrics):
+        numerator, denominator = ratios[metric]
+        np.divide(numerator, denominator, out=values[..., j], where=denominator != 0)
+    return values
+
+
+def _as_metric_value(value: float) -> MetricValue:
+    return UNDEFINED if math.isnan(value) else float(value)
 
 
 def _group_arrays(
@@ -247,26 +244,38 @@ def _group_arrays(
 def group_metric(dataset: AuditDataset, group: str, metric: MetricId | str) -> MetricValue:
     """One metric for one group; UNDEFINED on a zero denominator."""
     metric = coerce_metric(metric)
-    outcome, score, decision = _group_arrays(dataset, group, (metric,))
-    return compute_metric(metric, outcome, score, decision)
+    sums = _group_sums(*_group_arrays(dataset, group, (metric,)))
+    return _as_metric_value(_metric_values(sums, (metric,))[0])
 
 
 def group_confusion(dataset: AuditDataset, group: str) -> ConfusionCounts:
     """Confusion table for one group of a thresholded dataset."""
     outcome, _, decision = _group_arrays(dataset, group, (MetricId.ACCURACY,))
-    return _confusion_from_arrays(outcome, decision)
+    n, y, d, yd = (int(v) for v in _group_sums(outcome, None, decision)[[_N, _Y, _D, _YD]])
+    return ConfusionCounts(tp=yd, fp=d - yd, tn=n - y - d + yd, fn=y - yd)
 
 
 def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
-    """Every metric the dataset's columns support, for one group."""
+    """Every metric the dataset's columns support, for one group.
+
+    A score (decision) metric is left out when that column is unbound or
+    has an unset cell in the group.
+    """
     rows = dataset.group_positions(group)
-    values: dict[MetricId, MetricValue] = {}
-    for metric in MetricId:
-        try:
-            values[metric] = group_metric(dataset, group, metric)
-        except InputError:
-            continue
-    return GroupMetrics(group=group, n=int(rows.shape[0]), values=values)
+    score = None if dataset.score is None else dataset.score[rows]
+    score = None if score is None or np.isnan(score).any() else score
+    decision = None if dataset.decision is None else dataset.decision[rows]
+    decision = None if decision is None or (decision < 0).any() else decision
+    omit = (SCORE_METRICS if score is None else set()) | (
+        DECISION_METRICS if decision is None else set()
+    )
+    metrics = tuple(m for m in MetricId if m not in omit)
+    values = _metric_values(_group_sums(dataset.outcome[rows], score, decision), metrics)
+    return GroupMetrics(
+        group=group,
+        n=int(rows.shape[0]),
+        values={m: _as_metric_value(v) for m, v in zip(metrics, values)},
+    )
 
 
 def calibration_curve(

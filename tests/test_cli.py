@@ -414,6 +414,19 @@ class TestErrors:
         assert err.startswith("fairaudit: ") and err.count("\n") == 1
         assert "finite" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--bootstrap", "1000001", "bootstrap must be at most 1000000"),
+            ("--bins", "10001", "bins must be at most 10000"),
+        ],
+    )
+    def test_oversized_request_rejected(self, capsys, clinical_csv, flag, value, message):
+        code, out, err = run(capsys, *audit_args(clinical_csv, flag, value))
+        assert code == 1
+        assert out == ""
+        assert err == f"fairaudit: {message}\n"
+
     def test_zero_workers_rejected(self, capsys, clinical_csv):
         code, out, err = run(capsys, *audit_args(clinical_csv, "--workers", "0"))
         assert code == 1

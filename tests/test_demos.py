@@ -1,0 +1,31 @@
+"""Every demo script runs to completion against the library in src/."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -140,7 +140,7 @@ class TestResampleWithinGroups:
 
 class TestBootstrapReplicates:
     def test_matches_public_resampler_exactly(self, toy):
-        metrics = (MetricId.POSITIVE_RATE, MetricId.ACCURACY, MetricId.FNR)
+        metrics = tuple(MetricId)
         config = BootstrapConfig(iterations=5, seed=9)
         replicates = bootstrap_replicates(toy, metrics, "F", "M", config)
         for iteration in range(config.iterations):

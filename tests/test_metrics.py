@@ -17,6 +17,7 @@ from fairaudit import (
     group_metrics,
     is_defined,
 )
+from fairaudit.metrics import SCORE_METRICS
 
 F_SCORES = [0.9, 0.3, 0.8, 0.6, 0.2, 0.1, 0.4, 0.45]
 F_OUTCOMES = [1, 1, 1, 0, 0, 0, 0, 1]
@@ -138,6 +139,22 @@ class TestCapabilityErrors:
         assert MetricId.BRIER_SCORE in summary.values
         assert MetricId.PREVALENCE in summary.values
         assert MetricId.TPR not in summary.values
+
+    def test_group_metrics_skips_a_family_with_unset_cells(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0, 1, 0, 1]),
+            group=np.array(["a", "a", "a", "b", "b"], dtype=object),
+            score=np.array([0.9, np.nan, 0.4, 0.2, 0.7]),
+            decision=np.array([1, 0, 1, 0, 1]),
+        )
+        partial = group_metrics(ds, "a")
+        assert set(partial.values) == set(MetricId) - SCORE_METRICS
+        assert partial.values[MetricId.TPR] == 1.0
+        assert partial.values[MetricId.FPR] == 0.0
+        assert partial.values[MetricId.FN_FP_RATIO] is UNDEFINED
+        full = group_metrics(ds, "b")
+        assert set(full.values) == set(MetricId)
+        assert full.values[MetricId.BRIER_SCORE] == pytest.approx((0.2**2 + 0.3**2) / 2, rel=1e-12)
 
 
 class TestCalibrationCurve:
