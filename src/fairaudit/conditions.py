@@ -155,7 +155,7 @@ def _clause_mask(clause: Clause, column: np.ndarray) -> np.ndarray:
         raise InputError(
             f"condition on {clause.name!r} compares a number against a categorical column"
         )
-    valid = np.array([v is not None for v in column], dtype=bool)
-    eq = np.array([v == clause.value for v in column], dtype=bool)
+    valid = column != None  # noqa: E711 -- elementwise over the object array
+    eq = column == clause.value
     hit = eq if clause.op == "==" else ~eq
     return hit & valid

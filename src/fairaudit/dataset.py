@@ -43,7 +43,10 @@ class AuditDataset:
 
     The group index (each label's rows) is built once, at construction.
     Derived datasets go through the same constructor, so they are
-    validated and indexed the same way.
+    validated and indexed the same way, and start with an empty memo.
+    The memo keeps what an audit derives from the dataset more than once:
+    condition strata (by predicate) and each group's bootstrap replicate
+    sums. Only successful results are kept, so errors recur on every call.
     """
 
     outcome: np.ndarray
@@ -56,6 +59,7 @@ class AuditDataset:
     imputation_log: Mapping[str, float] = field(default_factory=dict)
     dropped_covariates: Mapping[str, float] = field(default_factory=dict)
     _group_index: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         outcome = np.asarray(self.outcome)
@@ -133,6 +137,7 @@ class AuditDataset:
         )
         index = MappingProxyType(dict(zip(labels, map(_read_only, rows))))
         object.__setattr__(self, "_group_index", index)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -429,10 +434,14 @@ def filter_condition(
 
     Errors if the result is empty or if any group present before the
     filter loses all of its records, since downstream comparisons expect
-    every group to survive.
+    every group to survive. A predicate's stratum is built once per
+    dataset and returned again on later calls.
     """
     if isinstance(predicate, str):
         predicate = ConditionPredicate.parse(predicate)
+    key = ("stratum", predicate)
+    if key in dataset._memo:
+        return dataset._memo[key]
     keep = predicate.mask(dataset)
     if not keep.any():
         raise InputError(f"condition {str(predicate)!r} matches no records")
@@ -441,4 +450,5 @@ def filter_condition(
             raise InputError(
                 f"condition {str(predicate)!r} leaves group {label!r} empty"
             )
-    return dataset.take(np.flatnonzero(keep))
+    stratum = dataset._memo[key] = dataset.take(np.flatnonzero(keep))
+    return stratum

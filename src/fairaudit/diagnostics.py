@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import AuditDataset
 from .errors import InputError
 from .fairness import FairnessReport, RowStatus
-from .metrics import _N, _Y, MetricId, _group_sums, group_metric, is_defined
+from .metrics import _N, _Y, MetricId, _record_terms, _term_sums, group_metric, is_defined
 
 DEFAULT_TEST_LEVEL = 0.05
 MIN_EXPECTED_COUNT = 5.0
@@ -89,7 +89,10 @@ def independence_test(
         raise InputError("test level outside (0, 1)")
     labels = dataset.groups
     sums = np.array(
-        [_group_sums(dataset.outcome[dataset.group_positions(g)], None, None) for g in labels]
+        [
+            _term_sums(_record_terms(dataset.outcome[dataset.group_positions(g)], None, None))
+            for g in labels
+        ]
     )
     table = np.column_stack([sums[:, _Y], sums[:, _N] - sums[:, _Y]])
     if (table.sum(axis=0) == 0).any():

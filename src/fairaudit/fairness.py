@@ -411,7 +411,9 @@ def evaluate_all(
     become rows with ERROR status. With a bootstrap config, difference
     and ratio intervals are attached to every evaluated row; all rows
     share one set of resamples per stratum. Each condition's stratum is
-    filtered once and serves both its row and its intervals.
+    filtered once per dataset and serves its row and its intervals in
+    every pair, and each group's resamples are shared by every pair it
+    joins.
     """
     _check_pair(dataset, group_a, group_b)
     if not dataset.has_decisions:

@@ -1,10 +1,15 @@
 """Stratified bootstrap confidence intervals for metric gaps.
 
 Resampling draws records with replacement within each group, keeping
-group sizes fixed. Every (seed, iteration, group label) triple addresses
-its own random substream, so replicates are a pure function of the data
-order and those three values: reruns reproduce bit for bit, and a
-group's replicates are the same in every pair it joins.
+group sizes fixed. A group's iterations are drawn in blocks of
+``max(1, 2**15 // n)`` resamples, one (block, n) index matrix per block,
+and each (seed, first iteration of the block, group label) triple
+addresses that block's random substream. Replicates are therefore a pure
+function of the data order, the seed, the iteration and the group:
+reruns reproduce bit for bit, and a group's replicates are the same in
+every pair it joins. Each replicate sums the group's per-record terms
+over one row of the index matrix; a dataset keeps each group's replicate
+sums, so the pairs of an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences; the ratio interval is
@@ -26,11 +31,11 @@ import numpy as np
 from .dataset import AuditDataset
 from .errors import ComputationError, InputError
 from .metrics import (
-    _SUM_COLUMNS,
     MetricId,
     _group_arrays,
-    _group_sums,
     _metric_values,
+    _record_terms,
+    _term_sums,
     coerce_metric,
     group_metric,
     is_defined,
@@ -105,21 +110,44 @@ def _substream(seed: int, iteration: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
+# Cells per index matrix: a block holds max(1, _BLOCK_CELLS // n) resamples
+# of an n-record group, which bounds the memory one block needs.
+_BLOCK_CELLS = 2**15
+
+
+def _block_rows(size: int) -> int:
+    return max(1, _BLOCK_CELLS // size)
+
+
+def _block_draw(seed: int, start: int, label: str, size: int, rows: int) -> np.ndarray:
+    """Index matrix of the block starting at iteration ``start``: its first ``rows`` resamples.
+
+    Rows are filled in order from the block's substream, so a shorter
+    draw is a prefix of the full block.
+    """
+    return _substream(seed, start, label).integers(0, size, (rows, size))
+
+
 def resample_within_groups(
     dataset: AuditDataset, seed: int = 0, iteration: int = 0
 ) -> AuditDataset:
     """One stratified resample: per-group draws with replacement.
 
-    Group sizes are preserved exactly. The rows drawn for a group depend
-    only on (seed, iteration, label) and the group's record order.
+    Group sizes are preserved exactly. A group's rows come from row
+    ``iteration - start`` of the index matrix of the block starting at
+    ``start`` (see the module docstring), so they depend only on (seed,
+    iteration, label) and the group's record order, and they are the
+    resample behind that iteration's bootstrap replicate.
     """
     if seed < 0 or iteration < 0:
         raise InputError("seed and iteration must be non-negative")
     parts = []
     for label in dataset.groups:
         rows = dataset.group_positions(label)
-        draw = _substream(seed, iteration, label).integers(0, rows.shape[0], rows.shape[0])
-        parts.append(rows[draw])
+        size = rows.shape[0]
+        start = iteration - iteration % _block_rows(size)
+        draw = _block_draw(seed, start, label, size, iteration - start + 1)
+        parts.append(rows[draw[-1]])
     return dataset.take(np.concatenate(parts))
 
 
@@ -137,13 +165,24 @@ class BootstrapReplicates:
 def _group_replicates(
     dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...], config: BootstrapConfig
 ) -> np.ndarray:
-    """Metric values on each of one group's resamples (B x metrics, NaN = undefined)."""
-    columns = _group_arrays(dataset, label, metrics)
-    size = columns[0].shape[0]
-    sums = np.empty((config.iterations, _SUM_COLUMNS), dtype=np.float64)
-    for iteration, row in enumerate(sums):
-        draw = _substream(config.seed, iteration, label).integers(0, size, size)
-        row[:] = _group_sums(*(c if c is None else c[draw] for c in columns))
+    """Metric values on each of one group's resamples (B x metrics, NaN = undefined).
+
+    The column checks run on every call; the replicate sums are computed
+    once per dataset, group, seed, iteration count and bound columns.
+    """
+    outcome, score, decision = _group_arrays(dataset, label, metrics)
+    bound = (score is not None, decision is not None)
+    key = ("replicates", label, config.seed, config.iterations, bound)
+    sums = dataset._memo.get(key)
+    if sums is None:
+        terms = _record_terms(outcome, score, decision)
+        size = outcome.shape[0]
+        block = _block_rows(size)
+        blocks = []
+        for start in range(0, config.iterations, block):
+            rows = min(block, config.iterations - start)
+            blocks.append(_term_sums(terms, _block_draw(config.seed, start, label, size, rows)))
+        sums = dataset._memo[key] = np.concatenate(blocks)
     return _metric_values(sums, metrics)
 
 

@@ -2,9 +2,12 @@
 
 Every metric is a ratio of two per-group sums (n, Σy, Σd, Σyd, the score
 sums over positive and over negative outcomes, Σ(s−y)² and Σ|s−y|), for
-point estimates and bootstrap replicates alike. A zero denominator gives
-the UNDEFINED sentinel, never an exception; callers decide how to surface
-that.
+point estimates and bootstrap replicates alike. The sums reduce a group's
+per-record terms, computed once: a cell code 2y + d and the float terms
+s·y, s·(1−y), (s−y)² and |s−y|. A resample sums the terms over one row
+of an index matrix; the point estimate is the identity draw. A zero
+denominator gives the UNDEFINED sentinel, never an exception; callers
+decide how to surface that.
 """
 
 from __future__ import annotations
@@ -154,28 +157,54 @@ _N, _Y, _D, _YD, _S_POS, _S_NEG, _SQ_ERR, _ABS_ERR = range(8)
 _SUM_COLUMNS = 8
 
 
-def _group_sums(
+def _record_terms(
     outcome: np.ndarray, score: np.ndarray | None, decision: np.ndarray | None
-) -> np.ndarray:
-    """One group's sums row; the columns of a None score or decision are NaN.
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """One group's per-record terms, computed once and summed by :func:`_term_sums`.
 
-    Counts are exact integers and each score sum is reduced over its own
-    array, so no metric is a difference of large sums.
+    Returns the cell code ``2y + d`` (int8; ``2y`` without decisions), the
+    float rows s·y, s·(1−y), (s−y)² and |s−y| (None without scores), and
+    whether the code carries decisions.
     """
-    sums = np.full(_SUM_COLUMNS, np.nan)
-    positive = outcome.astype(bool)
-    sums[_N] = outcome.shape[0]
-    sums[_Y] = np.count_nonzero(positive)
+    code = 2 * outcome.astype(np.int8)
     if decision is not None:
-        sums[_D] = np.count_nonzero(decision)
-        sums[_YD] = np.count_nonzero(decision & outcome)
+        code += decision
+    floats = None
     if score is not None:
-        # compress selects what score[positive] does, several times faster
-        sums[_S_POS] = score.compress(positive).sum()
-        sums[_S_NEG] = score.compress(~positive).sum()
-        residual = score - outcome
-        sums[_SQ_ERR] = (residual * residual).sum()
-        sums[_ABS_ERR] = np.abs(residual).sum()
+        floats = np.empty((4, outcome.shape[0]))
+        s_pos, s_neg, sq_err, abs_err = floats
+        np.multiply(score, outcome, out=s_pos)
+        np.subtract(score, s_pos, out=s_neg)
+        np.subtract(score, outcome, out=sq_err)
+        np.abs(sq_err, out=abs_err)
+        sq_err *= sq_err
+    return code, floats, decision is not None
+
+
+def _term_sums(
+    terms: tuple[np.ndarray, np.ndarray | None, bool], draw: np.ndarray | None = None
+) -> np.ndarray:
+    """Sums rows of per-record terms, reduced along the last axis.
+
+    Without ``draw`` the records themselves are summed (the identity draw,
+    giving the point estimate's (k,) row); a (b, n) index matrix gives one
+    (b, k) row per resample. Counts are exact; the columns of a missing
+    score or decision are NaN.
+    """
+    code, floats, decided = terms
+    if draw is not None:
+        code = code[draw]
+    sums = np.full(code.shape[:-1] + (_SUM_COLUMNS,), np.nan)
+    sums[..., _N] = code.shape[-1]
+    sums[..., _Y] = np.count_nonzero(code >= 2, axis=-1)
+    if decided:
+        sums[..., _D] = np.count_nonzero(code & 1, axis=-1)
+        sums[..., _YD] = np.count_nonzero(code == 3, axis=-1)
+    if floats is not None:
+        # one term at a time: each gathered row is contiguous, so it is summed
+        # in the same order as the 1-d records of the same resample
+        for column, values in enumerate(floats, start=_S_POS):
+            sums[..., column] = (values if draw is None else values[draw]).sum(axis=-1)
     return sums
 
 
@@ -244,14 +273,15 @@ def _group_arrays(
 def group_metric(dataset: AuditDataset, group: str, metric: MetricId | str) -> MetricValue:
     """One metric for one group; UNDEFINED on a zero denominator."""
     metric = coerce_metric(metric)
-    sums = _group_sums(*_group_arrays(dataset, group, (metric,)))
+    sums = _term_sums(_record_terms(*_group_arrays(dataset, group, (metric,))))
     return _as_metric_value(_metric_values(sums, (metric,))[0])
 
 
 def group_confusion(dataset: AuditDataset, group: str) -> ConfusionCounts:
     """Confusion table for one group of a thresholded dataset."""
     outcome, _, decision = _group_arrays(dataset, group, (MetricId.ACCURACY,))
-    n, y, d, yd = (int(v) for v in _group_sums(outcome, None, decision)[[_N, _Y, _D, _YD]])
+    sums = _term_sums(_record_terms(outcome, None, decision))
+    n, y, d, yd = (int(v) for v in sums[[_N, _Y, _D, _YD]])
     return ConfusionCounts(tp=yd, fp=d - yd, tn=n - y - d + yd, fn=y - yd)
 
 
@@ -270,7 +300,8 @@ def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
         DECISION_METRICS if decision is None else set()
     )
     metrics = tuple(m for m in MetricId if m not in omit)
-    values = _metric_values(_group_sums(dataset.outcome[rows], score, decision), metrics)
+    terms = _record_terms(dataset.outcome[rows], score, decision)
+    values = _metric_values(_term_sums(terms), metrics)
     return GroupMetrics(
         group=group,
         n=int(rows.shape[0]),

@@ -124,3 +124,17 @@ class TestMask:
     def test_numeric_equality_is_exact(self):
         mask = ConditionPredicate.parse("age == 45").mask(dataset())
         assert list(mask) == [False, False, True, False]
+
+    @pytest.mark.parametrize("op", ["==", "!="])
+    def test_categorical_masks_match_a_per_row_reference(self, op):
+        ward = np.array(["icu", None, "med", "icu", None, "surgery"] * 5, dtype=object)
+        ds = AuditDataset(
+            outcome=np.tile([1, 0], 15),
+            group=np.array(["a", "b"] * 15, dtype=object),
+            score=np.linspace(0.0, 1.0, 30),
+            covariates={"ward": ward},
+        )
+        mask = ConditionPredicate.parse(f"ward {op} 'icu'").mask(ds)
+        expect = [v is not None and (v == "icu") == (op == "==") for v in ward]
+        assert mask.dtype == bool
+        assert mask.tolist() == expect

@@ -329,6 +329,18 @@ class TestFilterCondition:
         out = filter_condition(self.make(), "age < 60")
         assert out.n == 2
 
+    def test_stratum_is_built_once_per_dataset(self):
+        ds = self.make()
+        first = filter_condition(ds, "age >= 60")
+        assert filter_condition(ds, ConditionPredicate.parse("age >= 60")) is first
+        assert filter_condition(self.make(), "age >= 60") is not first
+
+    def test_errors_recur_on_every_call(self):
+        ds = self.make()
+        for _ in range(3):
+            with pytest.raises(InputError, match="leaves group 'b' empty"):
+                filter_condition(ds, "age >= 62 AND age <= 71")
+
 
 class TestAuditDataset:
     def test_arrays_are_read_only(self, toy):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import statistics
 
 import numpy as np
 import pytest
 
+from fairaudit import inference
 from fairaudit import (
     AuditDataset,
     BootstrapConfig,
@@ -21,6 +23,7 @@ from fairaudit import (
     bootstrap_replicates,
     ci_diff,
     ci_ratio,
+    filter_condition,
     group_metric,
     is_defined,
     resample_within_groups,
@@ -37,6 +40,18 @@ def as_float(value) -> float:
 
 def same(x: float, y: float) -> bool:
     return x == y or (math.isnan(x) and math.isnan(y))
+
+
+def random_dataset(sizes: dict[str, int], seed: int = 0) -> AuditDataset:
+    """Groups of the given sizes with random outcomes, scores and decisions."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n = sum(sizes.values())
+    return AuditDataset(
+        outcome=rng.integers(0, 2, n),
+        group=np.array([g for g, size in sizes.items() for _ in range(size)], dtype=object),
+        score=rng.random(n),
+        decision=rng.integers(0, 2, n),
+    )
 
 
 class TestBootstrapConfig:
@@ -151,6 +166,51 @@ class TestBootstrapReplicates:
                 assert same(replicates.values_a[iteration, j], expect_a)
                 assert same(replicates.values_b[iteration, j], expect_b)
 
+    def test_block_boundaries_match_public_resampler_exactly(self):
+        # 12,000 records make two resamples per block: iterations 0-1 and
+        # 2-3 fill a block each and iteration 4 ends in a partial block
+        ds = random_dataset({"a": 12_000, "b": 30}, seed=11)
+        assert inference._block_rows(12_000) == 2
+        metrics = tuple(MetricId)
+        config = BootstrapConfig(iterations=5, seed=3)
+        replicates = bootstrap_replicates(ds, metrics, "a", "b", config)
+        for iteration in range(config.iterations):
+            resampled = resample_within_groups(ds, seed=3, iteration=iteration)
+            for j, metric in enumerate(metrics):
+                expect_a = as_float(group_metric(resampled, "a", metric))
+                expect_b = as_float(group_metric(resampled, "b", metric))
+                assert same(replicates.values_a[iteration, j], expect_a)
+                assert same(replicates.values_b[iteration, j], expect_b)
+
+    def test_index_draws_stay_under_the_block_cap(self, monkeypatch):
+        draws = []
+        substream = inference._substream
+
+        class Recording:
+            def __init__(self, generator):
+                self.generator = generator
+
+            def integers(self, low, high, size):
+                draws.append((high, int(np.prod(size))))
+                return self.generator.integers(low, high, size)
+
+        monkeypatch.setattr(
+            inference, "_substream", lambda *key: Recording(substream(*key))
+        )
+        sizes = {"a": 40_000, "b": 12_000, "c": 500, "d": 1}
+        ds = random_dataset(sizes, seed=4)
+        config = BootstrapConfig(iterations=70, seed=1)
+        for label in ("b", "c", "d"):
+            bootstrap_replicates(ds, (MetricId.BRIER_SCORE,), "a", label, config)
+        resample_within_groups(ds, seed=1, iteration=69)
+        assert {size for size, _ in draws} == set(sizes.values())
+        # the cap keeps one block's gathered terms small at 200k records
+        for size, cells in draws:
+            if size > 2**15:
+                assert cells == size
+            else:
+                assert cells <= 2**15
+
     def test_group_replicates_do_not_depend_on_the_pair(self):
         rng = np.random.Generator(np.random.PCG64(5))
         n = 90
@@ -226,6 +286,57 @@ class TestBootstrapReplicates:
             bootstrap_replicates(
                 ds, (MetricId.POSITIVE_RATE,), "a", "b", BootstrapConfig(iterations=5)
             )
+
+
+class TestReplicateMemo:
+    def test_decision_only_call_leaves_score_columns_unchanged(self, toy):
+        config = BootstrapConfig(iterations=40, seed=6)
+        metrics = (MetricId.POSITIVE_RATE, MetricId.BRIER_SCORE, MetricId.MEAN_SCORE_NEG)
+        bootstrap_replicates(toy, (MetricId.POSITIVE_RATE,), "F", "M", config)
+        after = bootstrap_replicates(toy, metrics, "F", "M", config)
+        fresh = bootstrap_replicates(toy_dataset(), metrics, "F", "M", config)
+        assert np.array_equal(after.values_a, fresh.values_a, equal_nan=True)
+        assert np.array_equal(after.values_b, fresh.values_b, equal_nan=True)
+
+    def test_column_checks_run_on_every_call(self, toy):
+        ds = AuditDataset(outcome=toy.outcome, group=toy.group, decision=toy.decision)
+        config = BootstrapConfig(iterations=5)
+        bootstrap_replicates(ds, (MetricId.POSITIVE_RATE,), "F", "M", config)
+        for _ in range(2):
+            with pytest.raises(InputError, match="risk scores"):
+                bootstrap_replicates(ds, (MetricId.BRIER_SCORE,), "F", "M", config)
+
+    def test_group_is_resampled_once_per_dataset(self, toy, monkeypatch):
+        calls = []
+        substream = inference._substream
+        monkeypatch.setattr(
+            inference, "_substream", lambda *key: calls.append(key) or substream(*key)
+        )
+        config = BootstrapConfig(iterations=5, seed=2)
+        first = bootstrap_replicates(toy, (MetricId.ACCURACY,), "F", "M", config)
+        drawn = len(calls)
+        second = bootstrap_replicates(toy, (MetricId.ACCURACY,), "M", "F", config)
+        assert len(calls) == drawn
+        assert np.array_equal(first.values_a, second.values_b)
+
+    def test_derived_datasets_start_with_an_empty_memo(self, toy):
+        ds = AuditDataset(
+            outcome=toy.outcome,
+            group=toy.group,
+            score=toy.score,
+            decision=toy.decision,
+            covariates={"age": np.linspace(20.0, 80.0, toy.n)},
+        )
+        filter_condition(ds, "age >= 30")
+        bootstrap_replicates(ds, (MetricId.ACCURACY,), "F", "M", BootstrapConfig(iterations=5))
+        assert len(ds._memo) == 3
+        derived = (
+            ds.take(np.arange(ds.n)),
+            dataclasses.replace(ds, threshold=0.5),
+            resample_within_groups(ds, seed=1),
+        )
+        for out in derived:
+            assert out._memo == {}
 
 
 class TestDiffInterval:
