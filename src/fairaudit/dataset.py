@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import compress, islice
+from operator import itemgetter
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,14 +41,17 @@ class AuditDataset:
     was bound. ``decision`` is an int8 array over {0, 1} with -1 marking
     unset cells, or None. ``group`` holds one non-empty label per record
     and must contain at least two distinct labels. Every record carries a
-    score, a decision, or both.
+    score, a decision, or both. ``n_dropped`` counts the records the loader
+    dropped, and ``dropped_by_reason`` splits that count by why (see
+    :func:`load_csv`).
 
     The group index (each label's rows) is built once, at construction.
     Derived datasets go through the same constructor, so they are
     validated and indexed the same way, and start with an empty memo.
     The memo keeps what an audit derives from the dataset more than once:
-    condition strata (by predicate) and each group's bootstrap replicate
-    sums. Only successful results are kept, so errors recur on every call.
+    condition strata (by predicate) and each group's point sums and
+    bootstrap replicate sums (by the columns they read). Only successful
+    results are kept, so errors recur on every call.
     """
 
     outcome: np.ndarray
@@ -58,6 +63,7 @@ class AuditDataset:
     n_dropped: int = 0
     imputation_log: Mapping[str, float] = field(default_factory=dict)
     dropped_covariates: Mapping[str, float] = field(default_factory=dict)
+    dropped_by_reason: Mapping[str, int] = field(default_factory=dict)
     _group_index: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
 
@@ -135,6 +141,9 @@ class AuditDataset:
         object.__setattr__(
             self, "dropped_covariates", MappingProxyType(dict(self.dropped_covariates))
         )
+        object.__setattr__(
+            self, "dropped_by_reason", MappingProxyType(dict(self.dropped_by_reason))
+        )
         index = MappingProxyType(dict(zip(labels, map(_read_only, rows))))
         object.__setattr__(self, "_group_index", index)
         object.__setattr__(self, "_memo", {})
@@ -184,6 +193,17 @@ class AuditDataset:
         )
 
 
+# Rows parsed at a time: memory holds one block of raw rows, never the whole file.
+_BLOCK_ROWS = 2**13
+
+# Codes of a binary cell besides 0 and 1. Decision codes are kept as they are,
+# so _BLANK must be AuditDataset's code for an unset decision.
+_BLANK, _BAD = -1, 2
+
+# Why a record is dropped, in the order a record missing several is counted.
+_DROP_REASONS = ("outcome", "group", "score_and_decision")
+
+
 def _parse_binary(cell: str, column: str) -> int | None:
     cell = cell.strip()
     if not cell:
@@ -212,25 +232,55 @@ def _parse_score(cell: str, column: str) -> float:
     return value
 
 
-def _decoded(lines: Iterable[str], path: str) -> Iterator[str]:
-    """The file's lines; a byte sequence that is not UTF-8 raises InputError."""
+def _binary_codes(cells: list[str]) -> np.ndarray:
+    """int8 codes of a binary column: 0, 1, _BLANK, or _BAD outside {0, 1}.
+
+    Each distinct cell is parsed once, by :func:`_parse_binary`.
+    """
+    table = {}
+    for cell in set(cells):
+        try:
+            value = _parse_binary(cell, "")
+        except InputError:
+            value = _BAD
+        table[cell] = _BLANK if value is None else value
+    return np.fromiter(map(table.__getitem__, cells), np.int8, len(cells))
+
+
+def _float_or_nan(cell: str) -> float:
     try:
-        yield from lines
-    except UnicodeDecodeError:
-        raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
-def _check_one_line(row: list[str], start: int, end: int, path: str) -> None:
-    """Reject a row that holds a line break in a cell, naming the line it began on.
+def _scores(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """A score column, NaN where blank, and a mask of the cells that
+    :func:`_parse_score` rejects: not blank, and not a number in [0, 1]."""
+    try:
+        values = [float(cell) if cell else math.nan for cell in cells]
+    except ValueError:  # a whitespace-only or non-numeric cell
+        cells = [cell.strip() for cell in cells]
+        values = list(map(_float_or_nan, cells))
+    score = np.array(values, dtype=np.float64)
+    filled = np.fromiter(map(bool, cells), bool, len(cells))
+    return score, filled & ~((score >= 0.0) & (score <= 1.0))
+
+
+def _holds_line_break(row: list[str]) -> bool:
+    return any("\n" in cell or "\r" in cell for cell in row)
+
+
+def _line_break_error(line: int, path: str) -> InputError:
+    """A row that holds a line break in a cell, named by the line it began on.
 
     The reader only crosses a line end inside a quoted cell, so such a row
     ends on a later line than it began; a quote still open at the end of
     the file leaves the break in the row's last cell instead.
     """
-    if end != start or (row and row[-1].endswith(("\n", "\r"))):
-        raise InputError(
-            f"line {start} of {path!r} has a line break inside a cell; is a quote left open?"
-        )
+    return InputError(
+        f"line {line} of {path!r} has a line break inside a cell; is a quote left open?"
+    )
 
 
 def load_csv(
@@ -247,14 +297,20 @@ def load_csv(
     Column bindings are by header name. Unbound columns become covariates
     when ``covariates`` is None; otherwise only the listed columns are
     kept. Records missing the outcome, the group label, or both score and
-    decision are dropped and counted in ``n_dropped``. Covariate columns
-    whose non-missing cells all parse as numbers become float columns
-    (NaN for missing); anything else stays categorical (None for
-    missing). Covariate columns that are entirely missing are dropped.
-    The file is read as UTF-8; a leading byte-order mark is skipped.
-    Bytes that are not UTF-8, a row with non-blank cells beyond the
-    header, and a cell holding a line break (usually an unclosed quote,
-    which would swallow every later row) raise InputError.
+    decision are dropped, counted in ``n_dropped`` and, by the first of
+    those reasons, in ``dropped_by_reason``; blank lines are skipped and
+    not counted. Covariate columns whose non-missing cells all parse as
+    numbers become float columns (NaN for missing); anything else stays
+    categorical (None for missing). Covariate columns that are entirely
+    missing are dropped. The file is read as UTF-8; a leading byte-order
+    mark is skipped. Bytes that are not UTF-8, a row with non-blank cells
+    beyond the header, a cell that does not parse, and a cell holding a
+    line break (usually an unclosed quote, which would swallow every
+    later row) raise InputError naming the first such row's file line.
+
+    Rows are read in blocks of ``_BLOCK_ROWS``, and each block is parsed
+    one column at a time, so memory holds one block of raw rows plus the
+    kept cells.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
@@ -268,12 +324,15 @@ def load_csv(
         raise InputError(f"cannot read {path!r}: {exc}") from None
 
     with handle:
-        reader = csv.reader(_decoded(handle, path))
+        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path!r} is empty") from None
-        _check_one_line(header, 1, reader.line_num, path)
+        except UnicodeDecodeError:
+            raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
+        if reader.line_num != 1 or _holds_line_break(header):
+            raise _line_break_error(1, path)
         header = [name.strip() for name in header]
         if covariates is None:
             covariate_names = [name for name in header if name and name not in bound]
@@ -287,69 +346,117 @@ def load_csv(
                 raise InputError(f"unknown column name: {name!r}")
             if header.count(name) > 1:
                 raise InputError(f"duplicate column name: {name!r}")
-        position = {name: header.index(name) for name in bound + covariate_names}
+        width = len(header)
+        cells_of = {name: itemgetter(header.index(name)) for name in bound + covariate_names}
+        checks = [(outcome, _parse_binary), (score, _parse_score), (decision, _parse_binary)]
+        checks = [(cells_of[name], name, parse) for name, parse in checks if name is not None]
 
-        outcomes: list[int] = []
+        outcomes: list[np.ndarray] = []
         groups: list[str] = []
-        scores: list[float] = []
-        decisions: list[int] = []
+        scores: list[np.ndarray] = []
+        decisions: list[np.ndarray] = []
         raw_covariates: dict[str, list[str]] = {name: [] for name in covariate_names}
-        n_dropped = 0
+        dropped_by_reason = dict.fromkeys(_DROP_REASONS, 0)
 
-        line, row = 1, []
-        for row in reader:
-            line += 1
-            if reader.line_num != line:
-                break  # a cell holds a line break: reported below
-            if not any(cell.strip() for cell in row):
-                continue
-            if any(extra.strip() for extra in row[len(header) :]):
-                raise InputError(f"line {line} of {path!r} has more cells than the header")
+        def parse_block(rows: list[list[str]], first: int) -> int:
+            """Parse rows read from file line ``first`` on; return how many were read."""
+            read = len(rows)
+            if not read:
+                return 0
+            if reader.line_num != first + read - 1 or _holds_line_break(rows[-1]):
+                # row i sits on line first + i up to the first row that crossed a line end
+                rows = rows[: next(i for i, row in enumerate(rows) if _holds_line_break(row))]
+            n = len(rows)
+            lengths = np.fromiter(map(len, rows), np.intp, n)
+            for i in np.flatnonzero(lengths < width).tolist():
+                rows[i] += [""] * (width - len(rows[i]))
 
-            def cell(name: str) -> str:
-                index = position[name]
-                return row[index] if index < len(row) else ""
+            bad = np.zeros(n, dtype=bool)
+            for i in np.flatnonzero(lengths > width).tolist():
+                bad[i] = bool("".join(rows[i][width:]).strip())
+            y = _binary_codes(list(map(cells_of[outcome], rows)))
+            bad |= y == _BAD
+            labels = list(map(str.strip, map(cells_of[group], rows)))
+            has_value = np.zeros(n, dtype=bool)
+            if score is not None:
+                s, bad_score = _scores(list(map(cells_of[score], rows)))
+                bad |= bad_score
+                has_value |= ~np.isnan(s)
+            if decision is not None:
+                d = _binary_codes(list(map(cells_of[decision], rows)))
+                bad |= d == _BAD
+                has_value |= d >= 0
+            if bad.any():  # the first bad row: extra cells, then outcome, score, decision
+                i = int(bad.argmax())
+                row, where = rows[i], f"line {first + i} of {path!r}"
+                if "".join(row[width:]).strip():
+                    raise InputError(f"{where} has more cells than the header")
+                try:
+                    for cell, name, parse in checks:
+                        parse(cell(row), name)
+                except InputError as exc:
+                    raise InputError(f"{where}: {exc}") from None
+            if n < read:
+                raise _line_break_error(first + n, path)
 
-            y = _parse_binary(cell(outcome), outcome)
-            label = cell(group).strip()
-            s = _parse_score(cell(score), score) if score is not None else math.nan
-            d = _parse_binary(cell(decision), decision) if decision is not None else None
-            if y is None or not label or (math.isnan(s) and d is None):
-                n_dropped += 1
-                continue
-            outcomes.append(y)
-            groups.append(label)
-            scores.append(s)
-            decisions.append(-1 if d is None else d)
-            for name in covariate_names:
-                raw_covariates[name].append(cell(name).strip())
-        _check_one_line(row, line, reader.line_num, path)  # the row that ended the loop
+            blank = np.zeros(n, dtype=bool)
+            for i in np.flatnonzero(y == _BLANK).tolist():
+                blank[i] = not "".join(rows[i]).strip()
+            has_outcome = y >= 0
+            named = np.fromiter(map(bool, labels), bool, n)
+            missing = (
+                ~has_outcome & ~blank,
+                has_outcome & ~named,
+                has_outcome & named & ~has_value,
+            )
+            for reason, mask in zip(_DROP_REASONS, missing):
+                dropped_by_reason[reason] += int(np.count_nonzero(mask))
 
-    if not outcomes:
+            keep = has_outcome & named & has_value
+            outcomes.append(y[keep])
+            if score is not None:
+                scores.append(s[keep])
+            if decision is not None:
+                decisions.append(d[keep])
+            keep = keep.tolist()
+            groups.extend(compress(labels, keep))
+            for name, cells in raw_covariates.items():
+                cells.extend(compress(map(cells_of[name], rows), keep))
+            return read
+
+        first = 2  # the file line of the block's first row
+        try:
+            while read := parse_block(list(islice(reader, _BLOCK_ROWS)), first):
+                first += read
+        except UnicodeDecodeError:
+            raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
+
+    if not groups:
         raise InputError(f"no usable records in {path!r}")
 
     columns: dict[str, np.ndarray] = {}
     dropped: dict[str, float] = {}
     for name, cells in raw_covariates.items():
-        present = [c for c in cells if c]
-        if not present:
+        stripped = {cell: cell.strip() for cell in set(cells)}
+        if not any(stripped.values()):
             dropped[name] = 1.0
             continue
         try:
-            numeric = [math.nan if not c else float(c) for c in cells]
+            table = {cell: float(c) if c else math.nan for cell, c in stripped.items()}
+            columns[name] = np.fromiter(map(table.__getitem__, cells), np.float64, len(cells))
         except ValueError:
-            columns[name] = np.array([c if c else None for c in cells], dtype=object)
-        else:
-            columns[name] = np.array(numeric, dtype=np.float64)
+            table = {cell: c if c else None for cell, c in stripped.items()}
+            columns[name] = np.array(list(map(table.__getitem__, cells)), dtype=object)
 
     return AuditDataset(
-        outcome=np.array(outcomes),
+        outcome=np.concatenate(outcomes),
         group=np.array(groups, dtype=object),
-        score=np.array(scores, dtype=np.float64) if score is not None else None,
-        decision=np.array(decisions) if decision is not None else None,
+        score=np.concatenate(scores) if score is not None else None,
+        decision=np.concatenate(decisions) if decision is not None else None,
         covariates=columns,
-        n_dropped=n_dropped,
+        n_dropped=sum(dropped_by_reason.values()),
         dropped_covariates=dropped,
+        dropped_by_reason=dropped_by_reason,
     )
 
 

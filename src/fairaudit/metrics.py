@@ -192,14 +192,15 @@ def _term_sums(
     score or decision are NaN.
     """
     code, floats, decided = terms
+    axis = None  # a 1-d count without an axis takes numpy's fast path
     if draw is not None:
-        code = code[draw]
+        code, axis = code[draw], -1
     sums = np.full(code.shape[:-1] + (_SUM_COLUMNS,), np.nan)
     sums[..., _N] = code.shape[-1]
-    sums[..., _Y] = np.count_nonzero(code >= 2, axis=-1)
+    sums[..., _Y] = np.count_nonzero(code >= 2, axis=axis)
     if decided:
-        sums[..., _D] = np.count_nonzero(code & 1, axis=-1)
-        sums[..., _YD] = np.count_nonzero(code == 3, axis=-1)
+        sums[..., _D] = np.count_nonzero(code & 1, axis=axis)
+        sums[..., _YD] = np.count_nonzero(code == 3, axis=axis)
     if floats is not None:
         # one term at a time: each gathered row is contiguous, so it is summed
         # in the same order as the 1-d records of the same resample
@@ -270,17 +271,33 @@ def _group_arrays(
     return outcome, score, decision
 
 
+def _point_sums(
+    dataset: AuditDataset,
+    group: str,
+    outcome: np.ndarray,
+    score: np.ndarray | None,
+    decision: np.ndarray | None,
+) -> np.ndarray:
+    """One group's (read-only) sums row, computed once per dataset, group and bound columns."""
+    key = ("sums", group, (score is not None, decision is not None))
+    sums = dataset._memo.get(key)
+    if sums is None:
+        sums = dataset._memo[key] = _term_sums(_record_terms(outcome, score, decision))
+        sums.setflags(write=False)
+    return sums
+
+
 def group_metric(dataset: AuditDataset, group: str, metric: MetricId | str) -> MetricValue:
     """One metric for one group; UNDEFINED on a zero denominator."""
     metric = coerce_metric(metric)
-    sums = _term_sums(_record_terms(*_group_arrays(dataset, group, (metric,))))
+    sums = _point_sums(dataset, group, *_group_arrays(dataset, group, (metric,)))
     return _as_metric_value(_metric_values(sums, (metric,))[0])
 
 
 def group_confusion(dataset: AuditDataset, group: str) -> ConfusionCounts:
     """Confusion table for one group of a thresholded dataset."""
     outcome, _, decision = _group_arrays(dataset, group, (MetricId.ACCURACY,))
-    sums = _term_sums(_record_terms(outcome, None, decision))
+    sums = _point_sums(dataset, group, outcome, None, decision)
     n, y, d, yd = (int(v) for v in sums[[_N, _Y, _D, _YD]])
     return ConfusionCounts(tp=yd, fp=d - yd, tn=n - y - d + yd, fn=y - yd)
 
@@ -300,8 +317,8 @@ def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
         DECISION_METRICS if decision is None else set()
     )
     metrics = tuple(m for m in MetricId if m not in omit)
-    terms = _record_terms(dataset.outcome[rows], score, decision)
-    values = _metric_values(_term_sums(terms), metrics)
+    sums = _point_sums(dataset, group, dataset.outcome[rows], score, decision)
+    values = _metric_values(sums, metrics)
     return GroupMetrics(
         group=group,
         n=int(rows.shape[0]),

@@ -33,6 +33,13 @@ TOOL_NAME = "fairaudit"
 UNDEFINED_TOKEN = "UNDEFINED"
 DASH = "-"
 
+# How the Markdown report names each reason a row was dropped.
+_DROP_REASON_TEXT = {
+    "outcome": "an outcome",
+    "group": "a group label",
+    "score_and_decision": "a score or decision",
+}
+
 
 def to_jsonable(value: Any) -> Any:
     """Coerce one leaf value into something json.dumps accepts."""
@@ -173,6 +180,7 @@ def build_document(
         dataset_block = {
             "n": dataset.n,
             "n_dropped": dataset.n_dropped,
+            "dropped_by_reason": dict(dataset.dropped_by_reason),
             "threshold": to_jsonable(dataset.threshold),
             "groups": {label: count for label, count in dataset.group_sizes().items()},
             "imputed_medians": {k: to_jsonable(v) for k, v in dataset.imputation_log.items()},
@@ -333,6 +341,14 @@ def emit_markdown(document: Mapping) -> str:
     if dataset:
         sizes = ", ".join(f"{k} (n={v})" for k, v in dataset.get("groups", {}).items())
         lines.append(f"- records: {dataset.get('n')} kept, {dataset.get('n_dropped')} dropped")
+        reasons = dataset.get("dropped_by_reason") or {}
+        if dataset.get("n_dropped") and reasons:
+            why = ", ".join(
+                f"{count} without {_DROP_REASON_TEXT.get(reason, reason)}"
+                for reason, count in reasons.items()
+                if count
+            )
+            lines.append(f"- dropped rows: {why}")
         lines.append(f"- groups: {sizes}")
         threshold = dataset.get("threshold")
         if _is_number(threshold):

@@ -99,6 +99,13 @@ class TestAuditHappyPath:
         assert doc["dataset"]["n_dropped"] == 3
         assert doc["dataset"]["groups"]["F"] + doc["dataset"]["groups"]["M"] == 800
 
+    def test_drops_are_reported_by_reason(self, capsys, clinical_csv):
+        _, out, _ = run(capsys, *audit_args(clinical_csv, "--format", "json"))
+        reasons = json.loads(out)["dataset"]["dropped_by_reason"]
+        assert reasons == {"outcome": 1, "group": 1, "score_and_decision": 1}
+        _, out, _ = run(capsys, *audit_args(clinical_csv))
+        assert "- dropped rows: 1 without an outcome, 1 without a group label, " in out
+
     def test_request_echo_omits_workers(self, capsys, clinical_csv):
         _, out, _ = run(
             capsys, *audit_args(clinical_csv, "--format", "json", "--workers", "3")

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import csv
+import math
+import os
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fairaudit.dataset as dataset_module
 from fairaudit import (
     AuditDataset,
     ConditionPredicate,
@@ -429,3 +438,290 @@ class TestAuditDataset:
                 group=group,
                 score=np.array([0.1, 0.5]),
             )
+
+
+def reference_load(path, *, outcome, group, score=None, decision=None):
+    """The per-row loader the block-wise one replaced, kept as the oracle.
+
+    One row at a time: skip blank rows, reject extra non-blank cells, parse
+    each bound cell in the order outcome, score, decision, then drop or keep
+    the row. Cell errors name the row's file line; drops count under the
+    first missing cell among outcome, group, and score-and-decision.
+    """
+
+    def binary(cell, column):
+        cell = cell.strip()
+        if not cell:
+            return None
+        try:
+            value = float(cell)
+        except ValueError:
+            raise InputError(f"{column} value outside {{0, 1}}: {cell!r}") from None
+        if value not in (0.0, 1.0):
+            raise InputError(f"{column} value outside {{0, 1}}: {cell!r}")
+        return int(value)
+
+    def probability(cell, column):
+        cell = cell.strip()
+        if not cell:
+            return math.nan
+        try:
+            value = float(cell)
+        except ValueError:
+            raise InputError(f"{column} value is not numeric: {cell!r}") from None
+        if not 0.0 <= value <= 1.0:
+            raise InputError(f"{column} value outside [0, 1]: {cell!r}")
+        return value
+
+    def line_break(line):
+        return InputError(
+            f"line {line} of {path!r} has a line break inside a cell; is a quote left open?"
+        )
+
+    bound = [name for name in (outcome, group, score, decision) if name is not None]
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        if reader.line_num != 1 or (header and header[-1].endswith(("\n", "\r"))):
+            raise line_break(1)
+        header = [name.strip() for name in header]
+        covariate_names = [name for name in header if name and name not in bound]
+        position = {name: header.index(name) for name in bound + covariate_names}
+        kept = {"outcome": [], "group": [], "score": [], "decision": []}
+        raw = {name: [] for name in covariate_names}
+        reasons = {"outcome": 0, "group": 0, "score_and_decision": 0}
+        line = 1
+        for row in reader:
+            line += 1
+            if reader.line_num != line or (row and row[-1].endswith(("\n", "\r"))):
+                raise line_break(line)
+            if not any(cell.strip() for cell in row):
+                continue
+            if any(extra.strip() for extra in row[len(header) :]):
+                raise InputError(f"line {line} of {path!r} has more cells than the header")
+
+            def cell(name):
+                index = position[name]
+                return row[index] if index < len(row) else ""
+
+            try:
+                y = binary(cell(outcome), outcome)
+                s = probability(cell(score), score) if score is not None else math.nan
+                d = binary(cell(decision), decision) if decision is not None else None
+            except InputError as exc:
+                raise InputError(f"line {line} of {path!r}: {exc}") from None
+            label = cell(group).strip()
+            if y is None:
+                reasons["outcome"] += 1
+            elif not label:
+                reasons["group"] += 1
+            elif math.isnan(s) and d is None:
+                reasons["score_and_decision"] += 1
+            else:
+                kept["outcome"].append(y)
+                kept["group"].append(label)
+                kept["score"].append(s)
+                kept["decision"].append(-1 if d is None else d)
+                for name in covariate_names:
+                    raw[name].append(cell(name).strip())
+    if not kept["outcome"]:
+        raise InputError(f"no usable records in {path!r}")
+    columns, dropped = {}, {}
+    for name, cells in raw.items():
+        if not any(cells):
+            dropped[name] = 1.0
+            continue
+        try:
+            columns[name] = np.array([float(c) if c else math.nan for c in cells])
+        except ValueError:
+            columns[name] = np.array([c if c else None for c in cells], dtype=object)
+    return AuditDataset(
+        outcome=np.array(kept["outcome"]),
+        group=np.array(kept["group"], dtype=object),
+        score=np.array(kept["score"]) if score is not None else None,
+        decision=np.array(kept["decision"]) if decision is not None else None,
+        covariates=columns,
+        n_dropped=sum(reasons.values()),
+        dropped_covariates=dropped,
+        dropped_by_reason=reasons,
+    )
+
+
+def loaded(load, path, **bindings):
+    """The dataset a loader returns, or the message of the InputError it raises."""
+    try:
+        return load(path, **bindings)
+    except InputError as exc:
+        return str(exc)
+
+
+def assert_same_load(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert np.array_equal(got.outcome, want.outcome)
+    assert got.group.tolist() == want.group.tolist()
+    for name in ("score", "decision"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    assert list(got.covariates) == list(want.covariates)
+    for name, column in want.covariates.items():
+        assert got.covariates[name].dtype == column.dtype
+        if column.dtype == object:
+            assert got.covariates[name].tolist() == column.tolist()
+        else:
+            assert np.array_equal(got.covariates[name], column, equal_nan=True)
+    assert got.n_dropped == want.n_dropped
+    assert dict(got.dropped_by_reason) == dict(want.dropped_by_reason)
+    assert dict(got.dropped_covariates) == dict(want.dropped_covariates)
+
+
+# Cell pools per column: valid cells with padding, float spellings and
+# blanks; and cells the loader must reject, placed in a few files only.
+CELLS = {
+    "y": ["0", "1", "1", "0", " 1 ", "1.0", "0e0", ""],
+    "s": ["0.1", "0.5", "0.95", " 0.25", "1", "0", "", " "],
+    "g": ["a", "b", "a", "b", " a ", "c", ""],
+    "d": ["0", "1", "1.0", "", " "],
+    "note": ["x", '"p, q"', "", " 7 ", "3.5", "y z"],
+}
+BAD_CELLS = {
+    "y": ["2", "yes"],
+    "s": ["1.5", "nan", "hi", "-0.2"],
+    "d": ["0.5", "no"],
+    "note": ['"open'],
+}
+HEADER = tuple(CELLS)
+
+
+@st.composite
+def csv_files(draw):
+    """A small CSV with blank, whitespace-only and ragged rows; some files also
+    hold bad cells, non-blank extra cells or an unclosed quote."""
+    lines = [",".join(HEADER)]
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", " , ,\t", ",,,,,", " ,  , , , , , "])))
+            continue
+        cells = [draw(st.sampled_from(CELLS[name])) for name in HEADER]
+        if kind == "short":
+            cells = cells[: draw(st.integers(1, len(HEADER) - 1))]
+        elif kind == "long":
+            cells += draw(st.lists(st.sampled_from(["", " "]), min_size=1, max_size=3))
+        lines.append(",".join(cells))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if len(lines) > 1 else 0):
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",") if lines[i] else [""]
+        j = draw(st.integers(0, len(HEADER)))
+        if j == len(HEADER):
+            cells += ["", "z"]  # a non-blank cell beyond the header
+        else:
+            cells += [""] * (j + 1 - len(cells))
+            cells[j] = draw(st.sampled_from(BAD_CELLS.get(HEADER[j], ["x"])))
+        lines[i] = ",".join(cells)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+BINDINGS = [
+    {"outcome": "y", "group": "g", "score": "s"},
+    {"outcome": "y", "group": "g", "decision": "d"},
+    {"outcome": "y", "group": "g", "score": "s", "decision": "d"},
+]
+
+
+class TestBlockLoaderMatchesRowLoader:
+    @settings(max_examples=300)
+    @given(text=csv_files(), bindings=st.sampled_from(BINDINGS))
+    def test_every_block_size_matches_the_reference(self, text, bindings):
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "data.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            want = loaded(reference_load, path, **bindings)
+            for rows in (1, 2, 3, dataset_module._BLOCK_ROWS):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(dataset_module, "_BLOCK_ROWS", rows)
+                    assert_same_load(loaded(load_csv, path, **bindings), want)
+
+    def test_first_bad_row_wins_across_columns(self, tmp_path):
+        text = "y,s,g\n1,0.5,a\n1,high,b\n" + "0,0.5,a\n" * 5 + "2,0.5,b\n"
+        path = write(tmp_path, text)
+        with pytest.raises(InputError) as caught:
+            load_csv(path, outcome="y", score="s", group="g")
+        assert str(caught.value) == f"line 3 of {path!r}: s value is not numeric: 'high'"
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_error_in_a_later_block_names_its_own_line(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", rows)
+        text = "y,s,g\n1,0.5,a\n0,0.4,b\n\n1,0.3,a\n0,0.2,b\n1,1.5,a\n"
+        path = write(tmp_path, text)
+        with pytest.raises(InputError) as caught:
+            load_csv(path, outcome="y", score="s", group="g")
+        assert str(caught.value) == f"line 7 of {path!r}: s value outside [0, 1]: '1.5'"
+
+    def test_cell_errors_name_their_line(self, tmp_path):
+        text = "y,s,g\n1,0.5,a\n\n0,0.4,b\n \n1,0.3,a\n2,0.2,b\n"
+        path = write(tmp_path, text, name="x.csv")
+        with pytest.raises(InputError) as caught:
+            load_csv(path, outcome="y", score="s", group="g")
+        assert str(caught.value) == f"line 7 of {path!r}: y value outside {{0, 1}}: '2'"
+
+
+class TestDropReasons:
+    def test_each_dropped_row_counts_under_its_first_missing_cell(self, tmp_path):
+        text = (
+            "y,s,d,g\n"
+            "1,0.9,1,F\n"
+            ",0.5,1,F\n"  # outcome
+            ",,,\n"  # blank: skipped, not counted
+            ",0.5,,\n"  # outcome and group: counts under outcome
+            "1,0.5,0,\n"  # group
+            "0,,,M\n"  # score and decision
+            "0,,1,M\n"
+            "1,0.2\n"  # short: group
+        )
+        ds = load_csv(write(tmp_path, text), outcome="y", score="s", decision="d", group="g")
+        assert ds.n == 2
+        assert dict(ds.dropped_by_reason) == {"outcome": 2, "group": 2, "score_and_decision": 1}
+        assert ds.n_dropped == 5
+
+    def test_reasons_survive_derived_datasets(self, tmp_path):
+        text = "y,s,g,age\n1,0.9,a,40\n0,0.2,b,\n1,0.6,a,50\n0,0.4,b,60\n,0.5,a,70\n"
+        ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+        reasons = {"outcome": 1, "group": 0, "score_and_decision": 0}
+        assert ds.dropped_by_reason == reasons
+        derived = (
+            impute_medians(ds, max_missing=0.5),
+            apply_threshold(ds, 0.5),
+            ds.take(np.array([3, 0])),
+            filter_condition(ds, "age >= 40"),
+        )
+        for out in derived:
+            assert out is not ds
+            assert out.dropped_by_reason == reasons
+
+
+def test_memory_holds_one_block_of_rows(tmp_path):
+    """A wide unbound column costs at most about one block of rows, not the file."""
+    rows = 8 * dataset_module._BLOCK_ROWS
+
+    def peak(note):
+        path = tmp_path / f"note{len(note)}.csv"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("y,s,g,note\n")
+            handle.write(f"1,0.5,a,{note}\n0,0.25,b,{note}\n" * (rows // 2))
+        tracemalloc.start()
+        try:
+            load_csv(str(path), outcome="y", score="s", group="g", covariates=[])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("n" * 150) - peak("n") < 2 * dataset_module._BLOCK_ROWS * 151

@@ -17,7 +17,10 @@ from fairaudit import (
     group_metrics,
     is_defined,
 )
+from fairaudit import metrics
 from fairaudit.metrics import SCORE_METRICS
+
+from conftest import toy_dataset
 
 F_SCORES = [0.9, 0.3, 0.8, 0.6, 0.2, 0.1, 0.4, 0.45]
 F_OUTCOMES = [1, 1, 1, 0, 0, 0, 0, 1]
@@ -155,6 +158,48 @@ class TestCapabilityErrors:
         full = group_metrics(ds, "b")
         assert set(full.values) == set(MetricId)
         assert full.values[MetricId.BRIER_SCORE] == pytest.approx((0.2**2 + 0.3**2) / 2, rel=1e-12)
+
+
+class TestPointSumMemo:
+    def test_sums_are_built_once_per_group_and_columns(self, toy, monkeypatch):
+        calls = []
+        record_terms = metrics._record_terms
+        monkeypatch.setattr(
+            metrics, "_record_terms", lambda *arrays: calls.append(1) or record_terms(*arrays)
+        )
+        for _ in range(2):
+            values = {m: group_metric(toy, "F", m) for m in (MetricId.TPR, MetricId.FPR)}
+            confusion = group_confusion(toy, "F")
+        assert len(calls) == 1  # decision columns only
+        group_metric(toy, "F", MetricId.BRIER_SCORE)
+        group_metrics(toy, "F")
+        group_metrics(toy, "F")
+        assert len(calls) == 3  # plus score only, then both
+        fresh = toy_dataset()
+        assert values == {m: group_metric(fresh, "F", m) for m in values}
+        assert confusion == group_confusion(fresh, "F")
+        assert group_metrics(toy, "F") == group_metrics(fresh, "F")
+
+    def test_column_checks_run_on_every_call(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0, 1, 0]),
+            group=np.array(["a", "a", "b", "b"], dtype=object),
+            score=np.array([0.9, np.nan, 0.4, 0.2]),
+            decision=np.array([1, 0, 1, 0]),
+        )
+        assert group_metric(ds, "a", MetricId.TPR) == 1.0
+        group_metrics(ds, "a")
+        for _ in range(2):
+            with pytest.raises(InputError, match="records without scores"):
+                group_metric(ds, "a", MetricId.BRIER_SCORE)
+            with pytest.raises(InputError, match="unknown group"):
+                group_metric(ds, "x", MetricId.TPR)
+
+    def test_kept_sums_are_read_only(self, toy):
+        group_metric(toy, "M", MetricId.ACCURACY)
+        (sums,) = toy._memo.values()
+        with pytest.raises(ValueError):
+            sums[0] = 0.0
 
 
 class TestCalibrationCurve:

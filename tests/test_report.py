@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -145,6 +146,17 @@ class TestBuildDocument:
         assert block["n"] == 12
         assert block["groups"] == {"F": 8, "M": 4}
         assert block["threshold"] is None
+
+    def test_dataset_block_counts_drops_by_reason(self):
+        reasons = {"outcome": 2, "group": 0, "score_and_decision": 1}
+        ds = dataclasses.replace(toy_dataset(), n_dropped=3, dropped_by_reason=reasons)
+        doc = json.loads(render_json(build_document(version="0.1.0", dataset=ds)))
+        assert list(doc["dataset"])[:3] == ["n", "n_dropped", "dropped_by_reason"]
+        assert doc["dataset"]["dropped_by_reason"] == reasons
+        jsonschema.validate(doc, load_report_schema())
+        with pytest.raises(jsonschema.ValidationError):
+            doc["dataset"]["dropped_by_reason"]["typo"] = 1
+            jsonschema.validate(doc, load_report_schema())
 
     def test_row_blocks_carry_everything(self):
         doc = full_document()
@@ -356,6 +368,21 @@ class TestMarkdown:
         assert "- decision threshold: score > 0.5" in lines
         assert "- imputed medians: age=45" in lines
         assert "- dropped covariates: sepsis (100% missing)" in lines
+
+    def test_dropped_rows_line_follows_the_records_line(self):
+        doc = handmade_document()
+        doc["dataset"]["dropped_by_reason"] = {"outcome": 2, "group": 0, "score_and_decision": 1}
+        lines = emit_markdown(doc).splitlines()
+        records = lines.index("- records: 12 kept, 3 dropped")
+        assert lines[records + 1] == (
+            "- dropped rows: 2 without an outcome, 1 without a score or decision"
+        )
+
+    def test_no_dropped_rows_line_without_drops(self):
+        doc = handmade_document()
+        doc["dataset"]["n_dropped"] = 0
+        doc["dataset"]["dropped_by_reason"] = {"outcome": 0, "group": 0, "score_and_decision": 0}
+        assert "- dropped rows" not in emit_markdown(doc)
 
     def test_percent_row_cells(self):
         md = emit_markdown(handmade_document())
