@@ -304,9 +304,11 @@ def load_csv(
     categorical (None for missing). Covariate columns that are entirely
     missing are dropped. The file is read as UTF-8; a leading byte-order
     mark is skipped. Bytes that are not UTF-8, a row with non-blank cells
-    beyond the header, a cell that does not parse, and a cell holding a
-    line break (usually an unclosed quote, which would swallow every
-    later row) raise InputError naming the first such row's file line.
+    beyond the header, a cell that does not parse, a cell holding a line
+    break (usually an unclosed quote, which would swallow every later
+    row) and a cell longer than the csv module's field limit (an unclosed
+    quote followed by more than 128 KiB) raise InputError naming the
+    first such row's file line.
 
     Rows are read in blocks of ``_BLOCK_ROWS``, and each block is parsed
     one column at a time, so memory holds one block of raw rows plus the
@@ -331,6 +333,8 @@ def load_csv(
             raise InputError(f"{path!r} is empty") from None
         except UnicodeDecodeError:
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise InputError(f"line 1 of {path!r}: {exc}") from None
         if reader.line_num != 1 or _holds_line_break(header):
             raise _line_break_error(1, path)
         header = [name.strip() for name in header]
@@ -365,7 +369,8 @@ def load_csv(
                 return 0
             if reader.line_num != first + read - 1 or _holds_line_break(rows[-1]):
                 # row i sits on line first + i up to the first row that crossed a line end
-                rows = rows[: next(i for i, row in enumerate(rows) if _holds_line_break(row))]
+                crossed = (i for i, row in enumerate(rows) if _holds_line_break(row))
+                rows = rows[: next(crossed, read)]
             n = len(rows)
             lengths = np.fromiter(map(len, rows), np.intp, n)
             for i in np.flatnonzero(lengths < width).tolist():
@@ -424,9 +429,24 @@ def load_csv(
                 cells.extend(compress(map(cells_of[name], rows), keep))
             return read
 
+        def read_block() -> list[list[str]]:
+            try:
+                return list(islice(reader, _BLOCK_ROWS))
+            except csv.Error as exc:  # e.g. an open quote swallowing more than the field limit
+                error = exc
+            # read the block again up to the row that failed: a bad row before it comes first
+            rows: list[list[str]] = []
+            with open(path, newline="", encoding="utf-8-sig") as again:
+                try:
+                    rows.extend(islice(csv.reader(again), first - 1, None))
+                except csv.Error:
+                    pass
+            parse_block(rows, first)
+            raise InputError(f"line {first + len(rows)} of {path!r}: {error}") from None
+
         first = 2  # the file line of the block's first row
         try:
-            while read := parse_block(list(islice(reader, _BLOCK_ROWS)), first):
+            while read := parse_block(read_block(), first):
                 first += read
         except UnicodeDecodeError:
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None

@@ -1,15 +1,19 @@
 """Stratified bootstrap confidence intervals for metric gaps.
 
 Resampling draws records with replacement within each group, keeping
-group sizes fixed. A group's iterations are drawn in blocks of
-``max(1, 2**15 // n)`` resamples, one (block, n) index matrix per block,
-and each (seed, first iteration of the block, group label) triple
-addresses that block's random substream. Replicates are therefore a pure
-function of the data order, the seed, the iteration and the group:
-reruns reproduce bit for bit, and a group's replicates are the same in
-every pair it joins. Each replicate sums the group's per-record terms
-over one row of the index matrix; a dataset keeps each group's replicate
-sums, so the pairs of an audit share them.
+group sizes fixed. Drawing n records uniformly with replacement is the
+same as drawing how many come from each of the group's four confusion
+cells (TN, FP, FN, TP), as one Multinomial(n, cell sizes / n) row, and
+then that many records uniformly within each cell (Efron 1979). The
+cell counts alone give every confusion metric; records within cells are
+drawn only for score metrics, after the counts, so a score metric never
+changes the counts. A group's iterations are drawn in blocks of
+``max(1, 2**15 // n)`` resamples, and each (seed, first iteration of the
+block, group label) triple addresses that block's random substream.
+Replicates are therefore a pure function of the data order, the seed,
+the iteration and the group: reruns reproduce bit for bit, and a group's
+replicates are the same in every pair it joins. A dataset keeps each
+group's replicate sums, so the pairs of an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences; the ratio interval is
@@ -25,13 +29,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
+from typing import Iterator
 
 import numpy as np
 
 from .dataset import AuditDataset
 from .errors import ComputationError, InputError
 from .metrics import (
+    _CELLS,
     MetricId,
+    _cell_code,
+    _cell_decision,
     _group_arrays,
     _metric_values,
     _record_terms,
@@ -110,8 +118,8 @@ def _substream(seed: int, iteration: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(sequence))
 
 
-# Cells per index matrix: a block holds max(1, _BLOCK_CELLS // n) resamples
-# of an n-record group, which bounds the memory one block needs.
+# A block holds max(1, _BLOCK_CELLS // n) resamples of an n-record group,
+# which bounds the records one block draws within cells.
 _BLOCK_CELLS = 2**15
 
 
@@ -119,13 +127,28 @@ def _block_rows(size: int) -> int:
     return max(1, _BLOCK_CELLS // size)
 
 
-def _block_draw(seed: int, start: int, label: str, size: int, rows: int) -> np.ndarray:
-    """Index matrix of the block starting at iteration ``start``: its first ``rows`` resamples.
+def _cell_draws(
+    seed: int, start: int, label: str, sizes: np.ndarray
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """The resamples of the block starting at iteration ``start``.
 
-    Rows are filled in order from the block's substream, so a shorter
-    draw is a prefix of the full block.
+    Returns their (rows, 4) cell counts, one Multinomial(n, sizes / n) row
+    per resample, and the records drawn within cells: one array per
+    non-empty cell, in cell order, of positions among the group's records
+    sorted by cell, resample by resample. The positions are drawn lazily,
+    after every count, so a caller that only counts draws none. A block
+    always draws all ``_block_rows(n)`` resamples, so its draws never
+    depend on the iteration count.
     """
-    return _substream(seed, start, label).integers(0, size, (rows, size))
+    n = int(sizes.sum())
+    rng = _substream(seed, start, label)
+    cells = np.flatnonzero(sizes)
+    counts = np.zeros((_block_rows(n), _CELLS), dtype=np.int64)
+    counts[:, cells] = rng.multinomial(n, sizes[cells] / n, size=counts.shape[0])
+    ends = np.cumsum(sizes)
+    totals = counts.sum(axis=0)
+    draws = (rng.integers(ends[c] - sizes[c], ends[c], totals[c]) for c in cells)
+    return counts, draws
 
 
 def resample_within_groups(
@@ -133,21 +156,28 @@ def resample_within_groups(
 ) -> AuditDataset:
     """One stratified resample: per-group draws with replacement.
 
-    Group sizes are preserved exactly. A group's rows come from row
-    ``iteration - start`` of the index matrix of the block starting at
-    ``start`` (see the module docstring), so they depend only on (seed,
-    iteration, label) and the group's record order, and they are the
-    resample behind that iteration's bootstrap replicate.
+    Group sizes are preserved exactly. A group's resample is the one at
+    ``iteration`` in its block (see the module docstring): its records
+    are drawn within the group's cells (cut by decision only when no
+    record of the group lacks one) and taken cell by cell. They depend
+    only on (seed, iteration, label) and the group's records, and they
+    are the resample behind that iteration's bootstrap replicate.
     """
     if seed < 0 or iteration < 0:
         raise InputError("seed and iteration must be non-negative")
     parts = []
     for label in dataset.groups:
         rows = dataset.group_positions(label)
-        size = rows.shape[0]
-        start = iteration - iteration % _block_rows(size)
-        draw = _block_draw(seed, start, label, size, iteration - start + 1)
-        parts.append(rows[draw[-1]])
+        code = _cell_code(dataset.outcome[rows], _cell_decision(dataset, label, None))
+        sizes = np.bincount(code, minlength=_CELLS)
+        row = iteration % _block_rows(rows.shape[0])
+        counts, draws = _cell_draws(seed, iteration - row, label, sizes)
+        before = counts[:row].sum(axis=0)
+        picks = [
+            drawn[before[c] : before[c] + counts[row, c]]
+            for c, drawn in zip(np.flatnonzero(sizes), draws)
+        ]
+        parts.append(rows[np.argsort(code, kind="stable")][np.concatenate(picks)])
     return dataset.take(np.concatenate(parts))
 
 
@@ -175,14 +205,12 @@ def _group_replicates(
     key = ("replicates", label, config.seed, config.iterations, bound)
     sums = dataset._memo.get(key)
     if sums is None:
-        terms = _record_terms(outcome, score, decision)
-        size = outcome.shape[0]
-        block = _block_rows(size)
-        blocks = []
-        for start in range(0, config.iterations, block):
-            rows = min(block, config.iterations - start)
-            blocks.append(_term_sums(terms, _block_draw(config.seed, start, label, size, rows)))
-        sums = dataset._memo[key] = np.concatenate(blocks)
+        terms = _record_terms(outcome, score, _cell_decision(dataset, label, decision))
+        blocks = [
+            _term_sums(terms, *_cell_draws(config.seed, start, label, terms[0]))
+            for start in range(0, config.iterations, _block_rows(outcome.shape[0]))
+        ]
+        sums = dataset._memo[key] = np.concatenate(blocks)[: config.iterations]
     return _metric_values(sums, metrics)
 
 

@@ -3,11 +3,13 @@
 Every metric is a ratio of two per-group sums (n, Σy, Σd, Σyd, the score
 sums over positive and over negative outcomes, Σ(s−y)² and Σ|s−y|), for
 point estimates and bootstrap replicates alike. The sums reduce a group's
-per-record terms, computed once: a cell code 2y + d and the float terms
-s·y, s·(1−y), (s−y)² and |s−y|. A resample sums the terms over one row
-of an index matrix; the point estimate is the identity draw. A zero
-denominator gives the UNDEFINED sentinel, never an exception; callers
-decide how to surface that.
+per-record terms, computed once: the sizes of its four cells (cell code
+2y + d: TN, FP, FN, TP) and, with scores, the float terms s, (s−y)² and
+|s−y| of its records sorted by cell. A resample is a count of records per
+cell plus, for the score sums, which records of each cell it drew; the
+point estimate counts every record once. A zero denominator gives the
+UNDEFINED sentinel, never an exception; callers decide how to surface
+that.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -155,6 +157,31 @@ class CalibrationCurve:
 # Column order of a per-group sums row.
 _N, _Y, _D, _YD, _S_POS, _S_NEG, _SQ_ERR, _ABS_ERR = range(8)
 _SUM_COLUMNS = 8
+_CELLS = 4
+
+
+def _cell_code(outcome: np.ndarray, decision: np.ndarray | None) -> np.ndarray:
+    """Each record's cell, 2y + d (int8; 2y without decisions)."""
+    code = 2 * outcome.astype(np.int8)
+    if decision is not None:
+        code += decision
+    return code
+
+
+def _cell_decision(
+    dataset: AuditDataset, group: str, decision: np.ndarray | None
+) -> np.ndarray | None:
+    """The decisions that split a group into cells.
+
+    These are the given decisions, else the bound column when no record of
+    the group has an unset decision, else None. A group's cells, and so the
+    resamples drawn over them, never depend on the metrics asked for.
+    """
+    if decision is None and dataset.decision is not None:
+        decision = dataset.decision[dataset.group_positions(group)]
+        if (decision < 0).any():
+            return None
+    return decision
 
 
 def _record_terms(
@@ -162,51 +189,82 @@ def _record_terms(
 ) -> tuple[np.ndarray, np.ndarray | None, bool]:
     """One group's per-record terms, computed once and summed by :func:`_term_sums`.
 
-    Returns the cell code ``2y + d`` (int8; ``2y`` without decisions), the
-    float rows s·y, s·(1−y), (s−y)² and |s−y| (None without scores), and
-    whether the code carries decisions.
+    Returns the four cell sizes (int64, by cell code; cells 1 and 3 stay
+    empty without decisions), the (3, n) float rows s, (s−y)² and |s−y|
+    of the records sorted by cell, in record order within a cell (None
+    without scores), and whether the code carries decisions.
     """
-    code = 2 * outcome.astype(np.int8)
+    code = _cell_code(outcome, decision)
+    n = code.shape[0]
+    y = np.count_nonzero(code >= 2)
+    d = yd = 0
     if decision is not None:
-        code += decision
+        d = np.count_nonzero(code & 1)
+        yd = np.count_nonzero(code == 3)
+    sizes = np.array([n - y - d + yd, d - yd, y - yd, yd])
     floats = None
     if score is not None:
-        floats = np.empty((4, outcome.shape[0]))
-        s_pos, s_neg, sq_err, abs_err = floats
-        np.multiply(score, outcome, out=s_pos)
-        np.subtract(score, s_pos, out=s_neg)
-        np.subtract(score, outcome, out=sq_err)
+        order = np.argsort(code, kind="stable")
+        floats = np.empty((3, n))
+        s, sq_err, abs_err = floats
+        np.take(score, order, out=s)
+        np.subtract(s, outcome[order], out=sq_err)
         np.abs(sq_err, out=abs_err)
         sq_err *= sq_err
-    return code, floats, decision is not None
+    return sizes, floats, decision is not None
 
 
 def _term_sums(
-    terms: tuple[np.ndarray, np.ndarray | None, bool], draw: np.ndarray | None = None
+    terms: tuple[np.ndarray, np.ndarray | None, bool],
+    counts: np.ndarray | None = None,
+    draws: Iterator[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Sums rows of per-record terms, reduced along the last axis.
+    """Sums of one group's terms: the point estimate's (k,) row, or (b, k) for b resamples.
 
-    Without ``draw`` the records themselves are summed (the identity draw,
-    giving the point estimate's (k,) row); a (b, n) index matrix gives one
-    (b, k) row per resample. Counts are exact; the columns of a missing
-    score or decision are NaN.
+    A resample is a row of ``counts`` (b, 4), how many records it draws
+    from each cell, and, for the score sums, its segments of ``draws``:
+    one array per non-empty cell, in cell order, of the drawn records'
+    positions among the cell-sorted records, resample by resample. They
+    are taken only when score terms are summed. Without counts the
+    records themselves are summed: the counts are the cell sizes and each
+    cell's records, which lie together, form one segment. Each segment is
+    summed on its own by ``np.add.reduceat``, whose sum depends only on
+    the segment's values, and the cells are then added in a fixed order:
+    a resample's sums do not depend on the block it was drawn in, and
+    they equal the point sums of the resampled records. Counts are exact;
+    the columns of a missing score or decision are NaN.
     """
-    code, floats, decided = terms
-    axis = None  # a 1-d count without an axis takes numpy's fast path
-    if draw is not None:
-        code, axis = code[draw], -1
-    sums = np.full(code.shape[:-1] + (_SUM_COLUMNS,), np.nan)
-    sums[..., _N] = code.shape[-1]
-    sums[..., _Y] = np.count_nonzero(code >= 2, axis=axis)
+    sizes, floats, decided = terms
+    point = counts is None
+    if point:
+        counts = sizes[np.newaxis]
+    sums = np.full((counts.shape[0], _SUM_COLUMNS), np.nan)
+    sums[:, _N] = sizes.sum()
+    sums[:, _Y] = counts[:, 2] + counts[:, 3]
     if decided:
-        sums[..., _D] = np.count_nonzero(code & 1, axis=axis)
-        sums[..., _YD] = np.count_nonzero(code == 3, axis=axis)
+        sums[:, _D] = counts[:, 1] + counts[:, 3]
+        sums[:, _YD] = counts[:, 3]
     if floats is not None:
-        # one term at a time: each gathered row is contiguous, so it is summed
-        # in the same order as the 1-d records of the same resample
-        for column, values in enumerate(floats, start=_S_POS):
-            sums[..., column] = (values if draw is None else values[draw]).sum(axis=-1)
-    return sums
+        cells = np.zeros((_CELLS, 3, counts.shape[0]))
+        nonempty = np.flatnonzero(sizes)
+        if draws is None:  # each cell's records lie together: one segment per cell
+            starts = (np.cumsum(sizes) - sizes)[nonempty]
+            cells[nonempty, :, 0] = np.add.reduceat(floats, starts, axis=1).T
+        else:
+            drawn = counts > 0
+            starts = np.cumsum(counts, axis=0) - counts
+            for c in nonempty:
+                picks = next(draws)
+                segments = starts[drawn[:, c], c]
+                # one term at a time keeps each gathered array small
+                for cell_sums, values in zip(cells[c], floats):
+                    cell_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
+        # cells 0 and 1 hold y = 0, cells 2 and 3 hold y = 1
+        by_outcome = cells[0::2] + cells[1::2]
+        sums[:, _S_POS] = by_outcome[1, 0]
+        sums[:, _S_NEG] = by_outcome[0, 0]
+        sums[:, _SQ_ERR:] = (by_outcome[0, 1:] + by_outcome[1, 1:]).T
+    return sums[0] if point else sums
 
 
 def _metric_values(sums: np.ndarray, metrics: tuple[MetricId, ...]) -> np.ndarray:
@@ -282,6 +340,8 @@ def _point_sums(
     key = ("sums", group, (score is not None, decision is not None))
     sums = dataset._memo.get(key)
     if sums is None:
+        if score is not None:  # add up the same cells as the resamples do
+            decision = _cell_decision(dataset, group, decision)
         sums = dataset._memo[key] = _term_sums(_record_terms(outcome, score, decision))
         sums.setflags(write=False)
     return sums

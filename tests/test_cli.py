@@ -346,6 +346,46 @@ class TestErrors:
         assert err.startswith("fairaudit: line 5 of ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("before", [0, 9000])
+    def test_quote_open_past_the_field_limit_names_its_line(self, capsys, tmp_path, before):
+        # the open quote swallows more than csv's 128 KiB field limit
+        rows = [f"{i % 2},0.{i % 9 + 1},{'ab'[i % 2]}\n" for i in range(30_000)]
+        path = tmp_path / "quote.csv"
+        path.write_text("y,s,g\n" + "".join(rows[:before]) + '1,0.5,"x\n' + "".join(rows))
+        code, out, err = run(
+            capsys, "audit", "--input", str(path), "--outcome", "y", "--group", "g",
+            "--score", "s", "--threshold", "0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"fairaudit: line {before + 2} of ")
+        assert "field larger than field limit" in err
+        assert err.count("\n") == 1
+
+    def test_quote_open_in_the_header_past_the_field_limit(self, capsys, tmp_path):
+        rows = [f"{i % 2},0.{i % 9 + 1},{'ab'[i % 2]}\n" for i in range(30_000)]
+        path = tmp_path / "quote.csv"
+        path.write_text('"y,s,g\n' + "".join(rows))
+        code, out, err = run(
+            capsys, "audit", "--input", str(path), "--outcome", "y", "--group", "g",
+            "--score", "s", "--threshold", "0.5",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("fairaudit: line 1 of ")
+        assert "field larger than field limit" in err
+
+    def test_bad_cell_before_an_overlong_field_is_reported_first(self, capsys, tmp_path):
+        rows = [f"{i % 2},0.{i % 9 + 1},{'ab'[i % 2]}\n" for i in range(30_000)]
+        path = tmp_path / "quote.csv"
+        path.write_text("y,s,g\n1,0.4,a\n7,0.5,b\n" + '1,0.5,"x\n' + "".join(rows))
+        code, _, err = run(
+            capsys, "audit", "--input", str(path), "--outcome", "y", "--group", "g",
+            "--score", "s", "--threshold", "0.5",
+        )
+        assert code == 1
+        assert err.startswith("fairaudit: line 3 of ")
+        assert "y value outside {0, 1}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(
             capsys,

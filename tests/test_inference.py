@@ -182,34 +182,100 @@ class TestBootstrapReplicates:
                 assert same(replicates.values_a[iteration, j], expect_a)
                 assert same(replicates.values_b[iteration, j], expect_b)
 
-    def test_index_draws_stay_under_the_block_cap(self, monkeypatch):
-        draws = []
+    def test_rare_cell_matches_public_resampler_exactly(self):
+        # one false positive among 40,000 records: with one resample per
+        # block, a block often draws nothing from that cell
+        n = 40_000
+        outcome = np.zeros(n + 30, dtype=np.int8)
+        outcome[1 : n // 2] = 1
+        decision = outcome.copy()
+        decision[0] = 1
+        rng = np.random.Generator(np.random.PCG64(6))
+        ds = AuditDataset(
+            outcome=outcome,
+            group=np.array(["a"] * n + ["b"] * 30, dtype=object),
+            score=rng.random(n + 30),
+            decision=decision,
+        )
+        metrics = tuple(MetricId)
+        config = BootstrapConfig(iterations=6, seed=2)
+        replicates = bootstrap_replicates(ds, metrics, "a", "b", config)
+        assert (replicates.values_a[:, metrics.index(MetricId.FPR)] == 0.0).any()
+        for iteration in range(config.iterations):
+            resampled = resample_within_groups(ds, seed=2, iteration=iteration)
+            for j, metric in enumerate(metrics):
+                expect_a = as_float(group_metric(resampled, "a", metric))
+                expect_b = as_float(group_metric(resampled, "b", metric))
+                assert same(replicates.values_a[iteration, j], expect_a)
+                assert same(replicates.values_b[iteration, j], expect_b)
+
+    @staticmethod
+    def record_blocks(monkeypatch) -> list:
+        """Record each block substream's cell-count and within-cell draws."""
+        blocks = []
         substream = inference._substream
 
         class Recording:
             def __init__(self, generator):
                 self.generator = generator
+                self.size = self.rows = None
+                self.within = []
+                blocks.append(self)
+
+            def multinomial(self, n, pvals, size):
+                self.size, self.rows = n, size
+                return self.generator.multinomial(n, pvals, size)
 
             def integers(self, low, high, size):
-                draws.append((high, int(np.prod(size))))
+                self.within.append(size)
                 return self.generator.integers(low, high, size)
 
         monkeypatch.setattr(
             inference, "_substream", lambda *key: Recording(substream(*key))
         )
+        return blocks
+
+    def test_index_draws_stay_under_the_block_cap(self, monkeypatch):
+        blocks = self.record_blocks(monkeypatch)
         sizes = {"a": 40_000, "b": 12_000, "c": 500, "d": 1}
         ds = random_dataset(sizes, seed=4)
         config = BootstrapConfig(iterations=70, seed=1)
         for label in ("b", "c", "d"):
             bootstrap_replicates(ds, (MetricId.BRIER_SCORE,), "a", label, config)
         resample_within_groups(ds, seed=1, iteration=69)
-        assert {size for size, _ in draws} == set(sizes.values())
-        # the cap keeps one block's gathered terms small at 200k records
-        for size, cells in draws:
-            if size > 2**15:
-                assert cells == size
+        assert {block.size for block in blocks} == set(sizes.values())
+        # the cap keeps one block's drawn records small at 200k records
+        for block in blocks:
+            assert block.rows == inference._block_rows(block.size)
+            cells = sum(block.within)
+            assert cells == block.rows * block.size
+            if block.size > 2**15:
+                assert cells == block.size
             else:
                 assert cells <= 2**15
+
+    def test_confusion_only_request_draws_no_records(self, monkeypatch):
+        blocks = self.record_blocks(monkeypatch)
+        ds = random_dataset({"a": 3_000, "b": 40}, seed=2)
+        config = BootstrapConfig(iterations=50, seed=1)
+        bootstrap_replicates(ds, (MetricId.POSITIVE_RATE,), "a", "b", config)
+        assert blocks and all(block.rows for block in blocks)
+        assert all(block.within == [] for block in blocks)
+
+    def test_score_metrics_leave_confusion_replicates_unchanged(self):
+        sizes = {"a": 9_000, "b": 700}
+        config = BootstrapConfig(iterations=40, seed=12)
+        confusion = (MetricId.POSITIVE_RATE, MetricId.FNR)
+        narrow = bootstrap_replicates(random_dataset(sizes, seed=8), confusion, "a", "b", config)
+        wide = bootstrap_replicates(
+            random_dataset(sizes, seed=8),
+            confusion + (MetricId.BRIER_SCORE, MetricId.MEAN_SCORE_POS),
+            "a",
+            "b",
+            config,
+        )
+        assert np.array_equal(narrow.values_a, wide.values_a[:, :2])
+        assert np.array_equal(narrow.values_b, wide.values_b[:, :2])
 
     def test_group_replicates_do_not_depend_on_the_pair(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -232,6 +298,24 @@ class TestBootstrapReplicates:
         narrow = bootstrap_replicates(toy, (MetricId.POSITIVE_RATE,), "F", "M", config)
         wide = bootstrap_replicates(
             toy, (MetricId.POSITIVE_RATE, MetricId.ACCURACY), "F", "M", config
+        )
+        assert np.array_equal(narrow.values_a[:, 0], wide.values_a[:, 0])
+        assert np.array_equal(narrow.values_b[:, 0], wide.values_b[:, 0])
+
+    def test_adding_a_decision_metric_keeps_score_columns(self):
+        # a group's cells are cut by decision whenever it has them, so a
+        # score-only request draws the same resamples as a mixed one
+        config = BootstrapConfig(iterations=30, seed=4)
+        sizes = {"a": 500, "b": 60}
+        narrow = bootstrap_replicates(
+            random_dataset(sizes, seed=3), (MetricId.BRIER_SCORE,), "a", "b", config
+        )
+        wide = bootstrap_replicates(
+            random_dataset(sizes, seed=3),
+            (MetricId.BRIER_SCORE, MetricId.POSITIVE_RATE),
+            "a",
+            "b",
+            config,
         )
         assert np.array_equal(narrow.values_a[:, 0], wide.values_a[:, 0])
         assert np.array_equal(narrow.values_b[:, 0], wide.values_b[:, 0])
@@ -286,6 +370,68 @@ class TestBootstrapReplicates:
             bootstrap_replicates(
                 ds, (MetricId.POSITIVE_RATE,), "a", "b", BootstrapConfig(iterations=5)
             )
+
+
+class TestResampleDistribution:
+    """Replicate sums against the exact moments of n uniform draws with replacement."""
+
+    def test_replicate_sums_match_bootstrap_moments(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        full_y = rng.integers(0, 2, 40)
+        gap_y = rng.integers(0, 2, 30)
+        arrays = {  # group: (outcome, decision)
+            "full": (full_y, rng.integers(0, 2, 40)),
+            "gap": (gap_y, gap_y * rng.integers(0, 2, 30)),  # no false positives
+            "one": (np.array([1]), np.array([0])),
+        }
+        full_cells = 2 * arrays["full"][0] + arrays["full"][1]
+        assert set(full_cells.tolist()) == {0, 1, 2, 3}
+        gap_cells = set((2 * arrays["gap"][0] + arrays["gap"][1]).tolist())
+        assert gap_cells == {0, 2, 3}
+        outcome = np.concatenate([y for y, _ in arrays.values()])
+        ds = AuditDataset(
+            outcome=outcome,
+            group=np.array([g for g, (y, _) in arrays.items() for _ in y], dtype=object),
+            score=rng.random(outcome.shape[0]),
+            decision=np.concatenate([d for _, d in arrays.values()]),
+        )
+        metrics = (
+            MetricId.PREVALENCE,
+            MetricId.POSITIVE_RATE,
+            MetricId.ACCURACY,
+            MetricId.BRIER_SCORE,
+            MetricId.MEAN_ABSOLUTE_ERROR,
+        )
+        B = 20_000
+        config = BootstrapConfig(iterations=B, seed=5)
+        first = bootstrap_replicates(ds, metrics, "full", "gap", config)
+        second = bootstrap_replicates(ds, metrics, "one", "full", config)
+        replicates = {"full": first.values_a, "gap": first.values_b, "one": second.values_a}
+        for label, values in replicates.items():
+            rows = ds.group_positions(label)
+            n = rows.shape[0]
+            y, d, s = ds.outcome[rows], ds.decision[rows], ds.score[rows]
+            prevalence, positive_rate, accuracy, brier, mae = (values * n).T
+            y_sum, d_sum, correct = (
+                np.rint(v).astype(int) for v in (prevalence, positive_rate, accuracy)
+            )
+            tp = (correct - n + y_sum + d_sum) // 2
+            terms_and_sums = {
+                "y": (y, y_sum),
+                "d": (d, d_sum),
+                "tp": (y * d, tp),
+                "fp": ((1 - y) * d, d_sum - tp),
+                "squared error": ((s - y) ** 2, brier),
+                "absolute error": (np.abs(s - y), mae),
+            }
+            for name, (term, sums) in terms_and_sums.items():
+                mean, var = term.mean(), term.var()
+                kurtosis = ((term - mean) ** 4).mean() - 3 * var**2
+                se_mean = math.sqrt(n * var / B)
+                se_var = math.sqrt((n * kurtosis + 2 * (n * var) ** 2) / B)
+                where = f"{label} {name}"
+                assert abs(sums.mean() - n * mean) <= 4 * se_mean + 1e-9 * n, where
+                assert abs(sums.var(ddof=1) - n * var) <= 4 * se_var + 1e-9 * n, where
 
 
 class TestReplicateMemo:
