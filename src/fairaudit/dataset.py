@@ -48,10 +48,13 @@ class AuditDataset:
     The group index (each label's rows) is built once, at construction.
     Derived datasets go through the same constructor, so they are
     validated and indexed the same way, and start with an empty memo.
-    The memo keeps what an audit derives from the dataset more than once:
-    condition strata (by predicate) and each group's point sums and
-    bootstrap replicate sums (by the columns they read). Only successful
-    results are kept, so errors recur on every call.
+    The memo keeps what an audit derives from the dataset more than once,
+    under three kinds of key: ``("stratum", predicate)``, a condition's
+    stratum; ``("cells", label)``, a group's records laid out by confusion
+    cell, with its point sums (see :mod:`fairaudit.metrics`); and
+    ``("replicates", label, seed, iterations, scored)``, a group's
+    bootstrap replicate sums. Only successful results are kept, so errors
+    recur on every call.
     """
 
     outcome: np.ndarray
@@ -430,19 +433,13 @@ def load_csv(
             return read
 
         def read_block() -> list[list[str]]:
-            try:
-                return list(islice(reader, _BLOCK_ROWS))
-            except csv.Error as exc:  # e.g. an open quote swallowing more than the field limit
-                error = exc
-            # read the block again up to the row that failed: a bad row before it comes first
             rows: list[list[str]] = []
-            with open(path, newline="", encoding="utf-8-sig") as again:
-                try:
-                    rows.extend(islice(csv.reader(again), first - 1, None))
-                except csv.Error:
-                    pass
-            parse_block(rows, first)
-            raise InputError(f"line {first + len(rows)} of {path!r}: {error}") from None
+            try:
+                rows.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows read before an error
+            except csv.Error as exc:  # e.g. an open quote swallowing more than the field limit
+                parse_block(rows, first)  # a bad row before the one that failed comes first
+                raise InputError(f"line {first + len(rows)} of {path!r}: {exc}") from None
+            return rows
 
         first = 2  # the file line of the block's first row
         try:

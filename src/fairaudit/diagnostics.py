@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import AuditDataset
 from .errors import InputError
 from .fairness import FairnessReport, RowStatus
-from .metrics import _N, _Y, MetricId, _record_terms, _term_sums, group_metric, is_defined
+from .metrics import MetricId, _cells, group_metric, is_defined
 
 DEFAULT_TEST_LEVEL = 0.05
 MIN_EXPECTED_COUNT = 5.0
@@ -88,13 +88,9 @@ def independence_test(
     if not 0.0 < level < 1.0:
         raise InputError("test level outside (0, 1)")
     labels = dataset.groups
-    sums = np.array(
-        [
-            _term_sums(_record_terms(dataset.outcome[dataset.group_positions(g)], None, None))
-            for g in labels
-        ]
-    )
-    table = np.column_stack([sums[:, _Y], sums[:, _N] - sums[:, _Y]])
+    sizes = np.array([_cells(dataset, g).sizes for g in labels])
+    # cells 2 and 3 hold y = 1, cells 0 and 1 hold y = 0
+    table = np.column_stack([sizes[:, 2:].sum(axis=1), sizes[:, :2].sum(axis=1)])
     if (table.sum(axis=0) == 0).any():
         raise InputError("independence test needs both outcome values present")
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()

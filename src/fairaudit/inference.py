@@ -5,15 +5,20 @@ group sizes fixed. Drawing n records uniformly with replacement is the
 same as drawing how many come from each of the group's four confusion
 cells (TN, FP, FN, TP), as one Multinomial(n, cell sizes / n) row, and
 then that many records uniformly within each cell (Efron 1979). The
-cell counts alone give every confusion metric; records within cells are
-drawn only for score metrics, after the counts, so a score metric never
-changes the counts. A group's iterations are drawn in blocks of
-``max(1, 2**15 // n)`` resamples, and each (seed, first iteration of the
-block, group label) triple addresses that block's random substream.
-Replicates are therefore a pure function of the data order, the seed,
-the iteration and the group: reruns reproduce bit for bit, and a group's
-replicates are the same in every pair it joins. A dataset keeps each
-group's replicate sums, so the pairs of an audit share them.
+cells are the group's record from :func:`metrics._cells`, cut by
+decision whenever every record of the group has one, so they never
+depend on the metrics requested. The cell counts alone give every
+confusion metric; records within cells are drawn only for score
+metrics, after the counts, so a score metric never changes the counts.
+A group's iterations are drawn in blocks of ``max(1, 2**15 // n)``
+resamples, and each (seed, first iteration of the block, group label)
+triple addresses that block's random substream. Replicates are therefore
+a pure function of the data order, the seed, the iteration and the
+group: reruns reproduce bit for bit, and a group's replicates are the
+same in every pair it joins. A dataset keeps each group's replicate sums
+under the memo key ``("replicates", label, seed, iterations, scored)``,
+``scored`` saying whether score metrics were asked for, so the pairs of
+an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences; the ratio interval is
@@ -37,12 +42,12 @@ from .dataset import AuditDataset
 from .errors import ComputationError, InputError
 from .metrics import (
     _CELLS,
+    SCORE_METRICS,
     MetricId,
-    _cell_code,
-    _cell_decision,
-    _group_arrays,
+    _cells,
+    _checked_cells,
+    _floats,
     _metric_values,
-    _record_terms,
     _term_sums,
     coerce_metric,
     group_metric,
@@ -167,17 +172,15 @@ def resample_within_groups(
         raise InputError("seed and iteration must be non-negative")
     parts = []
     for label in dataset.groups:
-        rows = dataset.group_positions(label)
-        code = _cell_code(dataset.outcome[rows], _cell_decision(dataset, label, None))
-        sizes = np.bincount(code, minlength=_CELLS)
-        row = iteration % _block_rows(rows.shape[0])
-        counts, draws = _cell_draws(seed, iteration - row, label, sizes)
+        cells = _cells(dataset, label)
+        row = iteration % _block_rows(cells.rows.shape[0])
+        counts, draws = _cell_draws(seed, iteration - row, label, cells.sizes)
         before = counts[:row].sum(axis=0)
         picks = [
             drawn[before[c] : before[c] + counts[row, c]]
-            for c, drawn in zip(np.flatnonzero(sizes), draws)
+            for c, drawn in zip(np.flatnonzero(cells.sizes), draws)
         ]
-        parts.append(rows[np.argsort(code, kind="stable")][np.concatenate(picks)])
+        parts.append(cells.rows[np.concatenate(picks)])
     return dataset.take(np.concatenate(parts))
 
 
@@ -198,17 +201,18 @@ def _group_replicates(
     """Metric values on each of one group's resamples (B x metrics, NaN = undefined).
 
     The column checks run on every call; the replicate sums are computed
-    once per dataset, group, seed, iteration count and bound columns.
+    once per dataset, group, seed, iteration count and whether score
+    metrics are asked for: only then are records drawn within cells.
     """
-    outcome, score, decision = _group_arrays(dataset, label, metrics)
-    bound = (score is not None, decision is not None)
-    key = ("replicates", label, config.seed, config.iterations, bound)
+    cells = _checked_cells(dataset, label, metrics)
+    scored = not SCORE_METRICS.isdisjoint(metrics)
+    key = ("replicates", label, config.seed, config.iterations, scored)
     sums = dataset._memo.get(key)
     if sums is None:
-        terms = _record_terms(outcome, score, _cell_decision(dataset, label, decision))
+        floats = _floats(dataset, cells) if scored else None
         blocks = [
-            _term_sums(terms, *_cell_draws(config.seed, start, label, terms[0]))
-            for start in range(0, config.iterations, _block_rows(outcome.shape[0]))
+            _term_sums(cells, floats, *_cell_draws(config.seed, start, label, cells.sizes))
+            for start in range(0, config.iterations, _block_rows(cells.rows.shape[0]))
         ]
         sums = dataset._memo[key] = np.concatenate(blocks)[: config.iterations]
     return _metric_values(sums, metrics)

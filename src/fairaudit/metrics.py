@@ -2,14 +2,18 @@
 
 Every metric is a ratio of two per-group sums (n, Σy, Σd, Σyd, the score
 sums over positive and over negative outcomes, Σ(s−y)² and Σ|s−y|), for
-point estimates and bootstrap replicates alike. The sums reduce a group's
-per-record terms, computed once: the sizes of its four cells (cell code
-2y + d: TN, FP, FN, TP) and, with scores, the float terms s, (s−y)² and
-|s−y| of its records sorted by cell. A resample is a count of records per
-cell plus, for the score sums, which records of each cell it drew; the
-point estimate counts every record once. A zero denominator gives the
-UNDEFINED sentinel, never an exception; callers decide how to surface
-that.
+point estimates and bootstrap replicates alike. A group is laid out once
+per dataset as its four cells (cell code 2y + d: TN, FP, FN, TP): the
+record :func:`_cells` keeps under the memo key ``("cells", label)`` holds
+the group's rows sorted by cell, the cell sizes, whether every record
+has a decision and a score, and the point sums. Point estimates,
+bootstrap replicates and resamples, and the chi-square table all read
+it. The float terms s, (s−y)² and |s−y| are rebuilt from the sorted rows
+whenever score sums are formed, never kept. A resample is a count of
+records per cell plus, for the score sums, which records of each cell it
+drew; the point estimate counts every record once. A zero denominator
+gives the UNDEFINED sentinel, never an exception; callers decide how to
+surface that.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -160,96 +164,108 @@ _SUM_COLUMNS = 8
 _CELLS = 4
 
 
-def _cell_code(outcome: np.ndarray, decision: np.ndarray | None) -> np.ndarray:
-    """Each record's cell, 2y + d (int8; 2y without decisions)."""
-    code = 2 * outcome.astype(np.int8)
-    if decision is not None:
-        code += decision
-    return code
+class _Cells(NamedTuple):
+    """One group's records laid out by cell, cell code 2y + d (TN, FP, FN, TP)."""
+
+    rows: np.ndarray  # the group's rows sorted by cell, in record order within a cell
+    sizes: np.ndarray  # the four cell sizes; cells 1 and 3 stay empty when not decided
+    decided: bool  # every record has a decision, so the cells are cut by decision
+    scored: bool  # every record has a score
+    sums: np.ndarray | None  # the read-only point-sums row (None only while it is built)
 
 
-def _cell_decision(
-    dataset: AuditDataset, group: str, decision: np.ndarray | None
-) -> np.ndarray | None:
-    """The decisions that split a group into cells.
+def _cells(dataset: AuditDataset, label: str) -> _Cells:
+    """One group's cells, built once per dataset and group.
 
-    These are the given decisions, else the bound column when no record of
-    the group has an unset decision, else None. A group's cells, and so the
-    resamples drawn over them, never depend on the metrics asked for.
+    A group's cells, and so the resamples drawn over them, never depend on
+    the metrics asked for.
     """
-    if decision is None and dataset.decision is not None:
-        decision = dataset.decision[dataset.group_positions(group)]
-        if (decision < 0).any():
-            return None
-    return decision
+    key = ("cells", label)
+    cells = dataset._memo.get(key)
+    if cells is None:
+        rows = dataset.group_positions(label)
+        code = 2 * dataset.outcome[rows]
+        decision = None if dataset.decision is None else dataset.decision[rows]
+        decided = decision is not None and not (decision < 0).any()
+        if decided:
+            code += decision
+        scored = dataset.score is not None and not np.isnan(dataset.score[rows]).any()
+        sizes = np.bincount(code, minlength=_CELLS)
+        cells = _Cells(rows[np.argsort(code, kind="stable")], sizes, decided, scored, None)
+        sums = _term_sums(cells, _floats(dataset, cells) if scored else None)
+        for kept in (cells.rows, sizes, sums):
+            kept.setflags(write=False)
+        cells = dataset._memo[key] = cells._replace(sums=sums)
+    return cells
 
 
-def _record_terms(
-    outcome: np.ndarray, score: np.ndarray | None, decision: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """One group's per-record terms, computed once and summed by :func:`_term_sums`.
+def _checked_cells(dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...]) -> _Cells:
+    """A group's cells, once the columns these metrics need are bound and set in the group."""
+    cells = _cells(dataset, label)
+    needs_score = [m for m in metrics if m in SCORE_METRICS]
+    if needs_score and not cells.scored:
+        if dataset.score is None:
+            raise InputError(f"metric {needs_score[0].value} needs risk scores, none loaded")
+        raise InputError(f"group {label!r} has records without scores")
+    needs_decision = [m for m in metrics if m in DECISION_METRICS]
+    if needs_decision and not cells.decided:
+        if dataset.decision is None:
+            raise InputError(
+                f"metric {needs_decision[0].value} needs decisions; apply a threshold or bind a decision column"
+            )
+        raise InputError(f"group {label!r} has records without decisions")
+    return cells
 
-    Returns the four cell sizes (int64, by cell code; cells 1 and 3 stay
-    empty without decisions), the (3, n) float rows s, (s−y)² and |s−y|
-    of the records sorted by cell, in record order within a cell (None
-    without scores), and whether the code carries decisions.
-    """
-    code = _cell_code(outcome, decision)
-    n = code.shape[0]
-    y = np.count_nonzero(code >= 2)
-    d = yd = 0
-    if decision is not None:
-        d = np.count_nonzero(code & 1)
-        yd = np.count_nonzero(code == 3)
-    sizes = np.array([n - y - d + yd, d - yd, y - yd, yd])
-    floats = None
-    if score is not None:
-        order = np.argsort(code, kind="stable")
-        floats = np.empty((3, n))
-        s, sq_err, abs_err = floats
-        np.take(score, order, out=s)
-        np.subtract(s, outcome[order], out=sq_err)
-        np.abs(sq_err, out=abs_err)
-        sq_err *= sq_err
-    return sizes, floats, decision is not None
+
+def _floats(dataset: AuditDataset, cells: _Cells) -> np.ndarray:
+    """The (3, n) float rows s, (s−y)² and |s−y| of a scored group's cell-sorted records."""
+    floats = np.empty((3, cells.rows.shape[0]))
+    s, sq_err, abs_err = floats
+    np.take(dataset.score, cells.rows, out=s)
+    np.subtract(s, dataset.outcome[cells.rows], out=sq_err)
+    np.abs(sq_err, out=abs_err)
+    sq_err *= sq_err
+    return floats
 
 
 def _term_sums(
-    terms: tuple[np.ndarray, np.ndarray | None, bool],
+    cells: _Cells,
+    floats: np.ndarray | None,
     counts: np.ndarray | None = None,
     draws: Iterator[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Sums of one group's terms: the point estimate's (k,) row, or (b, k) for b resamples.
+    """Sums of one group's cells: the point estimate's (k,) row, or (b, k) for b resamples.
 
     A resample is a row of ``counts`` (b, 4), how many records it draws
     from each cell, and, for the score sums, its segments of ``draws``:
     one array per non-empty cell, in cell order, of the drawn records'
     positions among the cell-sorted records, resample by resample. They
-    are taken only when score terms are summed. Without counts the
-    records themselves are summed: the counts are the cell sizes and each
-    cell's records, which lie together, form one segment. Each segment is
-    summed on its own by ``np.add.reduceat``, whose sum depends only on
-    the segment's values, and the cells are then added in a fixed order:
-    a resample's sums do not depend on the block it was drawn in, and
-    they equal the point sums of the resampled records. Counts are exact;
-    the columns of a missing score or decision are NaN.
+    are taken only when ``floats`` (see :func:`_floats`) are summed.
+    Without counts the records themselves are summed: the counts are the
+    cell sizes and each cell's records, which lie together, form one
+    segment. Each segment is summed on its own by ``np.add.reduceat``,
+    whose sum depends only on the segment's values, and the cells are
+    then added in a fixed order: a resample's sums do not depend on the
+    block it was drawn in, and they equal the point sums of the resampled
+    records. Counts are exact; the columns of a missing score or decision
+    are NaN.
     """
-    sizes, floats, decided = terms
+    sizes = cells.sizes
     point = counts is None
     if point:
         counts = sizes[np.newaxis]
     sums = np.full((counts.shape[0], _SUM_COLUMNS), np.nan)
     sums[:, _N] = sizes.sum()
     sums[:, _Y] = counts[:, 2] + counts[:, 3]
-    if decided:
+    if cells.decided:
         sums[:, _D] = counts[:, 1] + counts[:, 3]
         sums[:, _YD] = counts[:, 3]
     if floats is not None:
-        cells = np.zeros((_CELLS, 3, counts.shape[0]))
+        totals = np.zeros((_CELLS, 3, counts.shape[0]))
         nonempty = np.flatnonzero(sizes)
         if draws is None:  # each cell's records lie together: one segment per cell
             starts = (np.cumsum(sizes) - sizes)[nonempty]
-            cells[nonempty, :, 0] = np.add.reduceat(floats, starts, axis=1).T
+            totals[nonempty, :, 0] = np.add.reduceat(floats, starts, axis=1).T
         else:
             drawn = counts > 0
             starts = np.cumsum(counts, axis=0) - counts
@@ -257,10 +273,10 @@ def _term_sums(
                 picks = next(draws)
                 segments = starts[drawn[:, c], c]
                 # one term at a time keeps each gathered array small
-                for cell_sums, values in zip(cells[c], floats):
+                for cell_sums, values in zip(totals[c], floats):
                     cell_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
         # cells 0 and 1 hold y = 0, cells 2 and 3 hold y = 1
-        by_outcome = cells[0::2] + cells[1::2]
+        by_outcome = totals[0::2] + totals[1::2]
         sums[:, _S_POS] = by_outcome[1, 0]
         sums[:, _S_NEG] = by_outcome[0, 0]
         sums[:, _SQ_ERR:] = (by_outcome[0, 1:] + by_outcome[1, 1:]).T
@@ -299,67 +315,17 @@ def _as_metric_value(value: float) -> MetricValue:
     return UNDEFINED if math.isnan(value) else float(value)
 
 
-def _group_arrays(
-    dataset: AuditDataset, group: str, metrics: tuple[MetricId, ...]
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """One group's outcome, score and decision columns for these metrics.
-
-    The score (decision) slice is None unless some metric needs it; a
-    needed column that is unbound or has unset cells in the group raises.
-    """
-    rows = dataset.group_positions(group)
-    outcome = dataset.outcome[rows]
-    score = decision = None
-    needs_score = [m for m in metrics if m in SCORE_METRICS]
-    if needs_score:
-        if dataset.score is None:
-            raise InputError(f"metric {needs_score[0].value} needs risk scores, none loaded")
-        score = dataset.score[rows]
-        if np.isnan(score).any():
-            raise InputError(f"group {group!r} has records without scores")
-    needs_decision = [m for m in metrics if m in DECISION_METRICS]
-    if needs_decision:
-        if dataset.decision is None:
-            raise InputError(
-                f"metric {needs_decision[0].value} needs decisions; apply a threshold or bind a decision column"
-            )
-        decision = dataset.decision[rows]
-        if (decision < 0).any():
-            raise InputError(f"group {group!r} has records without decisions")
-    return outcome, score, decision
-
-
-def _point_sums(
-    dataset: AuditDataset,
-    group: str,
-    outcome: np.ndarray,
-    score: np.ndarray | None,
-    decision: np.ndarray | None,
-) -> np.ndarray:
-    """One group's (read-only) sums row, computed once per dataset, group and bound columns."""
-    key = ("sums", group, (score is not None, decision is not None))
-    sums = dataset._memo.get(key)
-    if sums is None:
-        if score is not None:  # add up the same cells as the resamples do
-            decision = _cell_decision(dataset, group, decision)
-        sums = dataset._memo[key] = _term_sums(_record_terms(outcome, score, decision))
-        sums.setflags(write=False)
-    return sums
-
-
 def group_metric(dataset: AuditDataset, group: str, metric: MetricId | str) -> MetricValue:
     """One metric for one group; UNDEFINED on a zero denominator."""
     metric = coerce_metric(metric)
-    sums = _point_sums(dataset, group, *_group_arrays(dataset, group, (metric,)))
+    sums = _checked_cells(dataset, group, (metric,)).sums
     return _as_metric_value(_metric_values(sums, (metric,))[0])
 
 
 def group_confusion(dataset: AuditDataset, group: str) -> ConfusionCounts:
     """Confusion table for one group of a thresholded dataset."""
-    outcome, _, decision = _group_arrays(dataset, group, (MetricId.ACCURACY,))
-    sums = _point_sums(dataset, group, outcome, None, decision)
-    n, y, d, yd = (int(v) for v in sums[[_N, _Y, _D, _YD]])
-    return ConfusionCounts(tp=yd, fp=d - yd, tn=n - y - d + yd, fn=y - yd)
+    tn, fp, fn, tp = _checked_cells(dataset, group, (MetricId.ACCURACY,)).sizes.tolist()
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
@@ -368,20 +334,15 @@ def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
     A score (decision) metric is left out when that column is unbound or
     has an unset cell in the group.
     """
-    rows = dataset.group_positions(group)
-    score = None if dataset.score is None else dataset.score[rows]
-    score = None if score is None or np.isnan(score).any() else score
-    decision = None if dataset.decision is None else dataset.decision[rows]
-    decision = None if decision is None or (decision < 0).any() else decision
-    omit = (SCORE_METRICS if score is None else set()) | (
-        DECISION_METRICS if decision is None else set()
+    cells = _cells(dataset, group)
+    omit = (set() if cells.scored else SCORE_METRICS) | (
+        set() if cells.decided else DECISION_METRICS
     )
     metrics = tuple(m for m in MetricId if m not in omit)
-    sums = _point_sums(dataset, group, dataset.outcome[rows], score, decision)
-    values = _metric_values(sums, metrics)
+    values = _metric_values(cells.sums, metrics)
     return GroupMetrics(
         group=group,
-        n=int(rows.shape[0]),
+        n=int(cells.rows.shape[0]),
         values={m: _as_metric_value(v) for m, v in zip(metrics, values)},
     )
 

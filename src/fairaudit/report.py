@@ -273,11 +273,12 @@ def _row_title(row: Mapping) -> str:
 
 
 def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("| " + " | ".join("---" for _ in header) + " |")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+    """Table lines; a ``|`` inside a cell (say, in a group label) is escaped."""
+
+    def line(cells: Sequence[str]) -> str:
+        return "| " + " | ".join(cell.replace("|", r"\|") for cell in cells) + " |"
+
+    return [line(header), line(["---"] * len(header)), *map(line, rows)]
 
 
 def _pair_section(pair: Mapping) -> list[str]:

@@ -23,8 +23,12 @@ from fairaudit import (
     bootstrap_replicates,
     ci_diff,
     ci_ratio,
+    evaluate_all,
     filter_condition,
     group_metric,
+    group_metrics,
+    incompatibility_verdict,
+    independence_test,
     is_defined,
     resample_within_groups,
 )
@@ -465,6 +469,33 @@ class TestReplicateMemo:
         assert len(calls) == drawn
         assert np.array_equal(first.values_a, second.values_b)
 
+    def test_filling_order_does_not_change_results(self):
+        def audit_dataset():
+            rng = np.random.default_rng(17)
+            n = 300
+            score = rng.random(n)
+            return AuditDataset(
+                outcome=(rng.random(n) < 0.2 + 0.6 * score).astype(int),
+                group=np.array(["a", "b", "c"] * (n // 3), dtype=object),
+                score=score,
+                decision=(score > 0.5).astype(int),
+                covariates={"age": rng.uniform(20.0, 90.0, n)},
+            )
+
+        config = BootstrapConfig(iterations=50, seed=4)
+        conditions = {"senior": "age >= 60"}
+        filled = audit_dataset()
+        resample_within_groups(filled, seed=4, iteration=7)
+        bootstrap_replicates(filled, (MetricId.POSITIVE_RATE,), "a", "b", config)
+        bootstrap_replicates(filled, (MetricId.BRIER_SCORE,), "b", "c", config)
+        group_metrics(filled, "c")
+        independence_test(filled)
+        fresh = audit_dataset()
+        report = evaluate_all(filled, "a", "b", conditions=conditions, bootstrap=config)
+        assert all(row.ci_diff is not None for row in report.rows)
+        assert report == evaluate_all(fresh, "a", "b", conditions=conditions, bootstrap=config)
+        assert incompatibility_verdict(filled) == incompatibility_verdict(fresh)
+
     def test_derived_datasets_start_with_an_empty_memo(self, toy):
         ds = AuditDataset(
             outcome=toy.outcome,
@@ -475,7 +506,7 @@ class TestReplicateMemo:
         )
         filter_condition(ds, "age >= 30")
         bootstrap_replicates(ds, (MetricId.ACCURACY,), "F", "M", BootstrapConfig(iterations=5))
-        assert len(ds._memo) == 3
+        assert len(ds._memo) == 5  # the stratum, two groups' cells, two replicate sets
         derived = (
             ds.take(np.arange(ds.n)),
             dataclasses.replace(ds, threshold=0.5),

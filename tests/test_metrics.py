@@ -7,15 +7,19 @@ import pytest
 
 from fairaudit import (
     AuditDataset,
+    BootstrapConfig,
     ConfusionCounts,
     InputError,
     MetricId,
     UNDEFINED,
+    bootstrap_replicates,
     calibration_curve,
     group_confusion,
     group_metric,
     group_metrics,
+    independence_test,
     is_defined,
+    resample_within_groups,
 )
 from fairaudit import metrics
 from fairaudit.metrics import SCORE_METRICS
@@ -161,24 +165,34 @@ class TestCapabilityErrors:
 
 
 class TestPointSumMemo:
-    def test_sums_are_built_once_per_group_and_columns(self, toy, monkeypatch):
-        calls = []
-        record_terms = metrics._record_terms
+    def test_cells_are_built_once_per_group(self, toy, monkeypatch):
+        builds = []
+        cells_type = metrics._Cells
         monkeypatch.setattr(
-            metrics, "_record_terms", lambda *arrays: calls.append(1) or record_terms(*arrays)
+            metrics, "_Cells", lambda *fields: builds.append(1) or cells_type(*fields)
         )
+        config = BootstrapConfig(iterations=5, seed=3)
         for _ in range(2):
-            values = {m: group_metric(toy, "F", m) for m in (MetricId.TPR, MetricId.FPR)}
+            values = {m: group_metric(toy, "F", m) for m in (MetricId.TPR, MetricId.BRIER_SCORE)}
             confusion = group_confusion(toy, "F")
-        assert len(calls) == 1  # decision columns only
-        group_metric(toy, "F", MetricId.BRIER_SCORE)
-        group_metrics(toy, "F")
-        group_metrics(toy, "F")
-        assert len(calls) == 3  # plus score only, then both
+            summary = group_metrics(toy, "M")
+            replicates = bootstrap_replicates(toy, (MetricId.ACCURACY,), "F", "M", config)
+            bootstrap_replicates(toy, (MetricId.BRIER_SCORE,), "M", "F", config)
+            resampled = resample_within_groups(toy, seed=3, iteration=2)
+            test = independence_test(toy)
+        assert len(builds) == len(toy.groups)
+        assert sorted(key for key in toy._memo if key[0] == "cells") == [
+            ("cells", label) for label in toy.groups
+        ]
         fresh = toy_dataset()
         assert values == {m: group_metric(fresh, "F", m) for m in values}
         assert confusion == group_confusion(fresh, "F")
-        assert group_metrics(toy, "F") == group_metrics(fresh, "F")
+        assert summary == group_metrics(fresh, "M")
+        again = bootstrap_replicates(fresh, (MetricId.ACCURACY,), "F", "M", config)
+        assert np.array_equal(replicates.values_a, again.values_a)
+        assert np.array_equal(replicates.values_b, again.values_b)
+        assert np.array_equal(resampled.score, resample_within_groups(fresh, 3, 2).score)
+        assert test == independence_test(fresh)
 
     def test_column_checks_run_on_every_call(self):
         ds = AuditDataset(
@@ -196,10 +210,10 @@ class TestPointSumMemo:
                 group_metric(ds, "x", MetricId.TPR)
 
     def test_kept_sums_are_read_only(self, toy):
-        group_metric(toy, "M", MetricId.ACCURACY)
-        (sums,) = toy._memo.values()
-        with pytest.raises(ValueError):
-            sums[0] = 0.0
+        cells = metrics._cells(toy, "M")
+        for kept in (cells.rows, cells.sizes, cells.sums):
+            with pytest.raises(ValueError):
+                kept[0] = 0
 
 
 class TestCalibrationCurve:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
+from itertools import groupby
 
 import jsonschema
 import numpy as np
@@ -479,6 +481,29 @@ class TestMarkdown:
         assert "| statistical_parity | FAIL |" in lines
         assert "| equalized_odds | UNDEFINED |" in lines
         assert "| conditional_statistical_parity[senior] | FAIL |" in lines
+
+    def test_pipe_in_a_group_label_keeps_every_table_aligned(self):
+        toy = toy_dataset()
+        ds = dataclasses.replace(toy, group=np.where(toy.group == "F", "a|b", "c").astype(object))
+        report = evaluate_all(ds, "a|b", "c")
+        md = emit_markdown(
+            build_document(
+                version="0.1.0",
+                dataset=ds,
+                reports=[report],
+                meta_results=[meta({"a|b": 3 / 8, "c": 2 / 4}, "max_min_diff")],
+                diagnostics=incompatibility_verdict(ds),
+                assessments=[epsilon_assessment(report, 0.05)],
+            )
+        )
+        runs = groupby(md.splitlines(), lambda line: line.startswith("|"))
+        tables = [list(table) for is_table, table in runs if is_table]
+        assert len(tables) == 3  # the pair, the meta-metrics and the tolerance check
+        for header, *rows in tables:
+            pipes = len(re.findall(r"(?<!\\)\|", header))
+            assert all(len(re.findall(r"(?<!\\)\|", row)) == pipes for row in rows), header
+        assert tables[0][0].startswith(r"| Criterion | Category | a\|b | c |")
+        assert r"a\|b=0.375" in md
 
     def test_header_only_table_when_no_rows(self):
         doc = {
