@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -35,7 +36,7 @@ from .fairness import (
 )
 from .inference import BootstrapConfig
 from .metrics import coerce_metric, group_metric, is_defined
-from .multigroup import MetaMetricKind, coerce_kind, meta
+from .multigroup import MetaMetricKind, coerce_kind, entropy_exponent, meta
 from .report import build_document, emit_markdown, render_json
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -208,16 +209,12 @@ def run_audit(request: AuditRequest) -> dict:
 
     meta_results: list = []
     if len(dataset.groups) > 2 or request.meta:
-        evaluated = []
-        for report in reports:
-            for row in report.rows:
-                if (
-                    row.status is RowStatus.EVALUATED
-                    and row.condition is None
-                    and row.metric is not None
-                    and row.metric not in evaluated
-                ):
-                    evaluated.append(row.metric)
+        # every pair has the same row statuses, so the first pair's rows name the metrics
+        evaluated = dict.fromkeys(
+            row.metric
+            for row in reports[0].rows
+            if row.status is RowStatus.EVALUATED and row.condition is None
+        )
         meta_results = _meta_for_metrics(dataset, evaluated, list(MetaMetricKind), None)
 
     try:
@@ -244,43 +241,30 @@ def _meta_for_metrics(dataset, metrics, kinds, exponent) -> list:
     results: list = []
     labels = dataset.groups
     for metric in metrics:
-        values = {}
-        broken = None
-        for label in labels:
-            try:
-                value = group_metric(dataset, label, metric)
-            except InputError as exc:
-                broken = str(exc)
-                break
-            values[label] = value
-        if broken is None and any(not is_defined(v) for v in values.values()):
-            undefined_for = [k for k, v in values.items() if not is_defined(v)]
-            broken = f"undefined for group(s) {', '.join(map(repr, undefined_for))}"
+        try:
+            values = {label: group_metric(dataset, label, metric) for label in labels}
+        except InputError as exc:
+            broken = str(exc)
+        else:
+            undefined = [repr(label) for label, v in values.items() if not is_defined(v)]
+            broken = f"undefined for group(s) {', '.join(undefined)}" if undefined else None
         for kind in kinds:
-            if broken is not None:
-                results.append(
-                    {"kind": kind.value, "metric": metric.value, "note": broken}
-                )
-                continue
-            try:
-                result = meta(
-                    values,
-                    kind,
-                    exponent=exponent
-                    if kind is MetaMetricKind.GENERALIZED_ENTROPY
-                    else None,
-                    metric=metric,
-                )
-            except InputError as exc:
-                results.append(
-                    {"kind": kind.value, "metric": metric.value, "note": str(exc)}
-                )
-            else:
-                results.append(result)
+            note = broken
+            if note is None:
+                entropy = kind is MetaMetricKind.GENERALIZED_ENTROPY
+                try:
+                    results.append(
+                        meta(values, kind, exponent=exponent if entropy else None, metric=metric)
+                    )
+                    continue
+                except InputError as exc:
+                    note = str(exc)
+            results.append({"kind": kind.value, "metric": metric.value, "note": note})
     return results
 
 
 def run_meta(args: argparse.Namespace) -> dict:
+    entropy_exponent(args.exponent)
     dataset = _prepare_dataset(
         input=args.input,
         outcome=args.outcome,
@@ -483,16 +467,16 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".fairaudit-")
+    temp_path = None
     try:
+        descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".fairaudit-")
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(temp_path, path)
     except OSError as exc:
-        try:
-            os.unlink(temp_path)
-        except OSError:
-            pass
+        if temp_path is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp_path)
         raise InputError(f"cannot write {path!r}: {exc}") from None
 
 

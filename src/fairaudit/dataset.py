@@ -49,12 +49,12 @@ class AuditDataset:
     Derived datasets go through the same constructor, so they are
     validated and indexed the same way, and start with an empty memo.
     The memo keeps what an audit derives from the dataset more than once,
-    under three kinds of key: ``("stratum", predicate)``, a condition's
+    under four kinds of key: ``("stratum", predicate)``, a condition's
     stratum; ``("cells", label)``, a group's records laid out by confusion
-    cell, with its point sums (see :mod:`fairaudit.metrics`); and
-    ``("replicates", label, seed, iterations, scored)``, a group's
-    bootstrap replicate sums. Only successful results are kept, so errors
-    recur on every call.
+    cell; ``("metrics",)``, every group's point estimates (see
+    :mod:`fairaudit.metrics`); and ``("replicates", label, seed,
+    iterations, scored)``, a group's bootstrap replicate sums. Only
+    successful results are kept, so errors recur on every call.
     """
 
     outcome: np.ndarray

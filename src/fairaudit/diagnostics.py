@@ -108,8 +108,9 @@ def independence_test(
 class IncompatibilityVerdict:
     """Which criterion families are mutually exclusive on this data.
 
-    ``informative`` is True when decisions carry signal about the
-    outcome (the classifier beats constant prediction); ``imperfect``
+    ``informative`` is True when the pooled true positive rate differs
+    from the pooled false positive rate, so decisions depend on the
+    outcome (a constant predictor's two rates are equal); ``imperfect``
     when at least one record is misclassified. Flags require rejecting
     outcome/group independence, plus informativeness for the
     independence/separation pair and imperfection for the
@@ -136,11 +137,9 @@ def incompatibility_verdict(
     if not dataset.has_decisions:
         raise InputError("incompatibility diagnostics need decisions; apply a threshold first")
     test = independence_test(dataset, level)
-    positives = int(dataset.outcome.sum())
-    negatives = dataset.n - positives
-    correct = int((dataset.outcome == dataset.decision).sum())
-    informative = correct != max(positives, negatives)
-    imperfect = correct < dataset.n
+    tn, fp, fn, tp = sum(_cells(dataset, label).sizes for label in dataset.groups).tolist()
+    informative = tp * (fp + tn) != fp * (tp + fn)  # pooled TPR != FPR
+    imperfect = fp + fn > 0
     flagged = []
     if test.reject:
         flagged.append(IncompatiblePair.INDEPENDENCE_SUFFICIENCY)

@@ -233,8 +233,7 @@ def make_comparison(
 
 def _check_pair(dataset: AuditDataset, group_a: str, group_b: str) -> None:
     for label in (group_a, group_b):
-        if label not in dataset.groups:
-            raise InputError(f"unknown group: {label!r}")
+        dataset.group_positions(label)  # raises on an unknown label
     if group_a == group_b:
         raise InputError("comparison needs two distinct groups")
 

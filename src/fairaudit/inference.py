@@ -287,15 +287,6 @@ def _ratio_interval(
     )
 
 
-def _points(
-    dataset: AuditDataset, metric: MetricId, group_a: str, group_b: str
-) -> tuple[object, object]:
-    return (
-        group_metric(dataset, group_a, metric),
-        group_metric(dataset, group_b, metric),
-    )
-
-
 def ci_diff(
     dataset: AuditDataset,
     metric,
@@ -306,7 +297,8 @@ def ci_diff(
     """Wald interval for the between-group difference of one metric."""
     config = config or BootstrapConfig()
     metric = coerce_metric(metric)
-    point_a, point_b = _points(dataset, metric, group_a, group_b)
+    point_a = group_metric(dataset, group_a, metric)
+    point_b = group_metric(dataset, group_b, metric)
     if not is_defined(point_a) or not is_defined(point_b):
         raise InputError(f"point estimate of {metric.value} is undefined")
     replicates = bootstrap_replicates(dataset, (metric,), group_a, group_b, config)
@@ -325,7 +317,8 @@ def ci_ratio(
     """Wald interval for the between-group ratio, built on the log scale."""
     config = config or BootstrapConfig()
     metric = coerce_metric(metric)
-    point_a, point_b = _points(dataset, metric, group_a, group_b)
+    point_a = group_metric(dataset, group_a, metric)
+    point_b = group_metric(dataset, group_b, metric)
     if not is_defined(point_a) or not is_defined(point_b):
         raise InputError(f"point estimate of {metric.value} is undefined")
     if point_a <= 0.0 or point_b <= 0.0:
@@ -368,7 +361,8 @@ def bootstrap_intervals(
     replicates = bootstrap_replicates(dataset, metrics, group_a, group_b, config)
     out: dict[MetricId, PairIntervals] = {}
     for j, metric in enumerate(replicates.metrics):
-        point_a, point_b = _points(dataset, metric, group_a, group_b)
+        point_a = group_metric(dataset, group_a, metric)
+        point_b = group_metric(dataset, group_b, metric)
         va = replicates.values_a[:, j]
         vb = replicates.values_b[:, j]
         notes: list[str] = []

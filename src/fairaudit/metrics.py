@@ -5,15 +5,16 @@ sums over positive and over negative outcomes, Σ(s−y)² and Σ|s−y|), for
 point estimates and bootstrap replicates alike. A group is laid out once
 per dataset as its four cells (cell code 2y + d: TN, FP, FN, TP): the
 record :func:`_cells` keeps under the memo key ``("cells", label)`` holds
-the group's rows sorted by cell, the cell sizes, whether every record
-has a decision and a score, and the point sums. Point estimates,
-bootstrap replicates and resamples, and the chi-square table all read
-it. The float terms s, (s−y)² and |s−y| are rebuilt from the sorted rows
-whenever score sums are formed, never kept. A resample is a count of
-records per cell plus, for the score sums, which records of each cell it
-drew; the point estimate counts every record once. A zero denominator
-gives the UNDEFINED sentinel, never an exception; callers decide how to
-surface that.
+the group's rows sorted by cell, the cell sizes, and whether every record
+has a decision and a score. The point sums, bootstrap replicates and
+resamples, and the chi-square table all read it. Every point estimate is
+a lookup in the dataset's metric table (:func:`_metric_table`, memo key
+``("metrics",)``). The float terms s, (s−y)² and |s−y| are rebuilt from
+the sorted rows whenever score sums are formed, never kept. A resample
+is a count of records per cell plus, for the score sums, which records
+of each cell it drew; the point estimate counts every record once. A
+zero denominator gives the UNDEFINED sentinel, never an exception;
+callers decide how to surface that.
 """
 
 from __future__ import annotations
@@ -171,7 +172,6 @@ class _Cells(NamedTuple):
     sizes: np.ndarray  # the four cell sizes; cells 1 and 3 stay empty when not decided
     decided: bool  # every record has a decision, so the cells are cut by decision
     scored: bool  # every record has a score
-    sums: np.ndarray | None  # the read-only point-sums row (None only while it is built)
 
 
 def _cells(dataset: AuditDataset, label: str) -> _Cells:
@@ -191,11 +191,10 @@ def _cells(dataset: AuditDataset, label: str) -> _Cells:
             code += decision
         scored = dataset.score is not None and not np.isnan(dataset.score[rows]).any()
         sizes = np.bincount(code, minlength=_CELLS)
-        cells = _Cells(rows[np.argsort(code, kind="stable")], sizes, decided, scored, None)
-        sums = _term_sums(cells, _floats(dataset, cells) if scored else None)
-        for kept in (cells.rows, sizes, sums):
+        rows = rows[np.argsort(code, kind="stable")]
+        for kept in (rows, sizes):
             kept.setflags(write=False)
-        cells = dataset._memo[key] = cells._replace(sums=sums)
+        cells = dataset._memo[key] = _Cells(rows, sizes, decided, scored)
     return cells
 
 
@@ -315,11 +314,31 @@ def _as_metric_value(value: float) -> MetricValue:
     return UNDEFINED if math.isnan(value) else float(value)
 
 
+# Column of each metric in a metric-table row.
+_COLUMN = {metric: j for j, metric in enumerate(MetricId)}
+
+
+def _metric_table(dataset: AuditDataset) -> dict[str, np.ndarray]:
+    """Every metric of every group from one evaluation of the stacked point sums.
+
+    One read-only row per sorted label, built once per dataset; NaN where
+    a denominator is zero or a group's cells lack the metric's column.
+    """
+    table = dataset._memo.get(("metrics",))
+    if table is None:
+        cells = [_cells(dataset, label) for label in dataset.groups]
+        sums = [_term_sums(c, _floats(dataset, c) if c.scored else None) for c in cells]
+        values = _metric_values(np.array(sums), tuple(MetricId))
+        values.setflags(write=False)
+        table = dataset._memo[("metrics",)] = dict(zip(dataset.groups, values))
+    return table
+
+
 def group_metric(dataset: AuditDataset, group: str, metric: MetricId | str) -> MetricValue:
     """One metric for one group; UNDEFINED on a zero denominator."""
     metric = coerce_metric(metric)
-    sums = _checked_cells(dataset, group, (metric,)).sums
-    return _as_metric_value(_metric_values(sums, (metric,))[0])
+    _checked_cells(dataset, group, (metric,))
+    return _as_metric_value(_metric_table(dataset)[group][_COLUMN[metric]])
 
 
 def group_confusion(dataset: AuditDataset, group: str) -> ConfusionCounts:
@@ -338,12 +357,11 @@ def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
     omit = (set() if cells.scored else SCORE_METRICS) | (
         set() if cells.decided else DECISION_METRICS
     )
-    metrics = tuple(m for m in MetricId if m not in omit)
-    values = _metric_values(cells.sums, metrics)
+    row = _metric_table(dataset)[group]
     return GroupMetrics(
         group=group,
         n=int(cells.rows.shape[0]),
-        values={m: _as_metric_value(v) for m, v in zip(metrics, values)},
+        values={m: _as_metric_value(row[j]) for m, j in _COLUMN.items() if m not in omit},
     )
 
 

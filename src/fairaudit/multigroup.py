@@ -54,6 +54,17 @@ def coerce_kind(kind: MetaMetricKind | str) -> MetaMetricKind:
         raise InputError(f"unknown meta-metric kind: {kind!r}") from None
 
 
+def entropy_exponent(exponent: float | None) -> float:
+    """The generalized entropy exponent, 2 when None; it must be finite and avoid 0 and 1."""
+    if exponent is None:
+        return GEI_DEFAULT_EXPONENT
+    if not np.isfinite(exponent):
+        raise InputError("generalized entropy exponent must be finite")
+    if exponent in (0.0, 1.0):
+        raise InputError("generalized entropy exponent must avoid 0 and 1")
+    return exponent
+
+
 def meta(
     values: Sequence[float] | Mapping[str, float],
     kind: MetaMetricKind | str,
@@ -92,27 +103,13 @@ def meta(
         raise InputError(f"{kind.value} needs strictly positive group values")
 
     if kind is MetaMetricKind.GENERALIZED_ENTROPY:
-        if exponent is None:
-            exponent = GEI_DEFAULT_EXPONENT
-        if not np.isfinite(exponent):
-            raise InputError("generalized entropy exponent must be finite")
-        if exponent in (0.0, 1.0):
-            raise InputError("generalized entropy exponent must avoid 0 and 1")
+        exponent = entropy_exponent(exponent)
     elif exponent is not None:
         raise InputError(f"{kind.value} takes no exponent")
 
     if np.all(array == array[0]):
         value = 1.0 if kind is MetaMetricKind.MAX_MIN_RATIO else 0.0
-        return MetaMetricResult(
-            kind=kind,
-            value=value,
-            group_values=tuple(cleaned),
-            metric=metric,
-            groups=groups,
-            exponent=exponent,
-        )
-
-    if kind is MetaMetricKind.MAX_MIN_DIFF:
+    elif kind is MetaMetricKind.MAX_MIN_DIFF:
         value = float(array.max() - array.min())
     elif kind is MetaMetricKind.MAX_MIN_RATIO:
         value = float(array.max() / array.min())

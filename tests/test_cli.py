@@ -278,6 +278,18 @@ class TestOutputFile:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".fairaudit-")]
         assert leftovers == []
 
+    def test_missing_directory_exits_one_and_leaves_nothing(
+        self, capsys, clinical_csv, tmp_path
+    ):
+        target = tmp_path / "missing" / "report.md"
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run(capsys, *audit_args(clinical_csv, "--output", str(target)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"fairaudit: cannot write {str(target)!r}: ")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_worker_count_never_changes_bytes(self, capsys, clinical_csv, tmp_path):
         reports = []
         for workers in ("1", "4"):
@@ -624,7 +636,7 @@ class TestMetaSubcommand:
         assert "## Meta-metrics" in out
         assert "| positive_rate | max_min_diff |" in out
 
-    @pytest.mark.parametrize("exponent", ["nan", "inf"])
+    @pytest.mark.parametrize("exponent", ["nan", "inf", "0", "1"])
     def test_non_finite_exponent_rejected(self, capsys, three_group_csv, exponent):
         code, out, err = run(
             capsys,
@@ -645,7 +657,7 @@ class TestMetaSubcommand:
         assert code == 1
         assert out == ""
         assert err.startswith("fairaudit: ") and err.count("\n") == 1
-        assert "finite" in err
+        assert ("finite" if exponent in ("nan", "inf") else "must avoid 0 and 1") in err
 
 
 class TestDiagnoseSubcommand:

@@ -208,6 +208,21 @@ class TestIncompatibilityVerdict:
             IncompatiblePair.SEPARATION_SUFFICIENCY,
         )
 
+    def test_all_positive_predictor_is_not_informative(self):
+        ds = two_group_dataset(95, 500, 70, 500)
+        constant = AuditDataset(
+            outcome=ds.outcome,
+            group=ds.group,
+            decision=np.ones(ds.n, dtype=np.int8),
+        )
+        verdict = incompatibility_verdict(constant)
+        assert verdict.informative is False
+        assert verdict.imperfect is True
+        assert verdict.flagged == (
+            IncompatiblePair.INDEPENDENCE_SUFFICIENCY,
+            IncompatiblePair.SEPARATION_SUFFICIENCY,
+        )
+
     def test_needs_decisions(self):
         ds = two_group_dataset(95, 500, 70, 500)
         scores_only = AuditDataset(

@@ -10,18 +10,24 @@ from fairaudit import (
     BootstrapConfig,
     ConfusionCounts,
     InputError,
+    MetaMetricKind,
     MetricId,
+    RowStatus,
     UNDEFINED,
     bootstrap_replicates,
     calibration_curve,
+    evaluate_all,
+    filter_condition,
     group_confusion,
     group_metric,
     group_metrics,
+    incompatibility_verdict,
     independence_test,
     is_defined,
     resample_within_groups,
 )
 from fairaudit import metrics
+from fairaudit.cli import _meta_for_metrics
 from fairaudit.metrics import SCORE_METRICS
 
 from conftest import toy_dataset
@@ -211,9 +217,39 @@ class TestPointSumMemo:
 
     def test_kept_sums_are_read_only(self, toy):
         cells = metrics._cells(toy, "M")
-        for kept in (cells.rows, cells.sizes, cells.sums):
+        for kept in (cells.rows, cells.sizes, metrics._metric_table(toy)["M"]):
             with pytest.raises(ValueError):
                 kept[0] = 0
+
+    def test_audit_builds_one_table_per_dataset_and_stratum(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 300
+        score = rng.uniform(0.0, 1.0, n)
+        ds = AuditDataset(
+            outcome=(rng.uniform(0.0, 1.0, n) < score).astype(int),
+            group=np.array(["a", "b", "c"] * (n // 3), dtype=object),
+            score=score,
+            decision=(score > 0.5).astype(int),
+            covariates={"age": rng.uniform(20.0, 90.0, n)},
+        )
+        builds = []
+        metric_values = metrics._metric_values
+        monkeypatch.setattr(
+            metrics, "_metric_values", lambda *args: builds.append(1) or metric_values(*args)
+        )
+        conditions = {"senior": "age >= 60"}
+        reports = [evaluate_all(ds, "a", other, conditions=conditions) for other in ("b", "c")]
+        _meta_for_metrics(ds, list(MetricId), list(MetaMetricKind), None)
+        incompatibility_verdict(ds)
+        assert all(row.status is RowStatus.EVALUATED for r in reports for row in r.rows)
+        assert len(builds) == 2
+        stratum = filter_condition(ds, "age >= 60")
+        for data in (ds, stratum):
+            assert ("metrics",) in data._memo
+            for label in data.groups:
+                summary = group_metrics(data, label)
+                assert set(summary.values) == set(MetricId)
+                assert summary.values == {m: group_metric(data, label, m) for m in MetricId}
 
 
 class TestCalibrationCurve:
