@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .conditions import ConditionPredicate
 from .dataset import (
     AuditDataset,
+    GroupCodes,
     apply_threshold,
     filter_condition,
     impute_medians,
@@ -86,6 +87,7 @@ __all__ = [
     "FairauditError",
     "FairnessCriterion",
     "FairnessReport",
+    "GroupCodes",
     "GroupMetrics",
     "IncompatibilityVerdict",
     "IncompatiblePair",

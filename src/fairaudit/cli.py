@@ -118,6 +118,7 @@ class AuditRequest:
         self.resolved_criteria()
         self.parsed_conditions()
         self.bootstrap_config()
+        BootstrapConfig(alpha=self.alpha, seed=self.seed)  # checked without --bootstrap too
 
     def echo(self) -> dict:
         return {

@@ -14,7 +14,7 @@ from itertools import compress, islice
 from operator import itemgetter
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,6 +32,78 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class GroupCodes(NamedTuple):
+    """A dictionary-encoded group column: sorted distinct labels, and each
+    record's index into them."""
+
+    labels: tuple[str, ...]
+    codes: np.ndarray
+
+
+def _labels_to_codes(values: list) -> GroupCodes:
+    """Encode a column of labels: its distinct labels, sorted, and codes."""
+    try:
+        labels = sorted(set(values))
+    except TypeError:  # unhashable labels, or labels of unorderable types
+        raise InputError("group labels must be non-empty strings") from None
+    code = {label: i for i, label in enumerate(labels)}
+    codes = np.fromiter(map(code.__getitem__, values), np.intp, len(values))
+    return GroupCodes(tuple(labels), codes)
+
+
+def _checked_group(group, n: int) -> tuple[GroupCodes, np.ndarray]:
+    """The group column of ``n`` records as validated read-only codes over
+    the labels some record carries, and each label's record count."""
+    if isinstance(group, GroupCodes):
+        labels, codes = tuple(group.labels), np.asarray(group.codes)
+    else:
+        group = np.asarray(group, dtype=object)
+        if group.shape != (n,):
+            raise InputError("group column length does not match outcome")
+        labels, codes = _labels_to_codes(group.tolist())
+    if not all(isinstance(label, str) and label for label in labels):
+        raise InputError("group labels must be non-empty strings")
+    if any(a >= b for a, b in zip(labels, labels[1:])):
+        raise InputError("group labels must be sorted and distinct")
+    if codes.shape != (n,):
+        raise InputError("group column length does not match outcome")
+    out_of_range = f"group codes must be integers in [0, {len(labels)})"
+    if codes.dtype.kind not in "iu":
+        raise InputError(out_of_range)
+    try:
+        counts = np.bincount(codes, minlength=len(labels))
+    except (TypeError, ValueError):  # negative codes, or unsigned ones wider than intp
+        raise InputError(out_of_range) from None
+    if counts.shape[0] > len(labels):
+        raise InputError(out_of_range)
+    present = counts > 0
+    if np.count_nonzero(present) < 2:
+        raise InputError("fewer than 2 distinct groups")
+    if not present.all():  # drop the labels no record carries, and renumber
+        labels = tuple(compress(labels, present.tolist()))
+        codes = (np.cumsum(present) - 1)[codes]
+        counts = counts[present]
+    narrow = np.int16 if len(labels) <= np.iinfo(np.int16).max else np.intp
+    return GroupCodes(labels, _read_only(codes.astype(narrow, copy=False))), counts
+
+
+class _GroupColumn:
+    """The ``group`` field: assigned labels or :class:`GroupCodes`, read as
+    a read-only object array of labels gathered from the encoded column
+    that the dataset keeps in ``_group``."""
+
+    def __get__(self, dataset, owner=None) -> np.ndarray:
+        if dataset is None:
+            raise AttributeError("group")  # no class-level value: the field has no default
+        labels, codes = dataset._group
+        column = np.array(labels, dtype=object)[codes]
+        column.setflags(write=False)
+        return column
+
+    def __set__(self, dataset, value) -> None:
+        object.__setattr__(dataset, "_group", value)
+
+
 @dataclass(frozen=True)
 class AuditDataset:
     """Immutable column-oriented table of classifier predictions.
@@ -39,11 +111,23 @@ class AuditDataset:
     ``outcome`` is an int8 array over {0, 1}. ``score`` is a float64 array
     in [0, 1] with NaN marking missing cells, or None when no score column
     was bound. ``decision`` is an int8 array over {0, 1} with -1 marking
-    unset cells, or None. ``group`` holds one non-empty label per record
-    and must contain at least two distinct labels. Every record carries a
-    score, a decision, or both. ``n_dropped`` counts the records the loader
+    unset cells, or None. ``group`` gives one non-empty label per record,
+    with at least two distinct labels. Every record carries a score, a
+    decision, or both. ``n_dropped`` counts the records the loader
     dropped, and ``dropped_by_reason`` splits that count by why (see
     :func:`load_csv`).
+
+    The group column is dictionary-encoded: the dataset keeps its sorted
+    distinct labels and one integer code per record (int16 below 2**15
+    labels), and reading ``group`` gathers the labels from the codes.
+    ``group`` accepts either form: an array of labels, which is encoded
+    here, or a :class:`GroupCodes` pair of sorted distinct labels and
+    codes, which is only checked. Both are validated the same way, and
+    labels that no record carries are dropped and the codes renumbered.
+    Derived datasets (:meth:`take`, :func:`impute_medians`,
+    :func:`apply_threshold`) pass codes, so labels are mapped to codes
+    once, when the data is loaded; ``dataclasses.replace`` without a
+    ``group`` reads the labels back and encodes them again.
 
     The group index (each label's rows) is built once, at construction.
     Derived datasets go through the same constructor, so they are
@@ -58,7 +142,7 @@ class AuditDataset:
     """
 
     outcome: np.ndarray
-    group: np.ndarray
+    group: np.ndarray = _GroupColumn()
     score: np.ndarray | None = None
     decision: np.ndarray | None = None
     covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
@@ -67,6 +151,7 @@ class AuditDataset:
     imputation_log: Mapping[str, float] = field(default_factory=dict)
     dropped_covariates: Mapping[str, float] = field(default_factory=dict)
     dropped_by_reason: Mapping[str, int] = field(default_factory=dict)
+    _group: GroupCodes = field(init=False, repr=False, compare=False)
     _group_index: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _memo: dict = field(init=False, repr=False, compare=False)
 
@@ -79,21 +164,8 @@ class AuditDataset:
         outcome = outcome.astype(np.int8)
         n = outcome.shape[0]
 
-        group = np.asarray(self.group, dtype=object)
-        if group.shape != (n,):
-            raise InputError("group column length does not match outcome")
-        values = group.tolist()
-        try:
-            labels = sorted(set(values))
-        except TypeError:  # unhashable labels, or labels of unorderable types
-            raise InputError("group labels must be non-empty strings") from None
-        if not all(isinstance(label, str) and label for label in labels):
-            raise InputError("group labels must be non-empty strings")
-        if len(labels) < 2:
-            raise InputError("fewer than 2 distinct groups")
-        code = {label: i for i, label in enumerate(labels)}
-        codes = np.fromiter(map(code.__getitem__, values), np.intp, n)
-        rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+        group, counts = _checked_group(self._group, n)
+        rows = np.split(np.argsort(group.codes, kind="stable"), np.cumsum(counts)[:-1])
 
         score = self.score
         if score is not None:
@@ -134,7 +206,7 @@ class AuditDataset:
             covariates[name] = _read_only(column)
 
         object.__setattr__(self, "outcome", _read_only(outcome))
-        object.__setattr__(self, "group", _read_only(group))
+        object.__setattr__(self, "_group", group)
         object.__setattr__(self, "score", _read_only(score) if score is not None else None)
         object.__setattr__(
             self, "decision", _read_only(decision) if decision is not None else None
@@ -147,7 +219,7 @@ class AuditDataset:
         object.__setattr__(
             self, "dropped_by_reason", MappingProxyType(dict(self.dropped_by_reason))
         )
-        index = MappingProxyType(dict(zip(labels, map(_read_only, rows))))
+        index = MappingProxyType(dict(zip(group.labels, map(_read_only, rows))))
         object.__setattr__(self, "_group_index", index)
         object.__setattr__(self, "_memo", {})
 
@@ -189,7 +261,7 @@ class AuditDataset:
         return replace(
             self,
             outcome=self.outcome[indices],
-            group=self.group[indices],
+            group=self._group._replace(codes=self._group.codes[indices]),
             score=self.score[indices] if self.score is not None else None,
             decision=self.decision[indices] if self.decision is not None else None,
             covariates={name: col[indices] for name, col in self.covariates.items()},
@@ -248,6 +320,19 @@ def _binary_codes(cells: list[str]) -> np.ndarray:
             value = _BAD
         table[cell] = _BLANK if value is None else value
     return np.fromiter(map(table.__getitem__, cells), np.int8, len(cells))
+
+
+def _block_codes(cells: list[str], code_of: dict[str, int]) -> np.ndarray:
+    """Group codes of a block's label cells, -1 where a cell is blank.
+
+    Each distinct cell is stripped and looked up once; a label not yet in
+    ``code_of`` gets the next free code there.
+    """
+    table = {}
+    for cell in set(cells):
+        label = cell.strip()
+        table[cell] = code_of.setdefault(label, len(code_of)) if label else -1
+    return np.fromiter(map(table.__getitem__, cells), np.intp, len(cells))
 
 
 def _float_or_nan(cell: str) -> float:
@@ -359,7 +444,8 @@ def load_csv(
         checks = [(cells_of[name], name, parse) for name, parse in checks if name is not None]
 
         outcomes: list[np.ndarray] = []
-        groups: list[str] = []
+        code_of: dict[str, int] = {}  # group label -> code, numbered as first met
+        group_codes: list[np.ndarray] = []
         scores: list[np.ndarray] = []
         decisions: list[np.ndarray] = []
         raw_covariates: dict[str, list[str]] = {name: [] for name in covariate_names}
@@ -384,7 +470,7 @@ def load_csv(
                 bad[i] = bool("".join(rows[i][width:]).strip())
             y = _binary_codes(list(map(cells_of[outcome], rows)))
             bad |= y == _BAD
-            labels = list(map(str.strip, map(cells_of[group], rows)))
+            g = _block_codes(list(map(cells_of[group], rows)), code_of)
             has_value = np.zeros(n, dtype=bool)
             if score is not None:
                 s, bad_score = _scores(list(map(cells_of[score], rows)))
@@ -411,7 +497,7 @@ def load_csv(
             for i in np.flatnonzero(y == _BLANK).tolist():
                 blank[i] = not "".join(rows[i]).strip()
             has_outcome = y >= 0
-            named = np.fromiter(map(bool, labels), bool, n)
+            named = g >= 0
             missing = (
                 ~has_outcome & ~blank,
                 has_outcome & ~named,
@@ -422,12 +508,12 @@ def load_csv(
 
             keep = has_outcome & named & has_value
             outcomes.append(y[keep])
+            group_codes.append(g[keep])
             if score is not None:
                 scores.append(s[keep])
             if decision is not None:
                 decisions.append(d[keep])
             keep = keep.tolist()
-            groups.extend(compress(labels, keep))
             for name, cells in raw_covariates.items():
                 cells.extend(compress(map(cells_of[name], rows), keep))
             return read
@@ -448,7 +534,7 @@ def load_csv(
         except UnicodeDecodeError:
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
 
-    if not groups:
+    if not sum(map(len, group_codes)):
         raise InputError(f"no usable records in {path!r}")
 
     columns: dict[str, np.ndarray] = {}
@@ -465,9 +551,12 @@ def load_csv(
             table = {cell: c if c else None for cell, c in stripped.items()}
             columns[name] = np.array(list(map(table.__getitem__, cells)), dtype=object)
 
+    labels = sorted(code_of)
+    renumber = np.empty(len(labels), dtype=np.intp)
+    renumber[[code_of[label] for label in labels]] = np.arange(len(labels))
     return AuditDataset(
         outcome=np.concatenate(outcomes),
-        group=np.array(groups, dtype=object),
+        group=GroupCodes(tuple(labels), renumber[np.concatenate(group_codes)]),
         score=np.concatenate(scores) if score is not None else None,
         decision=np.concatenate(decisions) if decision is not None else None,
         covariates=columns,
@@ -531,7 +620,11 @@ def impute_medians(
     if not changed:
         return dataset
     return replace(
-        dataset, covariates=columns, imputation_log=log, dropped_covariates=dropped
+        dataset,
+        group=dataset._group,
+        covariates=columns,
+        imputation_log=log,
+        dropped_covariates=dropped,
     )
 
 
@@ -547,7 +640,10 @@ def apply_threshold(dataset: AuditDataset, cutoff: float) -> AuditDataset:
     if dataset.score is None or np.isnan(dataset.score).any():
         raise InputError("cannot apply a threshold: some records have no score")
     return replace(
-        dataset, decision=(dataset.score > cutoff).astype(np.int8), threshold=float(cutoff)
+        dataset,
+        group=dataset._group,
+        decision=(dataset.score > cutoff).astype(np.int8),
+        threshold=float(cutoff),
     )
 
 
@@ -569,10 +665,10 @@ def filter_condition(
     keep = predicate.mask(dataset)
     if not keep.any():
         raise InputError(f"condition {str(predicate)!r} matches no records")
-    for label in dataset.groups:
-        if not keep[dataset.group_positions(label)].any():
-            raise InputError(
-                f"condition {str(predicate)!r} leaves group {label!r} empty"
-            )
+    labels, codes = dataset._group
+    counts = np.bincount(codes[keep], minlength=len(labels))
+    if not counts.all():  # name the first emptied group in sorted order
+        label = labels[int(counts.argmin())]
+        raise InputError(f"condition {str(predicate)!r} leaves group {label!r} empty")
     stratum = dataset._memo[key] = dataset.take(np.flatnonzero(keep))
     return stratum

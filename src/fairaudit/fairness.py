@@ -412,7 +412,9 @@ def evaluate_all(
     share one set of resamples per stratum. Each condition's stratum is
     filtered once per dataset and serves its row and its intervals in
     every pair, and each group's resamples are shared by every pair it
-    joins.
+    joins. An interval that discards more resamples than the tolerance
+    allows raises ComputationError naming the metric, the pair and, for
+    a conditional row, the condition.
     """
     _check_pair(dataset, group_a, group_b)
     if not dataset.has_decisions:
@@ -481,12 +483,14 @@ def evaluate_all(
             if base_metrics
             else {}
         )
-        stratum_intervals = {
-            name: bootstrap_intervals(
-                stratum, (MetricId.POSITIVE_RATE,), group_a, group_b, bootstrap
-            )
-            for name, stratum in strata.items()
-        }
+        stratum_intervals = {}
+        for name, stratum in strata.items():
+            try:
+                stratum_intervals[name] = bootstrap_intervals(
+                    stratum, (MetricId.POSITIVE_RATE,), group_a, group_b, bootstrap
+                )
+            except ComputationError as exc:
+                raise ComputationError(f"condition {name!r}, {exc}") from None
         decorated = []
         for row in rows:
             if row.status is not RowStatus.EVALUATED:

@@ -355,7 +355,7 @@ def bootstrap_intervals(
 
     All metrics share the same resamples. Precondition failures are
     reported per metric in notes rather than raised; exceeding the
-    discard tolerance still raises.
+    discard tolerance still raises, naming the metric and the pair.
     """
     config = config or BootstrapConfig()
     replicates = bootstrap_replicates(dataset, metrics, group_a, group_b, config)
@@ -367,13 +367,16 @@ def bootstrap_intervals(
         vb = replicates.values_b[:, j]
         notes: list[str] = []
         diff = ratio = None
-        if is_defined(point_a) and is_defined(point_b):
-            diff = _diff_interval(va, vb, point_a, point_b, config)
-            if point_a > 0.0 and point_b > 0.0:
-                ratio = _ratio_interval(va, vb, point_a, point_b, config)
+        try:
+            if is_defined(point_a) and is_defined(point_b):
+                diff = _diff_interval(va, vb, point_a, point_b, config)
+                if point_a > 0.0 and point_b > 0.0:
+                    ratio = _ratio_interval(va, vb, point_a, point_b, config)
+                else:
+                    notes.append("ratio interval skipped: needs strictly positive values")
             else:
-                notes.append("ratio interval skipped: needs strictly positive values")
-        else:
-            notes.append("intervals skipped: point estimate undefined")
+                notes.append("intervals skipped: point estimate undefined")
+        except ComputationError as exc:
+            raise ComputationError(f"{metric.value}, {group_a!r} vs {group_b!r}: {exc}") from None
         out[metric] = PairIntervals(diff=diff, ratio=ratio, notes=tuple(notes))
     return out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -533,6 +534,42 @@ class TestErrors:
         assert code == 2
         assert err.startswith("fairaudit: ")
         assert "discarded" in err
+
+    def test_degenerate_bootstrap_names_metric_and_pair(self, capsys, sparse_positives_csv):
+        code, _, err = run(
+            capsys,
+            "audit",
+            "--input",
+            sparse_positives_csv,
+            "--outcome",
+            "y",
+            "--group",
+            "g",
+            "--decision",
+            "d",
+            "--criteria",
+            "equal_opportunity",
+            "--bootstrap",
+            "50",
+        )
+        assert code == 2
+        assert re.match(r"fairaudit: (fnr|tpr), 'a' vs 'b': bootstrap discarded \d+ of 50 ", err)
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--alpha", "0", "alpha outside (0, 1)"),
+            ("--alpha", "1.5", "alpha outside (0, 1)"),
+            ("--seed", "-1", "seed must be non-negative"),
+        ],
+    )
+    def test_alpha_and_seed_checked_without_bootstrap(
+        self, capsys, clinical_csv, flag, value, message
+    ):
+        code, out, err = run(capsys, *audit_args(clinical_csv, flag, value))
+        assert code == 1
+        assert out == ""
+        assert err == f"fairaudit: {message}\n"
 
 
 class TestMetaSubcommand:

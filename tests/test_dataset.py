@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 import tempfile
@@ -17,12 +18,15 @@ import fairaudit.dataset as dataset_module
 from fairaudit import (
     AuditDataset,
     ConditionPredicate,
+    GroupCodes,
     InputError,
     apply_threshold,
     filter_condition,
+    group_metrics,
     impute_medians,
     load_csv,
 )
+from fairaudit.cli import main as cli_main
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -438,6 +442,114 @@ class TestAuditDataset:
                 group=group,
                 score=np.array([0.1, 0.5]),
             )
+
+
+class TestEncodedGroup:
+    LABELS = ["b", "a", "c", "a", "b", "b", "c", "a"]
+
+    def from_group(self, group, n=8):
+        rng = np.random.default_rng(0)
+        return AuditDataset(
+            outcome=np.arange(n) % 2,
+            group=group,
+            score=rng.random(n),
+            decision=(np.arange(n) // 2) % 2,
+        )
+
+    def test_codes_build_the_same_dataset_as_labels(self):
+        by_labels = self.from_group(np.array(self.LABELS, dtype=object))
+        codes = np.array(["abc".index(label) for label in self.LABELS])
+        by_codes = self.from_group(GroupCodes(("a", "b", "c"), codes))
+        for ds in (by_labels, by_codes):
+            assert ds.groups == ("a", "b", "c")
+            assert ds.group.dtype == object and not ds.group.flags.writeable
+            assert ds.group.tolist() == self.LABELS
+            assert ds.group_sizes() == {"a": 3, "b": 3, "c": 2}
+        for label in by_labels.groups:
+            assert np.array_equal(
+                by_labels.group_positions(label), by_codes.group_positions(label)
+            )
+            assert group_metrics(by_labels, label) == group_metrics(by_codes, label)
+
+    def test_codes_are_narrow(self):
+        ds = self.from_group(GroupCodes(("a", "b", "c"), np.array([0, 1, 2, 0, 1, 2, 0, 1])))
+        assert ds._group.codes.dtype == np.int16
+        k = 2**15  # one more label than int16 codes can number
+        labels = tuple(f"g{i:05d}" for i in range(k))
+        many = self.from_group(GroupCodes(labels, np.arange(k)), n=k)
+        assert many._group.codes.dtype == np.intp
+        assert many.groups == labels
+
+    @pytest.mark.parametrize(
+        "labels,codes,message",
+        [
+            (("a", "b"), [0, 1, 2, 1, 0, 1, 0, 1], r"group codes must be integers in \[0, 2\)"),
+            (("a", "b"), [0, 1, -1, 1, 0, 1, 0, 1], r"group codes must be integers in \[0, 2\)"),
+            (("a", "b"), [0.0, 1.0] * 4, r"group codes must be integers in \[0, 2\)"),
+            ((), [0] * 8, r"group codes must be integers in \[0, 0\)"),
+            (("a", "b"), [0, 1] * 3, "group column length does not match outcome"),
+            (("b", "a"), [0, 1] * 4, "group labels must be sorted and distinct"),
+            (("a", "a"), [0, 1] * 4, "group labels must be sorted and distinct"),
+            (("", "a"), [0, 1] * 4, "group labels must be non-empty strings"),
+            (("a", 3), [0, 1] * 4, "group labels must be non-empty strings"),
+            (("a", "b", "c"), [1] * 8, "fewer than 2 distinct groups"),
+        ],
+        ids=[
+            "out-of-range",
+            "negative",
+            "float",
+            "no-labels",
+            "wrong-length",
+            "unsorted",
+            "duplicate",
+            "empty-label",
+            "non-string",
+            "one-present",
+        ],
+    )
+    def test_bad_codes_rejected(self, labels, codes, message):
+        with pytest.raises(InputError, match=message):
+            self.from_group(GroupCodes(labels, np.array(codes)))
+
+    def test_replace_with_new_labels_reindexes(self):
+        ds = self.from_group(np.array(self.LABELS, dtype=object))
+        relabelled = dataclasses.replace(ds, group=np.array(["y"] * 5 + ["x"] * 3, dtype=object))
+        assert relabelled.groups == ("x", "y")
+        assert relabelled.group.tolist() == ["y"] * 5 + ["x"] * 3
+        assert relabelled.group_positions("x").tolist() == [5, 6, 7]
+        assert relabelled.take(np.array([7, 0])).group.tolist() == ["x", "y"]
+        assert dataclasses.replace(ds, threshold=0.5).group.tolist() == self.LABELS
+
+    def test_take_that_drops_a_group_renumbers(self):
+        ds = self.from_group(np.array(self.LABELS, dtype=object))
+        out = ds.take(np.array([2, 4, 6, 0]))  # c, b, c, b: no "a" left
+        assert out.groups == ("b", "c")
+        assert out._group.codes.tolist() == [1, 0, 1, 0]
+        assert out.group.tolist() == ["c", "b", "c", "b"]
+        assert out.group_positions("c").tolist() == [0, 2]
+        with pytest.raises(InputError, match="unknown group"):
+            out.group_positions("a")
+
+    def test_audit_maps_labels_to_codes_only_in_the_loader(self, clinical_csv, monkeypatch):
+        calls = {"_labels_to_codes": 0, "_block_codes": 0}
+        for name in calls:
+            original = getattr(dataset_module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(dataset_module, name, counted)
+        code = cli_main(
+            [
+                "audit", "--input", clinical_csv, "--outcome", "died", "--group", "sex",
+                "--score", "risk", "--threshold", "0.5", "--condition", "senior=age >= 60",
+                "--bootstrap", "20", "--meta", "--output", os.devnull,
+            ]
+        )
+        assert code == 0
+        # the clinical CSV fits in one block; no derived dataset maps labels again
+        assert calls == {"_labels_to_codes": 0, "_block_codes": 1}
 
 
 def reference_load(path, *, outcome, group, score=None, decision=None):

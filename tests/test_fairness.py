@@ -405,6 +405,35 @@ class TestEvaluateAll:
                 assert bwd.diff == -fwd.diff
                 assert (fwd.value_a, fwd.value_b) == (bwd.value_b, bwd.value_a)
 
+    def test_stratum_discard_error_names_condition_pair_and_metric(self):
+        # half the records decide positive, so the full-data positive rate
+        # always resamples above 0; the x == 1 stratum has three records
+        # per group with one positive, so about 30% of its resamples have
+        # none and the ratio interval discards them
+        group, decision, x = [], [], []
+        for label in ("a", "b"):
+            group += [label] * 43
+            decision += [1, 0] * 20 + [1, 0, 0]
+            x += [0.0] * 40 + [1.0] * 3
+        ds = AuditDataset(
+            outcome=np.ones(86, dtype=int),
+            group=np.array(group, dtype=object),
+            decision=np.array(decision),
+            covariates={"x": np.array(x)},
+        )
+        with pytest.raises(ComputationError) as info:
+            evaluate_all(
+                ds,
+                "a",
+                "b",
+                criteria=["statistical_parity"],
+                conditions={"rare": "x >= 1"},
+                bootstrap=BootstrapConfig(iterations=100, seed=0),
+            )
+        assert str(info.value).startswith(
+            "condition 'rare', positive_rate, 'a' vs 'b': bootstrap discarded "
+        )
+
 
 class TestComparisonDataclass:
     def test_category_property(self):
