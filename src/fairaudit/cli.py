@@ -18,11 +18,14 @@ from .dataset import (
     MAX_MISSING_DEFAULT,
     AuditDataset,
     apply_threshold,
+    checked_max_missing,
+    checked_threshold,
     impute_medians,
     load_csv,
 )
 from .diagnostics import (
     DEFAULT_TEST_LEVEL,
+    checked_test_level,
     epsilon_assessment,
     incompatibility_verdict,
 )
@@ -102,8 +105,8 @@ class AuditRequest:
     def validate(self) -> None:
         if self.format not in ("json", "markdown"):
             raise InputError(f"unknown format: {self.format!r}")
-        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
-            raise InputError("threshold outside [0, 1]")
+        if self.threshold is not None:
+            checked_threshold(self.threshold)
         if self.bins < 2:
             raise InputError("bins must be at least 2")
         if self.bins > MAX_BINS:
@@ -119,6 +122,7 @@ class AuditRequest:
         self.parsed_conditions()
         self.bootstrap_config()
         BootstrapConfig(alpha=self.alpha, seed=self.seed)  # checked without --bootstrap too
+        checked_max_missing(self.impute_max_missing)
 
     def echo(self) -> dict:
         return {
@@ -153,6 +157,8 @@ def _prepare_dataset(
     threshold: float | None,
     impute_max_missing: float = MAX_MISSING_DEFAULT,
 ) -> AuditDataset:
+    if threshold is not None:
+        checked_threshold(threshold)  # before the file is read
     dataset = load_csv(
         input, outcome=outcome, group=group, score=score, decision=decision
     )
@@ -266,6 +272,8 @@ def _meta_for_metrics(dataset, metrics, kinds, exponent) -> list:
 
 def run_meta(args: argparse.Namespace) -> dict:
     entropy_exponent(args.exponent)
+    metrics = [coerce_metric(m) for m in (args.metric or ["positive_rate"])]
+    kinds = [coerce_kind(k) for k in (args.kind or [k.value for k in MetaMetricKind])]
     dataset = _prepare_dataset(
         input=args.input,
         outcome=args.outcome,
@@ -274,8 +282,6 @@ def run_meta(args: argparse.Namespace) -> dict:
         decision=args.decision,
         threshold=args.threshold,
     )
-    metrics = [coerce_metric(m) for m in (args.metric or ["positive_rate"])]
-    kinds = [coerce_kind(k) for k in (args.kind or [k.value for k in MetaMetricKind])]
     results = _meta_for_metrics(dataset, metrics, kinds, args.exponent)
     request = {
         "command": "meta",
@@ -291,6 +297,7 @@ def run_meta(args: argparse.Namespace) -> dict:
 
 
 def run_diagnose(args: argparse.Namespace) -> dict:
+    checked_test_level(args.level)
     dataset = _prepare_dataset(
         input=args.input,
         outcome=args.outcome,

@@ -104,7 +104,7 @@ class _GroupColumn:
         object.__setattr__(dataset, "_group", value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditDataset:
     """Immutable column-oriented table of classifier predictions.
 
@@ -138,7 +138,8 @@ class AuditDataset:
     cell; ``("metrics",)``, every group's point estimates (see
     :mod:`fairaudit.metrics`); and ``("replicates", label, seed,
     iterations, scored)``, a group's bootstrap replicate sums. Only
-    successful results are kept, so errors recur on every call.
+    successful results are kept, so errors recur on every call. Datasets
+    compare and hash by identity.
     """
 
     outcome: np.ndarray
@@ -151,9 +152,9 @@ class AuditDataset:
     imputation_log: Mapping[str, float] = field(default_factory=dict)
     dropped_covariates: Mapping[str, float] = field(default_factory=dict)
     dropped_by_reason: Mapping[str, int] = field(default_factory=dict)
-    _group: GroupCodes = field(init=False, repr=False, compare=False)
-    _group_index: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False)
+    _group: GroupCodes = field(init=False, repr=False)
+    _group_index: Mapping[str, np.ndarray] = field(init=False, repr=False)
+    _memo: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         outcome = np.asarray(self.outcome)
@@ -191,8 +192,8 @@ class AuditDataset:
         if not (has_score | has_decision).all():
             raise InputError("every record needs a score or a decision")
 
-        if self.threshold is not None and not 0.0 <= float(self.threshold) <= 1.0:
-            raise InputError("threshold outside [0, 1]")
+        if self.threshold is not None:
+            checked_threshold(self.threshold)
 
         covariates = {}
         for name, column in dict(self.covariates).items():
@@ -566,6 +567,13 @@ def load_csv(
     )
 
 
+def checked_max_missing(max_missing: float) -> float:
+    """The largest missing fraction a covariate is imputed at; it must lie in [0, 1]."""
+    if not 0.0 <= max_missing <= 1.0:
+        raise InputError("max_missing outside [0, 1]")
+    return max_missing
+
+
 def impute_medians(
     dataset: AuditDataset,
     names: Sequence[str] | None = None,
@@ -580,8 +588,7 @@ def impute_medians(
     so re-running is the identity. With ``names`` given, every named
     column must exist, be numeric, and have at least one observed value.
     """
-    if not 0.0 <= max_missing <= 1.0:
-        raise InputError("max_missing outside [0, 1]")
+    checked_max_missing(max_missing)
     if names is None:
         selected = [
             name for name, col in dataset.covariates.items() if col.dtype.kind == "f"
@@ -628,6 +635,13 @@ def impute_medians(
     )
 
 
+def checked_threshold(cutoff: float) -> float:
+    """A decision cutoff as a float; it must lie in [0, 1]."""
+    if not 0.0 <= float(cutoff) <= 1.0:
+        raise InputError("threshold outside [0, 1]")
+    return float(cutoff)
+
+
 def apply_threshold(dataset: AuditDataset, cutoff: float) -> AuditDataset:
     """Derive decisions from scores: positive iff the score exceeds ``cutoff``.
 
@@ -635,15 +649,14 @@ def apply_threshold(dataset: AuditDataset, cutoff: float) -> AuditDataset:
     replaced. Raising the cutoff can only turn positives into negatives,
     and applying the same cutoff twice is the identity.
     """
-    if not 0.0 <= float(cutoff) <= 1.0:
-        raise InputError("threshold outside [0, 1]")
+    cutoff = checked_threshold(cutoff)
     if dataset.score is None or np.isnan(dataset.score).any():
         raise InputError("cannot apply a threshold: some records have no score")
     return replace(
         dataset,
         group=dataset._group,
         decision=(dataset.score > cutoff).astype(np.int8),
-        threshold=float(cutoff),
+        threshold=cutoff,
     )
 
 

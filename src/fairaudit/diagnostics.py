@@ -76,6 +76,13 @@ def _chi2_survival(statistic: float, dof: int) -> float:
     return total
 
 
+def checked_test_level(level: float) -> float:
+    """The independence test level; it must lie in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise InputError("test level outside (0, 1)")
+    return level
+
+
 def independence_test(
     dataset: AuditDataset, level: float = DEFAULT_TEST_LEVEL
 ) -> IndependenceTest:
@@ -85,8 +92,7 @@ def independence_test(
     p-value is the exact chi-square tail for the table's integer degrees
     of freedom, computed with the standard library.
     """
-    if not 0.0 < level < 1.0:
-        raise InputError("test level outside (0, 1)")
+    checked_test_level(level)
     labels = dataset.groups
     sizes = np.array([_cells(dataset, g).sizes for g in labels])
     # cells 2 and 3 hold y = 1, cells 0 and 1 hold y = 0

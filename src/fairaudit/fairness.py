@@ -2,13 +2,13 @@
 
 Each criterion compares one or two per-group metrics between a reference
 group and a comparison group, reporting the difference and the ratio.
-Calibration-style criteria compare binned curves instead and live in
-:func:`compare_calibration`.
+Every row is built once, by :func:`make_comparison`, with its bootstrap
+intervals (if any) attached at construction. Calibration-style criteria
+compare binned curves instead and live in :func:`compare_calibration`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 from .conditions import ConditionPredicate
 from .dataset import AuditDataset, filter_condition
 from .errors import ComputationError, InputError
-from .inference import BootstrapConfig, Interval, bootstrap_intervals
+from .inference import BootstrapConfig, Interval, PairIntervals, bootstrap_intervals
 from .metrics import (
     SCORE_METRICS,
     CalibrationCurve,
@@ -194,6 +194,9 @@ class Comparison:
         return CRITERION_CATEGORY[self.criterion]
 
 
+_NO_INTERVALS = PairIntervals(diff=None, ratio=None)
+
+
 def make_comparison(
     criterion: FairnessCriterion,
     metric: MetricId,
@@ -202,7 +205,10 @@ def make_comparison(
     value_a: MetricValue,
     value_b: MetricValue,
     condition: str | None = None,
+    *,
+    intervals: PairIntervals = _NO_INTERVALS,
 ) -> Comparison:
+    """One comparison row; the intervals' notes follow the row's own."""
     notes: list[str] = []
     if is_defined(value_a) and is_defined(value_b):
         diff: MetricValue = value_a - value_b
@@ -226,9 +232,16 @@ def make_comparison(
         value_b=value_b,
         diff=diff,
         ratio=ratio,
+        ci_diff=intervals.diff,
+        ci_ratio=intervals.ratio,
         condition=condition,
-        notes=tuple(notes),
+        notes=tuple(notes) + intervals.notes,
     )
+
+
+def _row(criterion, metric, dataset, a, b, condition=None, intervals=_NO_INTERVALS) -> Comparison:
+    value_a, value_b = group_metric(dataset, a, metric), group_metric(dataset, b, metric)
+    return make_comparison(criterion, metric, a, b, value_a, value_b, condition, intervals=intervals)
 
 
 def _check_pair(dataset: AuditDataset, group_a: str, group_b: str) -> None:
@@ -256,12 +269,7 @@ def compare(
     components = CRITERION_COMPONENTS[criterion]
     if not components:
         raise InputError(f"{criterion.value} compares curves: use compare_calibration")
-    rows = []
-    for metric in components:
-        value_a = group_metric(dataset, group_a, metric)
-        value_b = group_metric(dataset, group_b, metric)
-        rows.append(make_comparison(criterion, metric, group_a, group_b, value_a, value_b))
-    return rows
+    return [_row(criterion, metric, dataset, group_a, group_b) for metric in components]
 
 
 def compare_conditional(
@@ -275,18 +283,13 @@ def compare_conditional(
     if isinstance(predicate, str):
         predicate = ConditionPredicate.parse(predicate)
     _check_pair(dataset, group_a, group_b)
-    stratum = filter_condition(dataset, predicate)
-    return _conditional_row(stratum, group_a, group_b, name or str(predicate))
-
-
-def _conditional_row(
-    stratum: AuditDataset, group_a: str, group_b: str, condition: str
-) -> Comparison:
-    inner = compare(stratum, FairnessCriterion.STATISTICAL_PARITY, group_a, group_b)[0]
-    return dataclasses.replace(
-        inner,
-        criterion=FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY,
-        condition=condition,
+    return _row(
+        FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY,
+        MetricId.POSITIVE_RATE,
+        filter_condition(dataset, predicate),
+        group_a,
+        group_b,
+        name or str(predicate),
     )
 
 
@@ -380,17 +383,6 @@ def _not_evaluated(
     )
 
 
-def _attach_intervals(row: Comparison, pair) -> Comparison:
-    if pair is None:
-        return row
-    return dataclasses.replace(
-        row,
-        ci_diff=pair.diff,
-        ci_ratio=pair.ratio,
-        notes=row.notes + pair.notes,
-    )
-
-
 def evaluate_all(
     dataset: AuditDataset,
     group_a: str,
@@ -407,14 +399,15 @@ def evaluate_all(
     The dataset must carry decisions. Score-based rows are marked
     NOT_EVALUATED when scores are absent rather than failing the audit,
     and per-row input problems (say, a condition that empties a stratum)
-    become rows with ERROR status. With a bootstrap config, difference
-    and ratio intervals are attached to every evaluated row; all rows
-    share one set of resamples per stratum. Each condition's stratum is
-    filtered once per dataset and serves its row and its intervals in
-    every pair, and each group's resamples are shared by every pair it
-    joins. An interval that discards more resamples than the tolerance
-    allows raises ComputationError naming the metric, the pair and, for
-    a conditional row, the condition.
+    become rows with ERROR status. Each row is built once, with its
+    intervals: with a bootstrap config, difference and ratio intervals
+    are attached to every evaluated row, and all rows share one set of
+    resamples per stratum. Each condition's stratum is filtered once per
+    dataset and serves its row and its intervals in every pair, and each
+    group's resamples are shared by every pair it joins. An interval that
+    discards more resamples than the tolerance allows raises
+    ComputationError naming the metric, the pair and, for a conditional
+    row, the condition.
     """
     _check_pair(dataset, group_a, group_b)
     if not dataset.has_decisions:
@@ -429,22 +422,21 @@ def evaluate_all(
     elif FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY in selected:
         raise InputError("conditional statistical parity needs at least one condition")
 
-    report_notes: list[str] = []
-    rows: list[Comparison] = []
-    strata: dict[str, AuditDataset] = {}  # conditions whose row evaluated
-
+    # A planned row is either finished or a (criterion, metric, condition)
+    # triple read from strata[condition]; None names the whole dataset.
+    plan: list[Comparison | tuple[FairnessCriterion, MetricId, str | None]] = []
+    strata: dict[str | None, AuditDataset] = {None: dataset}
     for criterion in CANONICAL_ORDER:
-        if criterion not in selected:
-            continue
-        if criterion in (FairnessCriterion.WELL_CALIBRATION, FairnessCriterion.TEST_FAIRNESS):
+        components = CRITERION_COMPONENTS[criterion]
+        if criterion not in selected or not components:
             continue
         if criterion is FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY:
             for name, predicate in conditions.items():
                 try:
-                    stratum = filter_condition(dataset, predicate)
-                    row = _conditional_row(stratum, group_a, group_b, name)
+                    strata[name] = filter_condition(dataset, predicate)
+                    item = (criterion, MetricId.POSITIVE_RATE, name)
                 except InputError as exc:
-                    row = _not_evaluated(
+                    item = _not_evaluated(
                         criterion,
                         MetricId.POSITIVE_RATE,
                         group_a,
@@ -453,55 +445,40 @@ def evaluate_all(
                         condition=name,
                         status=RowStatus.ERROR,
                     )
-                else:
-                    strata[name] = stratum
-                rows.append(row)
-            continue
-        components = CRITERION_COMPONENTS[criterion]
-        needs_scores = any(metric in SCORE_METRICS for metric in components)
-        if needs_scores and not dataset.has_scores:
-            for metric in components:
-                rows.append(
-                    _not_evaluated(
-                        criterion, metric, group_a, group_b, "risk scores not loaded"
-                    )
-                )
-            continue
-        rows.extend(compare(dataset, criterion, group_a, group_b))
+                plan.append(item)
+        elif not dataset.has_scores and not SCORE_METRICS.isdisjoint(components):
+            plan.extend(
+                _not_evaluated(criterion, metric, group_a, group_b, "risk scores not loaded")
+                for metric in components
+            )
+        else:
+            plan.extend((criterion, metric, None) for metric in components)
 
+    todo = [item for item in plan if isinstance(item, tuple)]
+    intervals: dict[str | None, dict[MetricId, PairIntervals]] = {}
     if bootstrap is not None:
-        base_metrics = sorted(
-            {
-                row.metric
-                for row in rows
-                if row.status is RowStatus.EVALUATED and row.condition is None
-            },
-            key=lambda m: m.value,
-        )
-        base_intervals = (
-            bootstrap_intervals(dataset, base_metrics, group_a, group_b, bootstrap)
-            if base_metrics
-            else {}
-        )
-        stratum_intervals = {}
         for name, stratum in strata.items():
+            metrics = sorted({m for _, m, c in todo if c == name}, key=lambda m: m.value)
+            if not metrics:
+                continue
             try:
-                stratum_intervals[name] = bootstrap_intervals(
-                    stratum, (MetricId.POSITIVE_RATE,), group_a, group_b, bootstrap
+                intervals[name] = bootstrap_intervals(
+                    stratum, metrics, group_a, group_b, bootstrap
                 )
             except ComputationError as exc:
+                if name is None:
+                    raise
                 raise ComputationError(f"condition {name!r}, {exc}") from None
-        decorated = []
-        for row in rows:
-            if row.status is not RowStatus.EVALUATED:
-                decorated.append(row)
-            elif row.condition is not None:
-                pair = stratum_intervals[row.condition][MetricId.POSITIVE_RATE]
-                decorated.append(_attach_intervals(row, pair))
-            else:
-                decorated.append(_attach_intervals(row, base_intervals[row.metric]))
-        rows = decorated
 
+    rows = []
+    for item in plan:
+        if isinstance(item, tuple):
+            criterion, metric, name = item
+            pair = intervals[name][metric] if name in intervals else _NO_INTERVALS
+            item = _row(criterion, metric, strata[name], group_a, group_b, name, pair)
+        rows.append(item)
+
+    report_notes: list[str] = []
     calibration = None
     wants_calibration = selected & {
         FairnessCriterion.WELL_CALIBRATION,

@@ -21,10 +21,11 @@ under the memo key ``("replicates", label, seed, iterations, scored)``,
 an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
-the standard deviation of resampled differences; the ratio interval is
-built on the log scale and exponentiated. Iterations where a statistic
-is undefined (or non-positive, for ratios) are discarded; more than
-``degenerate_tolerance`` of them is an error.
+the standard deviation of resampled differences, and the ratio interval
+is the difference interval on the log scale (of the log-transformed
+replicates and point estimates), exponentiated. Iterations where a
+statistic is undefined (or non-positive, for ratios) are discarded; more
+than ``degenerate_tolerance`` of them is an error.
 """
 
 from __future__ import annotations
@@ -258,33 +259,39 @@ def _check_discarded(kept: np.ndarray, config: BootstrapConfig, what: str) -> in
     return discarded
 
 
-def _diff_interval(
-    va: np.ndarray, vb: np.ndarray, point_a: float, point_b: float, config: BootstrapConfig
-) -> Interval:
-    kept = np.isfinite(va) & np.isfinite(vb)
-    discarded = _check_discarded(kept, config, "difference")
-    se = float(np.std(va[kept] - vb[kept], ddof=1))
-    center = point_a - point_b
-    margin = config.z * se
-    return Interval(center - margin, center + margin, IntervalMethod.WALD_DIFF, discarded)
-
-
-def _ratio_interval(
-    va: np.ndarray, vb: np.ndarray, point_a: float, point_b: float, config: BootstrapConfig
-) -> Interval:
+def _wald(va, vb, point_a: float, point_b: float, config: BootstrapConfig, log: bool) -> Interval:
+    """Wald interval for point_a - point_b or, with ``log``, for point_a / point_b:
+    the same interval on the log scale, exponentiated back."""
     with np.errstate(invalid="ignore"):
-        kept = np.isfinite(va) & np.isfinite(vb) & (va > 0.0) & (vb > 0.0)
-    discarded = _check_discarded(kept, config, "ratio")
-    log_ratios = np.log(va[kept]) - np.log(vb[kept])
-    se = float(np.std(log_ratios, ddof=1))
-    center = math.log(point_a) - math.log(point_b)
-    margin = config.z * se
-    return Interval(
-        math.exp(center - margin),
-        math.exp(center + margin),
-        IntervalMethod.WALD_LOG_RATIO,
-        discarded,
-    )
+        kept = np.isfinite(va) & np.isfinite(vb)
+        if log:
+            kept &= (va > 0.0) & (vb > 0.0)
+    discarded = _check_discarded(kept, config, "ratio" if log else "difference")
+    va, vb = va[kept], vb[kept]
+    if log:
+        va, vb, point_a, point_b = np.log(va), np.log(vb), math.log(point_a), math.log(point_b)
+    center = point_a - point_b
+    margin = config.z * float(np.std(va - vb, ddof=1))
+    bounds = (center - margin, center + margin)
+    if log:
+        return Interval(*map(math.exp, bounds), IntervalMethod.WALD_LOG_RATIO, discarded)
+    return Interval(*bounds, IntervalMethod.WALD_DIFF, discarded)
+
+
+def _single_interval(dataset, metric, group_a, group_b, config, log: bool) -> Interval:
+    config = config or BootstrapConfig()
+    metric = coerce_metric(metric)
+    point_a = group_metric(dataset, group_a, metric)
+    point_b = group_metric(dataset, group_b, metric)
+    if not is_defined(point_a) or not is_defined(point_b):
+        raise InputError(f"point estimate of {metric.value} is undefined")
+    if log and (point_a <= 0.0 or point_b <= 0.0):
+        raise InputError(
+            f"ratio interval for {metric.value} needs strictly positive point estimates"
+        )
+    replicates = bootstrap_replicates(dataset, (metric,), group_a, group_b, config)
+    va, vb = replicates.values_a[:, 0], replicates.values_b[:, 0]
+    return _wald(va, vb, point_a, point_b, config, log)
 
 
 def ci_diff(
@@ -295,16 +302,7 @@ def ci_diff(
     config: BootstrapConfig | None = None,
 ) -> Interval:
     """Wald interval for the between-group difference of one metric."""
-    config = config or BootstrapConfig()
-    metric = coerce_metric(metric)
-    point_a = group_metric(dataset, group_a, metric)
-    point_b = group_metric(dataset, group_b, metric)
-    if not is_defined(point_a) or not is_defined(point_b):
-        raise InputError(f"point estimate of {metric.value} is undefined")
-    replicates = bootstrap_replicates(dataset, (metric,), group_a, group_b, config)
-    return _diff_interval(
-        replicates.values_a[:, 0], replicates.values_b[:, 0], point_a, point_b, config
-    )
+    return _single_interval(dataset, metric, group_a, group_b, config, log=False)
 
 
 def ci_ratio(
@@ -315,20 +313,7 @@ def ci_ratio(
     config: BootstrapConfig | None = None,
 ) -> Interval:
     """Wald interval for the between-group ratio, built on the log scale."""
-    config = config or BootstrapConfig()
-    metric = coerce_metric(metric)
-    point_a = group_metric(dataset, group_a, metric)
-    point_b = group_metric(dataset, group_b, metric)
-    if not is_defined(point_a) or not is_defined(point_b):
-        raise InputError(f"point estimate of {metric.value} is undefined")
-    if point_a <= 0.0 or point_b <= 0.0:
-        raise InputError(
-            f"ratio interval for {metric.value} needs strictly positive point estimates"
-        )
-    replicates = bootstrap_replicates(dataset, (metric,), group_a, group_b, config)
-    return _ratio_interval(
-        replicates.values_a[:, 0], replicates.values_b[:, 0], point_a, point_b, config
-    )
+    return _single_interval(dataset, metric, group_a, group_b, config, log=True)
 
 
 @dataclass(frozen=True)
@@ -369,9 +354,9 @@ def bootstrap_intervals(
         diff = ratio = None
         try:
             if is_defined(point_a) and is_defined(point_b):
-                diff = _diff_interval(va, vb, point_a, point_b, config)
+                diff = _wald(va, vb, point_a, point_b, config, log=False)
                 if point_a > 0.0 and point_b > 0.0:
-                    ratio = _ratio_interval(va, vb, point_a, point_b, config)
+                    ratio = _wald(va, vb, point_a, point_b, config, log=True)
                 else:
                     notes.append("ratio interval skipped: needs strictly positive values")
             else:

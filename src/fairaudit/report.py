@@ -281,7 +281,7 @@ def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> lis
     return [line(header), line(["---"] * len(header)), *map(line, rows)]
 
 
-def _pair_section(pair: Mapping) -> list[str]:
+def _pair_section(pair: Mapping, interval: str) -> list[str]:
     group_a = pair.get("group_a", "A")
     group_b = pair.get("group_b", "B")
     lines = [f"## {group_a} vs {group_b}", ""]
@@ -291,9 +291,9 @@ def _pair_section(pair: Mapping) -> list[str]:
         group_a,
         group_b,
         "Difference",
-        "95% CI",
+        interval,
         "Ratio",
-        "95% CI",
+        interval,
     ]
     body = []
     notes = []
@@ -366,8 +366,11 @@ def emit_markdown(document: Mapping) -> str:
             lines.append(f"- dropped covariates: {gone}")
         lines.append("")
 
+    # the interval header names the bootstrap's level; 95% is the --alpha default
+    bootstrap = (document.get("request") or {}).get("bootstrap")
+    level = format_general(100 * (1 - bootstrap["alpha"])) if bootstrap else "95"
     for pair in document.get("fairness", []):
-        lines.extend(_pair_section(pair))
+        lines.extend(_pair_section(pair, f"{level}% CI"))
 
     meta_results = document.get("meta_metrics", [])
     if meta_results:

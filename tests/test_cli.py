@@ -207,6 +207,21 @@ class TestAuditHappyPath:
         sp = rows[0]
         assert sp["ci_diff"]["lower"] <= sp["diff"] <= sp["ci_diff"]["upper"]
 
+    @pytest.mark.parametrize(
+        "extra, level",
+        [
+            ((), "95"),
+            (("--bootstrap", "50"), "95"),
+            (("--bootstrap", "50", "--alpha", "0.1"), "90"),
+        ],
+    )
+    def test_markdown_interval_header_names_the_level(self, capsys, clinical_csv, extra, level):
+        code, out, _ = run(capsys, *audit_args(clinical_csv, "--seed", "42", *extra))
+        assert code == 0
+        (header,) = [line for line in out.splitlines() if line.startswith("| Criterion |")]
+        assert header.count(f"| {level}% CI |") == 2
+        assert header.count("% CI") == 2
+
     def test_diagnostics_block_present(self, capsys, clinical_csv):
         _, out, _ = run(capsys, *audit_args(clinical_csv, "--format", "json"))
         diagnostics = json.loads(out)["diagnostics"]
@@ -567,6 +582,37 @@ class TestErrors:
         self, capsys, clinical_csv, flag, value, message
     ):
         code, out, err = run(capsys, *audit_args(clinical_csv, flag, value))
+        assert code == 1
+        assert out == ""
+        assert err == f"fairaudit: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("audit", ("--impute-max-missing", "2"), "max_missing outside [0, 1]"),
+            ("meta", ("--metric", "bogus"), "unknown metric: 'bogus'"),
+            ("meta", ("--kind", "bogus"), "unknown meta-metric kind: 'bogus'"),
+            ("diagnose", ("--level", "2"), "test level outside (0, 1)"),
+            ("meta", ("--threshold", "2"), "threshold outside [0, 1]"),
+            ("diagnose", ("--threshold", "-1"), "threshold outside [0, 1]"),
+        ],
+    )
+    def test_flags_checked_before_the_input_is_read(self, capsys, command, flags, message):
+        code, out, err = run(
+            capsys,
+            command,
+            "--input",
+            "/nonexistent.csv",
+            "--outcome",
+            "y",
+            "--group",
+            "g",
+            "--score",
+            "s",
+            "--threshold",
+            "0.5",
+            *flags,
+        )
         assert code == 1
         assert out == ""
         assert err == f"fairaudit: {message}\n"

@@ -422,6 +422,11 @@ class TestAuditDataset:
         for out in (ds.take(np.array([3, 0, 2])), thresholded):
             assert out.imputation_log == {"weight": 70.0}
 
+    def test_equality_and_hash_are_by_identity(self, toy):
+        assert toy == toy
+        assert toy != toy.take(np.arange(toy.n))
+        assert {toy: 1}[toy] == 1
+
     def test_take_with_repeats(self, toy):
         out = toy.take(np.array([0, 0, 8, 9]))
         assert out.n == 4

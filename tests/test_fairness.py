@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from fairaudit import (
     MetricId,
     RowStatus,
     UNDEFINED,
+    bootstrap_intervals,
+    bootstrap_replicates,
     compare,
     compare_calibration,
     compare_conditional,
@@ -25,6 +28,7 @@ from fairaudit import (
     criterion_components,
     evaluate_all,
     filter_condition,
+    group_metric,
     is_defined,
     make_comparison,
 )
@@ -433,6 +437,118 @@ class TestEvaluateAll:
         assert str(info.value).startswith(
             "condition 'rare', positive_rate, 'a' vs 'b': bootstrap discarded "
         )
+
+
+def three_group_dataset() -> AuditDataset:
+    rng = np.random.default_rng(4)
+    n = 360
+    outcome = (rng.random(n) < 0.4).astype(int)
+    score = np.clip(0.25 + 0.4 * outcome + rng.normal(0.0, 0.2, n), 0.0, 1.0)
+    return AuditDataset(
+        outcome=outcome,
+        group=np.array(["a", "b", "c"] * (n // 3), dtype=object),
+        score=score,
+        decision=(score > 0.5).astype(int),
+        covariates={"age": rng.integers(20, 90, n).astype(float)},
+    )
+
+
+class TestOneRowPath:
+    """Every evaluated row is its two table values plus its pair of intervals."""
+
+    # every scalar criterion after statistical parity and its conditional rows
+    CRITERIA = [c for c in CANONICAL_ORDER[2:] if criterion_components(c)]
+    CONDITIONS = {"senior": "age >= 60"}
+    CONFIG = BootstrapConfig(iterations=200, seed=5, degenerate_tolerance=1.0)
+
+    def reports(self):
+        ds = three_group_dataset()
+        for a, b in (("a", "b"), ("a", "c")):
+            yield ds, a, b, evaluate_all(
+                ds,
+                a,
+                b,
+                criteria=["statistical_parity", *self.CRITERIA],
+                conditions=self.CONDITIONS,
+                bootstrap=self.CONFIG,
+            )
+
+    def test_rows_equal_rows_built_from_the_table_and_intervals(self):
+        for ds, a, b, report in self.reports():
+            assert [(row.criterion, row.condition) for row in report.rows[:2]] == [
+                (FairnessCriterion.STATISTICAL_PARITY, None),
+                (FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY, "senior"),
+            ]
+            assert len(report.rows) == 2 + sum(
+                len(criterion_components(c)) for c in self.CRITERIA
+            )
+            for row in report.rows:
+                assert row.status is RowStatus.EVALUATED
+                stratum = ds if row.condition is None else filter_condition(ds, "age >= 60")
+                metric = row.metric
+                expected = make_comparison(
+                    row.criterion,
+                    metric,
+                    a,
+                    b,
+                    group_metric(stratum, a, metric),
+                    group_metric(stratum, b, metric),
+                    row.condition,
+                    intervals=bootstrap_intervals(stratum, [metric], a, b, self.CONFIG)[metric],
+                )
+                assert row == expected
+
+    def test_intervals_are_wald_on_the_difference_and_on_the_log_ratio(self):
+        ratios = 0
+        for ds, a, b, report in self.reports():
+            for row in report.rows:
+                stratum = ds if row.condition is None else filter_condition(ds, "age >= 60")
+                draws = bootstrap_replicates(stratum, [row.metric], a, b, self.CONFIG)
+                va, vb = draws.values_a[:, 0], draws.values_b[:, 0]
+                kept = np.isfinite(va) & np.isfinite(vb)
+                half = self.CONFIG.z * np.std(va[kept] - vb[kept], ddof=1)
+                assert row.ci_diff.lower == pytest.approx(row.diff - half, rel=1e-12)
+                assert row.ci_diff.upper == pytest.approx(row.diff + half, rel=1e-12)
+                if row.ci_ratio is None:
+                    continue
+                ratios += 1
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    la, lb = np.log(va), np.log(vb)
+                kept = np.isfinite(la) & np.isfinite(lb)
+                half = self.CONFIG.z * np.std(la[kept] - lb[kept], ddof=1)
+                center = math.log(row.value_a) - math.log(row.value_b)
+                assert row.ci_ratio.lower == pytest.approx(math.exp(center - half), rel=1e-12)
+                assert row.ci_ratio.upper == pytest.approx(math.exp(center + half), rel=1e-12)
+        assert ratios >= 10
+
+    def test_interval_notes_follow_the_value_notes(self):
+        # group b never decides positive, in the stratum or outside it, so
+        # both rows carry a value note and an interval note about the ratio
+        outcome = [1, 0, 1, 0, 1, 0] * 2
+        decision = [1, 1, 0, 0, 1, 0] + [0] * 6
+        ds = AuditDataset(
+            outcome=np.array(outcome),
+            group=np.array(["a"] * 6 + ["b"] * 6, dtype=object),
+            decision=np.array(decision),
+            covariates={"x": np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0] * 2)},
+        )
+        report = evaluate_all(
+            ds,
+            "a",
+            "b",
+            criteria=["statistical_parity"],
+            conditions={"x1": "x >= 1"},
+            bootstrap=BootstrapConfig(iterations=50, seed=3),
+        )
+        base, conditional = report.rows
+        assert conditional.criterion is FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY
+        assert conditional.condition == "x1"
+        for row in (base, conditional):
+            assert row.ci_diff is not None and row.ci_ratio is None
+            assert row.notes == (
+                "ratio undefined: reference value is 0",
+                "ratio interval skipped: needs strictly positive values",
+            )
 
 
 class TestComparisonDataclass:
