@@ -1,4 +1,8 @@
-"""Command-line interface: audit, meta, and diagnose subcommands."""
+"""Command-line interface: audit, meta, and diagnose subcommands.
+
+Audit flags reach :class:`AuditRequest` by argparse dest name, one field
+each; all three subcommands load their CSV through ``_prepare_dataset``.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -25,6 +29,7 @@ from .dataset import (
 )
 from .diagnostics import (
     DEFAULT_TEST_LEVEL,
+    checked_epsilon,
     checked_test_level,
     epsilon_assessment,
     incompatibility_verdict,
@@ -36,10 +41,11 @@ from .fairness import (
     RowStatus,
     coerce_criterion,
     evaluate_all,
+    selected_criteria,
 )
 from .inference import BootstrapConfig
-from .metrics import coerce_metric, group_metric, is_defined
-from .multigroup import MetaMetricKind, coerce_kind, entropy_exponent, meta
+from .metrics import checked_bins, coerce_metric, group_metric, is_defined
+from .multigroup import MetaMetricKind, checked_exponent, coerce_kind, meta
 from .report import build_document, emit_markdown, render_json
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -107,18 +113,13 @@ class AuditRequest:
             raise InputError(f"unknown format: {self.format!r}")
         if self.threshold is not None:
             checked_threshold(self.threshold)
-        if self.bins < 2:
-            raise InputError("bins must be at least 2")
-        if self.bins > MAX_BINS:
+        if checked_bins(self.bins, self.min_bin_count) > MAX_BINS:
             raise InputError(f"bins must be at most {MAX_BINS}")
         if self.bootstrap is not None and self.bootstrap > MAX_BOOTSTRAP:
             raise InputError(f"bootstrap must be at most {MAX_BOOTSTRAP}")
-        if self.min_bin_count < 1:
-            raise InputError("min-bin-count must be at least 1")
         for value in self.epsilon:
-            if not value > 0.0:
-                raise InputError("epsilon must be positive")
-        self.resolved_criteria()
+            checked_epsilon(value)
+        selected_criteria(self.resolved_criteria(), bool(self.conditions))
         self.parsed_conditions()
         self.bootstrap_config()
         BootstrapConfig(alpha=self.alpha, seed=self.seed)  # checked without --bootstrap too
@@ -148,23 +149,18 @@ class AuditRequest:
 
 
 def _prepare_dataset(
-    *,
-    input: str,
-    outcome: str,
-    group: str,
-    score: str | None,
-    decision: str | None,
-    threshold: float | None,
-    impute_max_missing: float = MAX_MISSING_DEFAULT,
+    flags: argparse.Namespace | AuditRequest, max_missing: float = MAX_MISSING_DEFAULT
 ) -> AuditDataset:
-    if threshold is not None:
-        checked_threshold(threshold)  # before the file is read
+    """Load, impute and threshold the CSV named by parsed flags or a request."""
+    if flags.threshold is not None:
+        checked_threshold(flags.threshold)  # before the file is read
     dataset = load_csv(
-        input, outcome=outcome, group=group, score=score, decision=decision
+        flags.input, outcome=flags.outcome, group=flags.group, score=flags.score,
+        decision=flags.decision,
     )
-    dataset = impute_medians(dataset, max_missing=impute_max_missing)
-    if threshold is not None:
-        dataset = apply_threshold(dataset, threshold)
+    dataset = impute_medians(dataset, max_missing=max_missing)
+    if flags.threshold is not None:
+        dataset = apply_threshold(dataset, flags.threshold)
     return dataset
 
 
@@ -184,15 +180,7 @@ def run_audit(request: AuditRequest) -> dict:
     request.validate()
     criteria = request.resolved_criteria()
     conditions = request.parsed_conditions()
-    dataset = _prepare_dataset(
-        input=request.input,
-        outcome=request.outcome,
-        group=request.group,
-        score=request.score,
-        decision=request.decision,
-        threshold=request.threshold,
-        impute_max_missing=request.impute_max_missing,
-    )
+    dataset = _prepare_dataset(request, request.impute_max_missing)
     if not dataset.has_decisions:
         raise InputError(
             "no decisions available: bind a decision column or pass --threshold"
@@ -271,17 +259,12 @@ def _meta_for_metrics(dataset, metrics, kinds, exponent) -> list:
 
 
 def run_meta(args: argparse.Namespace) -> dict:
-    entropy_exponent(args.exponent)
     metrics = [coerce_metric(m) for m in (args.metric or ["positive_rate"])]
     kinds = [coerce_kind(k) for k in (args.kind or [k.value for k in MetaMetricKind])]
-    dataset = _prepare_dataset(
-        input=args.input,
-        outcome=args.outcome,
-        group=args.group,
-        score=args.score,
-        decision=args.decision,
-        threshold=args.threshold,
-    )
+    # only the entropy kind is given --exponent; without it, the first kind refuses one
+    entropy = MetaMetricKind.GENERALIZED_ENTROPY
+    checked_exponent(entropy if entropy in kinds else kinds[0], args.exponent)
+    dataset = _prepare_dataset(args)
     results = _meta_for_metrics(dataset, metrics, kinds, args.exponent)
     request = {
         "command": "meta",
@@ -298,14 +281,7 @@ def run_meta(args: argparse.Namespace) -> dict:
 
 def run_diagnose(args: argparse.Namespace) -> dict:
     checked_test_level(args.level)
-    dataset = _prepare_dataset(
-        input=args.input,
-        outcome=args.outcome,
-        group=args.group,
-        score=args.score,
-        decision=args.decision,
-        threshold=args.threshold,
-    )
+    dataset = _prepare_dataset(args)
     verdict = incompatibility_verdict(dataset, args.level)
     request = {
         "command": "diagnose",
@@ -332,28 +308,9 @@ def _audit_handler(args: argparse.Namespace) -> dict:
         conditions[name] = expr.strip()
     if args.workers < 1:
         raise InputError("workers must be at least 1")
-    request = AuditRequest(
-        input=args.input,
-        outcome=args.outcome,
-        group=args.group,
-        score=args.score,
-        decision=args.decision,
-        reference=args.reference,
-        threshold=args.threshold,
-        criteria=args.criteria,
-        conditions=conditions,
-        bootstrap=args.bootstrap,
-        alpha=args.alpha,
-        seed=args.seed,
-        bins=args.bins,
-        min_bin_count=args.min_bin_count,
-        epsilon=tuple(args.epsilon or []),
-        format=args.format,
-        output=args.output,
-        meta=args.meta,
-        impute_max_missing=args.impute_max_missing,
-    )
-    return run_audit(request)
+    given = {"conditions": conditions, "epsilon": tuple(args.epsilon or [])}
+    flags = {f.name: getattr(args, f.name) for f in fields(AuditRequest) if f.name not in given}
+    return run_audit(AuditRequest(**given, **flags))
 
 
 def _finite_float(text: str) -> float:

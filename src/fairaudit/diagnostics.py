@@ -200,10 +200,16 @@ def _row_key(criterion_value: str, condition: str | None) -> str:
     return f"{criterion_value}[{condition}]"
 
 
-def epsilon_assessment(report: FairnessReport, epsilon: float) -> EpsilonAssessment:
-    """Judge every criterion in a report against a tolerance on |diff|."""
+def checked_epsilon(epsilon: float) -> float:
+    """An approximate-fairness tolerance on |diff|; it must be positive."""
     if not epsilon > 0.0:
         raise InputError("epsilon must be positive")
+    return epsilon
+
+
+def epsilon_assessment(report: FairnessReport, epsilon: float) -> EpsilonAssessment:
+    """Judge every criterion in a report against a tolerance on |diff|."""
+    checked_epsilon(epsilon)
     grouped: dict[str, list] = {}
     for row in report.rows:
         grouped.setdefault(_row_key(row.criterion.value, row.condition), []).append(row)

@@ -151,6 +151,25 @@ def coerce_criterion(criterion: FairnessCriterion | str) -> FairnessCriterion:
         raise InputError(f"unknown criterion: {criterion!r}") from None
 
 
+def selected_criteria(
+    criteria: Sequence[FairnessCriterion | str] | None, has_conditions: bool
+) -> set[FairnessCriterion]:
+    """The criteria an evaluation runs: the defaults when ``criteria`` is None.
+
+    Any condition adds conditional statistical parity, which cannot run
+    without one.
+    """
+    if criteria is None:
+        selected = set(DEFAULT_CRITERIA)
+    else:
+        selected = {coerce_criterion(c) for c in criteria}
+    if has_conditions:
+        selected.add(FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY)
+    elif FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY in selected:
+        raise InputError("conditional statistical parity needs at least one condition")
+    return selected
+
+
 def criterion_components(criterion: FairnessCriterion | str) -> tuple[MetricId, ...]:
     """Per-group metrics a criterion compares; empty for calibration criteria."""
     return CRITERION_COMPONENTS[coerce_criterion(criterion)]
@@ -412,15 +431,8 @@ def evaluate_all(
     _check_pair(dataset, group_a, group_b)
     if not dataset.has_decisions:
         raise InputError("dataset has no decisions; apply a threshold first")
-    if criteria is None:
-        selected = set(DEFAULT_CRITERIA)
-    else:
-        selected = {coerce_criterion(c) for c in criteria}
     conditions = dict(conditions or {})
-    if conditions:
-        selected.add(FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY)
-    elif FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY in selected:
-        raise InputError("conditional statistical parity needs at least one condition")
+    selected = selected_criteria(criteria, bool(conditions))
 
     # A planned row is either finished or a (criterion, metric, condition)
     # triple read from strata[condition]; None names the whole dataset.

@@ -365,6 +365,15 @@ def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
     )
 
 
+def checked_bins(bins: int, min_bin_count: int) -> int:
+    """The calibration bin count; it must be at least 2, and ``min_bin_count`` at least 1."""
+    if bins < 2:
+        raise InputError("bins must be at least 2")
+    if min_bin_count < 1:
+        raise InputError("min_bin_count must be at least 1")
+    return bins
+
+
 def calibration_curve(
     dataset: AuditDataset,
     group: str,
@@ -377,10 +386,7 @@ def calibration_curve(
     A score equal to an interior edge lands in the lower bin; 0 lands in
     the first bin. Bin counts always sum to the group size.
     """
-    if bins < 2:
-        raise InputError("bins must be at least 2")
-    if min_bin_count < 1:
-        raise InputError("min_bin_count must be at least 1")
+    checked_bins(bins, min_bin_count)
     rows = dataset.group_positions(group)
     if dataset.score is None:
         raise InputError("calibration needs risk scores, none loaded")

@@ -54,8 +54,15 @@ def coerce_kind(kind: MetaMetricKind | str) -> MetaMetricKind:
         raise InputError(f"unknown meta-metric kind: {kind!r}") from None
 
 
-def entropy_exponent(exponent: float | None) -> float:
-    """The generalized entropy exponent, 2 when None; it must be finite and avoid 0 and 1."""
+def checked_exponent(kind: MetaMetricKind, exponent: float | None) -> float | None:
+    """The exponent ``kind`` is computed with; only generalized entropy takes one.
+
+    Its exponent is 2 when None, and it must be finite and avoid 0 and 1.
+    """
+    if kind is not MetaMetricKind.GENERALIZED_ENTROPY:
+        if exponent is not None:
+            raise InputError(f"{kind.value} takes no exponent")
+        return None
     if exponent is None:
         return GEI_DEFAULT_EXPONENT
     if not np.isfinite(exponent):
@@ -102,10 +109,7 @@ def meta(
     if kind in POSITIVE_ONLY_KINDS and (array <= 0.0).any():
         raise InputError(f"{kind.value} needs strictly positive group values")
 
-    if kind is MetaMetricKind.GENERALIZED_ENTROPY:
-        exponent = entropy_exponent(exponent)
-    elif exponent is not None:
-        raise InputError(f"{kind.value} takes no exponent")
+    exponent = checked_exponent(kind, exponent)
 
     if np.all(array == array[0]):
         value = 1.0 if kind is MetaMetricKind.MAX_MIN_RATIO else 0.0

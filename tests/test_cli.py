@@ -7,13 +7,14 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from fairaudit import __version__, load_report_schema
-from fairaudit.cli import main
+from fairaudit.cli import AuditRequest, build_parser, main
 
 
 def test_import_loads_no_scipy():
@@ -595,6 +596,13 @@ class TestErrors:
             ("diagnose", ("--level", "2"), "test level outside (0, 1)"),
             ("meta", ("--threshold", "2"), "threshold outside [0, 1]"),
             ("diagnose", ("--threshold", "-1"), "threshold outside [0, 1]"),
+            (
+                "audit",
+                ("--criteria", "conditional_statistical_parity"),
+                "conditional statistical parity needs at least one condition",
+            ),
+            ("meta", ("--kind", "variance", "--exponent", "3"), "variance takes no exponent"),
+            ("audit", ("--min-bin-count", "0"), "min_bin_count must be at least 1"),
         ],
     )
     def test_flags_checked_before_the_input_is_read(self, capsys, command, flags, message):
@@ -616,6 +624,61 @@ class TestErrors:
         assert code == 1
         assert out == ""
         assert err == f"fairaudit: {message}\n"
+
+
+class TestAuditRequestFromFlags:
+    """Audit flags reach AuditRequest by dest name; these catch a field the copy misses."""
+
+    REQUIRED = ("audit", "--input", "in.csv", "--outcome", "died", "--group", "sex")
+
+    def test_every_field_but_two_is_an_audit_dest(self):
+        dests = set(vars(build_parser().parse_args(self.REQUIRED)))
+        names = {f.name for f in fields(AuditRequest)} - {"conditions", "epsilon"}
+        assert names <= dests, names - dests
+
+    def test_every_flag_reaches_its_field(self, monkeypatch, tmp_path):
+        output = str(tmp_path / "report.json")
+        argv = [
+            *self.REQUIRED,
+            *("--score", "risk", "--decision", "treated", "--reference", "M"),
+            *("--threshold", "0.25", "--criteria", "all", "--condition", "old=age >= 60"),
+            *("--bootstrap", "200", "--alpha", "0.1", "--seed", "5"),
+            *("--bins", "7", "--min-bin-count", "3", "--epsilon", "0.05", "--epsilon", "0.1"),
+            *("--format", "json", "--output", output, "--meta", "--workers", "2"),
+            *("--impute-max-missing", "0.5"),
+        ]
+        expected = AuditRequest(
+            input="in.csv",
+            outcome="died",
+            group="sex",
+            score="risk",
+            decision="treated",
+            reference="M",
+            threshold=0.25,
+            criteria="all",
+            conditions={"old": "age >= 60"},
+            bootstrap=200,
+            alpha=0.1,
+            seed=5,
+            bins=7,
+            min_bin_count=3,
+            epsilon=(0.05, 0.1),
+            format="json",
+            output=output,
+            meta=True,
+            impute_max_missing=0.5,
+        )
+        for f in fields(AuditRequest):
+            if f.default is not MISSING:
+                assert getattr(expected, f.name) != f.default, f.name
+            elif f.default_factory is not MISSING:
+                assert getattr(expected, f.name) != f.default_factory(), f.name
+
+        seen: list[AuditRequest] = []
+        monkeypatch.setattr("fairaudit.cli.run_audit", seen.append)
+        args = build_parser().parse_args(argv)
+        args.handler(args)
+        assert seen == [expected]
 
 
 class TestMetaSubcommand:
