@@ -36,6 +36,7 @@ from .diagnostics import (
 )
 from .errors import ComputationError, FairauditError, InputError
 from .fairness import (
+    CALIBRATION_SKIPPED,
     DEFAULT_CRITERIA,
     FairnessCriterion,
     RowStatus,
@@ -201,6 +202,15 @@ def run_audit(request: AuditRequest) -> dict:
         )
         for group_a, group_b in pairs
     ]
+    # calibration was asked for and scores are loaded, yet no pair formed one
+    skipped = [
+        note.removeprefix(CALIBRATION_SKIPPED)
+        for report in reports
+        for note in report.notes
+        if note.startswith(CALIBRATION_SKIPPED)
+    ]
+    if dataset.has_scores and len(skipped) == len(reports):
+        raise ComputationError(skipped[0])
 
     meta_results: list = []
     if len(dataset.groups) > 2 or request.meta:

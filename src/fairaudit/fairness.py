@@ -215,6 +215,10 @@ class Comparison:
 
 _NO_INTERVALS = PairIntervals(diff=None, ratio=None)
 
+# Starts the pair note left when calibration criteria were asked for but
+# no calibration comparison could be formed; the reason follows it.
+CALIBRATION_SKIPPED = "calibration criteria skipped: "
+
 
 def make_comparison(
     criterion: FairnessCriterion,
@@ -426,7 +430,9 @@ def evaluate_all(
     group's resamples are shared by every pair it joins. An interval that
     discards more resamples than the tolerance allows raises
     ComputationError naming the metric, the pair and, for a conditional
-    row, the condition.
+    row, the condition. A calibration comparison that cannot be formed
+    (no scores, or a group without a usable score bin) leaves
+    ``calibration`` None and a ``CALIBRATION_SKIPPED`` pair note.
     """
     _check_pair(dataset, group_a, group_b)
     if not dataset.has_decisions:
@@ -498,11 +504,14 @@ def evaluate_all(
     }
     if wants_calibration:
         if not dataset.has_scores:
-            report_notes.append("calibration criteria skipped: risk scores not loaded")
+            report_notes.append(f"{CALIBRATION_SKIPPED}risk scores not loaded")
         else:
-            calibration = compare_calibration(
-                dataset, group_a, group_b, bins, min_bin_count=min_bin_count
-            )
+            try:
+                calibration = compare_calibration(
+                    dataset, group_a, group_b, bins, min_bin_count=min_bin_count
+                )
+            except ComputationError as exc:
+                report_notes.append(f"{CALIBRATION_SKIPPED}{exc}")
 
     return FairnessReport(
         group_a=group_a,

@@ -15,10 +15,18 @@ resamples, and each (seed, first iteration of the block, group label)
 triple addresses that block's random substream. Replicates are therefore
 a pure function of the data order, the seed, the iteration and the
 group: reruns reproduce bit for bit, and a group's replicates are the
-same in every pair it joins. A dataset keeps each group's replicate sums
-under the memo key ``("replicates", label, seed, iterations, scored)``,
-``scored`` saying whether score metrics were asked for, so the pairs of
-an audit share them.
+same in every pair it joins. A group's draws are planned once per
+replicate build (non-empty cells, multinomial probabilities, cell record
+ranges, the label's substream key), and both the replicate build and
+:func:`resample_within_groups` draw through that plan. A block only
+records: its cell counts and, for each float term the metrics read (s
+for the mean scores, (s−y)² for the Brier score, |s−y| for the mean
+absolute error), the sum of every (cell, resample) segment of its drawn
+records; one pass per group then builds the replicate sums the way the
+point sums are built. A dataset keeps each group's replicate sums under
+the memo key ``("replicates", label, seed, iterations, terms)``,
+``terms`` naming the float terms gathered, so the pairs of an audit
+share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences, and the ratio interval
@@ -35,7 +43,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,13 +51,14 @@ from .dataset import AuditDataset
 from .errors import ComputationError, InputError
 from .metrics import (
     _CELLS,
-    SCORE_METRICS,
     MetricId,
+    _Cells,
     _cells,
     _checked_cells,
     _floats,
     _metric_values,
-    _term_sums,
+    _sums_rows,
+    _terms,
     coerce_metric,
     group_metric,
     is_defined,
@@ -119,8 +128,8 @@ def _group_key(label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _substream(seed: int, iteration: int, label: str) -> np.random.Generator:
-    sequence = np.random.SeedSequence([seed, iteration, _group_key(label)])
+def _substream(seed: int, iteration: int, group_key: int) -> np.random.Generator:
+    sequence = np.random.SeedSequence([seed, iteration, group_key])
     return np.random.Generator(np.random.PCG64(sequence))
 
 
@@ -133,28 +142,57 @@ def _block_rows(size: int) -> int:
     return max(1, _BLOCK_CELLS // size)
 
 
-def _cell_draws(
-    seed: int, start: int, label: str, sizes: np.ndarray
-) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+class _DrawPlan(NamedTuple):
+    """What every block of one group's resamples draws from, worked out once."""
+
+    key: int  # the label's sha256 key, which addresses the group's substreams
+    size: int  # n, the group's record count
+    rows: int  # resamples per block
+    cells: np.ndarray  # the non-empty cells, in cell order
+    pvals: np.ndarray  # their sizes / n
+    low: np.ndarray  # their first position among the cell-sorted records
+    high: np.ndarray  # one past their last position
+
+
+def _draw_plan(label: str, cells: _Cells) -> _DrawPlan:
+    sizes = cells.sizes
+    n = int(sizes.sum())
+    nonempty = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes)
+    return _DrawPlan(
+        _group_key(label),
+        n,
+        _block_rows(n),
+        nonempty,
+        sizes[nonempty] / n,
+        (ends - sizes)[nonempty],
+        ends[nonempty],
+    )
+
+
+def _draw(
+    plan: _DrawPlan, seed: int, start: int, records: bool
+) -> tuple[np.ndarray, Iterator[np.ndarray] | None]:
     """The resamples of the block starting at iteration ``start``.
 
     Returns their (rows, 4) cell counts, one Multinomial(n, sizes / n) row
-    per resample, and the records drawn within cells: one array per
-    non-empty cell, in cell order, of positions among the group's records
-    sorted by cell, resample by resample. The positions are drawn lazily,
-    after every count, so a caller that only counts draws none. A block
-    always draws all ``_block_rows(n)`` resamples, so its draws never
-    depend on the iteration count.
+    per resample, and, with ``records``, the records drawn within cells:
+    one array per non-empty cell, in cell order, of positions among the
+    group's records sorted by cell, resample by resample. The positions
+    are drawn lazily, after every count, so a caller that only counts
+    draws none and a score metric never changes the counts, and only one
+    cell's positions need be held at a time. A block always draws all
+    ``plan.rows`` resamples, so its draws never depend on the iteration
+    count.
     """
-    n = int(sizes.sum())
-    rng = _substream(seed, start, label)
-    cells = np.flatnonzero(sizes)
-    counts = np.zeros((_block_rows(n), _CELLS), dtype=np.int64)
-    counts[:, cells] = rng.multinomial(n, sizes[cells] / n, size=counts.shape[0])
-    ends = np.cumsum(sizes)
+    rng = _substream(seed, start, plan.key)
+    counts = np.zeros((plan.rows, _CELLS), dtype=np.int64)
+    counts[:, plan.cells] = rng.multinomial(plan.size, plan.pvals, size=plan.rows)
+    if not records:
+        return counts, None
     totals = counts.sum(axis=0)
-    draws = (rng.integers(ends[c] - sizes[c], ends[c], totals[c]) for c in cells)
-    return counts, draws
+    cells = zip(plan.cells, plan.low, plan.high)
+    return counts, (rng.integers(low, high, totals[c]) for c, low, high in cells)
 
 
 def resample_within_groups(
@@ -174,12 +212,13 @@ def resample_within_groups(
     parts = []
     for label in dataset.groups:
         cells = _cells(dataset, label)
-        row = iteration % _block_rows(cells.rows.shape[0])
-        counts, draws = _cell_draws(seed, iteration - row, label, cells.sizes)
+        plan = _draw_plan(label, cells)
+        row = iteration % plan.rows
+        counts, draws = _draw(plan, seed, iteration - row, records=True)
         before = counts[:row].sum(axis=0)
         picks = [
             drawn[before[c] : before[c] + counts[row, c]]
-            for c, drawn in zip(np.flatnonzero(cells.sizes), draws)
+            for c, drawn in zip(plan.cells, draws)
         ]
         parts.append(cells.rows[np.concatenate(picks)])
     return dataset.take(np.concatenate(parts))
@@ -202,21 +241,52 @@ def _group_replicates(
     """Metric values on each of one group's resamples (B x metrics, NaN = undefined).
 
     The column checks run on every call; the replicate sums are computed
-    once per dataset, group, seed, iteration count and whether score
-    metrics are asked for: only then are records drawn within cells.
+    once per dataset, group, seed, iteration count and set of float terms
+    the metrics read: records are drawn within cells only when there are
+    terms, and only those terms are gathered.
     """
     cells = _checked_cells(dataset, label, metrics)
-    scored = not SCORE_METRICS.isdisjoint(metrics)
-    key = ("replicates", label, config.seed, config.iterations, scored)
+    terms = _terms(metrics)
+    key = ("replicates", label, config.seed, config.iterations, terms)
     sums = dataset._memo.get(key)
     if sums is None:
-        floats = _floats(dataset, cells) if scored else None
-        blocks = [
-            _term_sums(cells, floats, *_cell_draws(config.seed, start, label, cells.sizes))
-            for start in range(0, config.iterations, _block_rows(cells.rows.shape[0]))
-        ]
-        sums = dataset._memo[key] = np.concatenate(blocks)[: config.iterations]
+        sums = dataset._memo[key] = _replicate_sums(dataset, label, cells, terms, config)
     return _metric_values(sums, metrics)
+
+
+def _replicate_sums(
+    dataset: AuditDataset,
+    label: str,
+    cells: _Cells,
+    terms: tuple[str, ...],
+    config: BootstrapConfig,
+) -> np.ndarray:
+    """One group's (B, k) replicate sums rows.
+
+    Blocks only record: each writes its cell counts and, per term, the
+    sum of every (cell, resample) segment of its drawn records into
+    arrays held for the whole group. One pass over those arrays then
+    builds the rows, the same way the point sums are built.
+    """
+    B = config.iterations
+    plan = _draw_plan(label, cells)
+    blocks = range(0, B, plan.rows)
+    counts = np.empty((len(blocks) * plan.rows, _CELLS), dtype=np.int64)
+    cell_sums = np.zeros((len(terms), _CELLS, counts.shape[0]))
+    floats = _floats(dataset, cells, terms) if terms else None
+    for start in blocks:
+        rows = slice(start, start + plan.rows)
+        counts[rows], draws = _draw(plan, config.seed, start, records=bool(terms))
+        if terms:
+            block = counts[rows]
+            drawn = block > 0
+            starts = np.cumsum(block, axis=0) - block
+            for c, picks in zip(plan.cells, draws):
+                segments = starts[drawn[:, c], c]
+                # one term at a time keeps each gathered array small
+                for term_sums, values in zip(cell_sums[:, c, rows], floats):
+                    term_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
+    return _sums_rows(cells, counts[:B], cell_sums[:, :, :B], terms)
 
 
 def bootstrap_replicates(

@@ -10,11 +10,16 @@ has a decision and a score. The point sums, bootstrap replicates and
 resamples, and the chi-square table all read it. Every point estimate is
 a lookup in the dataset's metric table (:func:`_metric_table`, memo key
 ``("metrics",)``). The float terms s, (s−y)² and |s−y| are rebuilt from
-the sorted rows whenever score sums are formed, never kept. A resample
-is a count of records per cell plus, for the score sums, which records
-of each cell it drew; the point estimate counts every record once. A
-zero denominator gives the UNDEFINED sentinel, never an exception;
-callers decide how to surface that.
+the sorted rows whenever score sums are formed, never kept: the point
+sums build all three, a bootstrap replicate build only those its metrics
+read (s for ``mean_score_pos``/``mean_score_neg``, (s−y)² for
+``brier_score``, |s−y| for ``mean_absolute_error``), and the replicate
+memo key names them. A resample is a count of records per cell plus, for
+the score sums, which records of each cell it drew; the point estimate
+counts every record once. Both become sums rows through one
+:func:`_sums_rows`, which adds the cells by outcome. A zero denominator
+gives the UNDEFINED sentinel, never an exception; callers decide how to
+surface that.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -216,70 +221,77 @@ def _checked_cells(dataset: AuditDataset, label: str, metrics: tuple[MetricId, .
     return cells
 
 
-def _floats(dataset: AuditDataset, cells: _Cells) -> np.ndarray:
-    """The (3, n) float rows s, (s−y)² and |s−y| of a scored group's cell-sorted records."""
-    floats = np.empty((3, cells.rows.shape[0]))
-    s, sq_err, abs_err = floats
-    np.take(dataset.score, cells.rows, out=s)
-    np.subtract(s, dataset.outcome[cells.rows], out=sq_err)
-    np.abs(sq_err, out=abs_err)
-    sq_err *= sq_err
-    return floats
+# The float terms score sums are built from, each with the metrics that read it.
+_TERM_READERS = {
+    "s": frozenset({MetricId.MEAN_SCORE_POS, MetricId.MEAN_SCORE_NEG}),
+    "sq_err": frozenset({MetricId.BRIER_SCORE}),
+    "abs_err": frozenset({MetricId.MEAN_ABSOLUTE_ERROR}),
+}
+_TERMS = tuple(_TERM_READERS)
 
 
-def _term_sums(
-    cells: _Cells,
-    floats: np.ndarray | None,
-    counts: np.ndarray | None = None,
-    draws: Iterator[np.ndarray] | None = None,
+def _terms(metrics: tuple[MetricId, ...]) -> tuple[str, ...]:
+    """The float terms these metrics read, in ``_TERMS`` order."""
+    return tuple(term for term, readers in _TERM_READERS.items() if not readers.isdisjoint(metrics))
+
+
+def _floats(dataset: AuditDataset, cells: _Cells, terms: tuple[str, ...]) -> np.ndarray:
+    """The (len(terms), n) float rows of a scored group's cell-sorted records, one per term."""
+    s = dataset.score[cells.rows]
+    err = s - dataset.outcome[cells.rows]
+    rows = {"s": s, "sq_err": err * err, "abs_err": np.abs(err)}
+    return np.array([rows[term] for term in terms])
+
+
+def _sums_rows(
+    cells: _Cells, counts: np.ndarray, cell_sums: np.ndarray, terms: tuple[str, ...]
 ) -> np.ndarray:
-    """Sums of one group's cells: the point estimate's (k,) row, or (b, k) for b resamples.
+    """Sums rows (b, k) from b resamples' (b, 4) cell counts and ``cell_sums``.
 
-    A resample is a row of ``counts`` (b, 4), how many records it draws
-    from each cell, and, for the score sums, its segments of ``draws``:
-    one array per non-empty cell, in cell order, of the drawn records'
-    positions among the cell-sorted records, resample by resample. They
-    are taken only when ``floats`` (see :func:`_floats`) are summed.
-    Without counts the records themselves are summed: the counts are the
-    cell sizes and each cell's records, which lie together, form one
-    segment. Each segment is summed on its own by ``np.add.reduceat``,
-    whose sum depends only on the segment's values, and the cells are
-    then added in a fixed order: a resample's sums do not depend on the
-    block it was drawn in, and they equal the point sums of the resampled
-    records. Counts are exact; the columns of a missing score or decision
-    are NaN.
+    ``cell_sums`` (len(terms), 4, b) holds the sum of each term over each
+    cell's records in each resample. Cells are added by outcome in one
+    fixed order, so the point sums and every replicate are built alike.
+    Counts are exact; the columns of an unrequested term or a missing
+    decision are NaN.
     """
-    sizes = cells.sizes
-    point = counts is None
-    if point:
-        counts = sizes[np.newaxis]
     sums = np.full((counts.shape[0], _SUM_COLUMNS), np.nan)
-    sums[:, _N] = sizes.sum()
+    sums[:, _N] = cells.rows.shape[0]
     sums[:, _Y] = counts[:, 2] + counts[:, 3]
     if cells.decided:
         sums[:, _D] = counts[:, 1] + counts[:, 3]
         sums[:, _YD] = counts[:, 3]
-    if floats is not None:
-        totals = np.zeros((_CELLS, 3, counts.shape[0]))
-        nonempty = np.flatnonzero(sizes)
-        if draws is None:  # each cell's records lie together: one segment per cell
-            starts = (np.cumsum(sizes) - sizes)[nonempty]
-            totals[nonempty, :, 0] = np.add.reduceat(floats, starts, axis=1).T
+    # cells 0 and 1 hold y = 0, cells 2 and 3 hold y = 1
+    negative = cell_sums[:, 0] + cell_sums[:, 1]
+    positive = cell_sums[:, 2] + cell_sums[:, 3]
+    for term, neg, pos in zip(terms, negative, positive):
+        if term == "s":
+            sums[:, _S_POS], sums[:, _S_NEG] = pos, neg
         else:
-            drawn = counts > 0
-            starts = np.cumsum(counts, axis=0) - counts
-            for c in nonempty:
-                picks = next(draws)
-                segments = starts[drawn[:, c], c]
-                # one term at a time keeps each gathered array small
-                for cell_sums, values in zip(totals[c], floats):
-                    cell_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
-        # cells 0 and 1 hold y = 0, cells 2 and 3 hold y = 1
-        by_outcome = totals[0::2] + totals[1::2]
-        sums[:, _S_POS] = by_outcome[1, 0]
-        sums[:, _S_NEG] = by_outcome[0, 0]
-        sums[:, _SQ_ERR:] = (by_outcome[0, 1:] + by_outcome[1, 1:]).T
-    return sums[0] if point else sums
+            sums[:, _SQ_ERR if term == "sq_err" else _ABS_ERR] = neg + pos
+    return sums
+
+
+def _term_sums(dataset: AuditDataset, cells: _Cells) -> np.ndarray:
+    """The (k,) point sums row of one group, every record counted once.
+
+    All three float terms (s, (s−y)², |s−y|) are summed when the group is
+    scored. Each cell's records lie together among the cell-sorted rows,
+    so each cell is one segment, summed on its own by ``np.add.reduceat``,
+    whose sum depends only on the segment's values. A bootstrap replicate
+    sums each (cell, resample) segment of its drawn records the same way,
+    gathering only the terms its metrics read (the replicate memo key
+    names them), and goes through the same :func:`_sums_rows`, so it
+    equals the point sums of its resampled records.
+    """
+    terms = _TERMS if cells.scored else ()
+    cell_sums = np.zeros((len(terms), _CELLS, 1))
+    if terms:
+        sizes = cells.sizes
+        nonempty = np.flatnonzero(sizes)
+        starts = (np.cumsum(sizes) - sizes)[nonempty]
+        floats = _floats(dataset, cells, terms)
+        cell_sums[:, nonempty, 0] = np.add.reduceat(floats, starts, axis=1)
+    return _sums_rows(cells, cells.sizes[np.newaxis], cell_sums, terms)[0]
 
 
 def _metric_values(sums: np.ndarray, metrics: tuple[MetricId, ...]) -> np.ndarray:
@@ -327,7 +339,7 @@ def _metric_table(dataset: AuditDataset) -> dict[str, np.ndarray]:
     table = dataset._memo.get(("metrics",))
     if table is None:
         cells = [_cells(dataset, label) for label in dataset.groups]
-        sums = [_term_sums(c, _floats(dataset, c) if c.scored else None) for c in cells]
+        sums = [_term_sums(dataset, c) for c in cells]
         values = _metric_values(np.array(sums), tuple(MetricId))
         values.setflags(write=False)
         table = dataset._memo[("metrics",)] = dict(zip(dataset.groups, values))

@@ -11,6 +11,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from fairaudit import __version__, load_report_schema
@@ -81,6 +82,27 @@ def sparse_positives_csv(tmp_path) -> str:
     path = tmp_path / "sparse.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
+
+
+def tiny_group_csv(tmp_path, labels) -> str:
+    """Groups "a" (320 records), "b" (300) and "tiny" (4), keeping those named in labels."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    lines = ["y,g,s"]
+    for label, size in (("a", 320), ("b", 300), ("tiny", 4)):
+        scores = rng.random(size)
+        outcomes = rng.random(size) < scores
+        if label in labels:
+            lines.extend(f"{int(y)},{label},{s:.4f}" for y, s in zip(outcomes, scores))
+    path = tmp_path / "tiny_group.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def tiny_group_args(path, *extra):
+    return (
+        "audit", "--input", path, "--outcome", "y", "--group", "g", "--score", "s",
+        "--threshold", "0.5", "--criteria", "all", *extra,
+    )
 
 
 class TestAuditHappyPath:
@@ -570,6 +592,29 @@ class TestErrors:
         )
         assert code == 2
         assert re.match(r"fairaudit: (fnr|tpr), 'a' vs 'b': bootstrap discarded \d+ of 50 ", err)
+
+    def test_calibration_failure_of_one_pair_becomes_its_note(self, capsys, tmp_path):
+        path = tiny_group_csv(tmp_path, ("a", "b", "tiny"))
+        code, out, err = run(capsys, *tiny_group_args(path, "--format", "json"))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        jsonschema.validate(doc, load_report_schema())
+        note = "calibration criteria skipped: group 'tiny' has no score bin with at least 10 records"
+        by_pair = {(p["group_a"], p["group_b"]): p for p in doc["fairness"]}
+        assert set(by_pair) == {("a", "b"), ("a", "tiny")}
+        assert by_pair["a", "tiny"]["notes"] == [note]
+        assert by_pair["a", "tiny"]["calibration"] is None
+        assert by_pair["a", "b"]["notes"] == []
+        assert by_pair["a", "b"]["calibration"] is not None
+        code, out, err = run(capsys, *tiny_group_args(path))
+        assert code == 0 and err == ""
+        assert out.count(f"- {note}") == 1
+
+    def test_calibration_failure_of_every_pair_exits_two(self, capsys, tmp_path):
+        path = tiny_group_csv(tmp_path, ("a", "tiny"))
+        code, out, err = run(capsys, *tiny_group_args(path))
+        assert code == 2 and out == ""
+        assert err == "fairaudit: group 'tiny' has no score bin with at least 10 records\n"
 
     @pytest.mark.parametrize(
         "flag,value,message",

@@ -8,6 +8,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import inference
 from fairaudit import (
@@ -32,6 +34,8 @@ from fairaudit import (
     is_defined,
     resample_within_groups,
 )
+
+from fairaudit.metrics import _cells
 
 from conftest import toy_dataset
 
@@ -514,6 +518,82 @@ class TestReplicateMemo:
         )
         for out in derived:
             assert out._memo == {}
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Bit-identical arrays, any NaN matching any NaN."""
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes()
+
+
+@st.composite
+def memo_cases(draw):
+    """A 2-3 group dataset factory, a group pair, two metric requests and a config.
+
+    A group may hold one record without a decision or without a score, so
+    the metrics that pair allows vary; both requests draw from those.
+    """
+    sizes = draw(st.lists(st.integers(1, 60), min_size=2, max_size=3))
+    k = len(sizes)
+    holes = draw(st.lists(st.sampled_from([None, "decision", "score"]), min_size=k, max_size=k))
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def make() -> AuditDataset:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        n = sum(sizes)
+        score = rng.random(n)
+        decision = rng.integers(0, 2, n)
+        first = np.cumsum(sizes) - sizes
+        for start, hole in zip(first, holes):
+            if hole == "decision":
+                decision[start] = -1
+            elif hole == "score":
+                score[start] = np.nan
+        return AuditDataset(
+            outcome=rng.integers(0, 2, n),
+            group=np.repeat(np.array([f"g{i}" for i in range(k)], dtype=object), sizes),
+            score=score,
+            decision=decision,
+        )
+
+    a, b = draw(st.permutations([f"g{i}" for i in range(k)]))[:2]
+    probe = make()
+    allowed = set(group_metrics(probe, a).values) & set(group_metrics(probe, b).values)
+    applicable = tuple(m for m in MetricId if m in allowed)
+    requests = [
+        tuple(draw(st.lists(st.sampled_from(applicable), min_size=1, unique=True)))
+        for _ in range(2)
+    ]
+    iterations = draw(st.integers(2, 40))
+    config = BootstrapConfig(iterations=iterations, seed=draw(st.integers(0, 1000)))
+    return make, a, b, applicable, requests, config, draw(st.integers(0, iterations - 1))
+
+
+class TestTermKeyedMemo:
+    @settings(max_examples=150)
+    @given(case=memo_cases())
+    def test_requests_in_turn_match_a_fresh_full_request(self, case):
+        make, a, b, applicable, requests, config, iteration = case
+        ds = make()
+        answers = [bootstrap_replicates(ds, metrics, a, b, config) for metrics in requests]
+        full = bootstrap_replicates(make(), applicable, a, b, config)
+        for metrics, answer in zip(requests, answers):
+            for j, metric in enumerate(metrics):
+                k = applicable.index(metric)
+                assert same_bits(answer.values_a[:, j], full.values_a[:, k]), metric
+                assert same_bits(answer.values_b[:, j], full.values_b[:, k]), metric
+        resampled = resample_within_groups(ds, seed=config.seed, iteration=iteration)
+        for label, values in ((a, full.values_a), (b, full.values_b)):
+            # A group with an undecided record is cut by outcome alone; a
+            # resample that misses that record is cut by decision too, so
+            # its score sums add the same records in another grouping.
+            exact = _cells(resampled, label).decided == _cells(ds, label).decided
+            for k, metric in enumerate(applicable):
+                expect = as_float(group_metric(resampled, label, metric))
+                if exact or math.isnan(expect):
+                    assert same(values[iteration, k], expect), metric
+                else:
+                    assert values[iteration, k] == pytest.approx(expect, rel=1e-12), metric
 
 
 class TestDiffInterval:
