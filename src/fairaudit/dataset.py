@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import compress, islice
-from operator import itemgetter
+from itertools import chain, compress, islice, repeat
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -213,13 +213,8 @@ class AuditDataset:
             self, "decision", _read_only(decision) if decision is not None else None
         )
         object.__setattr__(self, "covariates", MappingProxyType(covariates))
-        object.__setattr__(self, "imputation_log", MappingProxyType(dict(self.imputation_log)))
-        object.__setattr__(
-            self, "dropped_covariates", MappingProxyType(dict(self.dropped_covariates))
-        )
-        object.__setattr__(
-            self, "dropped_by_reason", MappingProxyType(dict(self.dropped_by_reason))
-        )
+        for name in ("imputation_log", "dropped_covariates", "dropped_by_reason"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         index = MappingProxyType(dict(zip(group.labels, map(_read_only, rows))))
         object.__setattr__(self, "_group_index", index)
         object.__setattr__(self, "_memo", {})
@@ -246,12 +241,12 @@ class AuditDataset:
     def group_sizes(self) -> dict[str, int]:
         return {label: len(rows) for label, rows in self._group_index.items()}
 
-    @property
+    @cached_property
     def has_scores(self) -> bool:
         """True when every record carries a score."""
         return self.score is not None and not np.isnan(self.score).any()
 
-    @property
+    @cached_property
     def has_decisions(self) -> bool:
         """True when every record carries a decision."""
         return self.decision is not None and bool((self.decision >= 0).all())
@@ -269,8 +264,10 @@ class AuditDataset:
         )
 
 
-# Rows parsed at a time: memory holds one block of raw rows, never the whole file.
-_BLOCK_ROWS = 2**13
+# Lines read at a time: memory holds one block of lines and cells, never the
+# whole file. A block holding a double quote, a NUL or a line longer than csv's
+# field limit goes through csv.reader; any other is split on commas directly.
+_BLOCK_ROWS = 2**12
 
 # Codes of a binary cell besides 0 and 1. Decision codes are kept as they are,
 # so _BLANK must be AuditDataset's code for an unset decision.
@@ -288,10 +285,8 @@ def _parse_binary(cell: str, column: str) -> int | None:
         value = float(cell)
     except ValueError:
         raise InputError(f"{column} value outside {{0, 1}}: {cell!r}") from None
-    if value == 0.0:
-        return 0
-    if value == 1.0:
-        return 1
+    if value in (0.0, 1.0):
+        return int(value)
     raise InputError(f"{column} value outside {{0, 1}}: {cell!r}")
 
 
@@ -356,20 +351,20 @@ def _scores(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return score, filled & ~((score >= 0.0) & (score <= 1.0))
 
 
-def _holds_line_break(row: list[str]) -> bool:
-    return any("\n" in cell or "\r" in cell for cell in row)
+def _fitted(row: list[str], width: int) -> tuple[list[str], bool]:
+    """A row padded or cut to ``width`` cells, and whether the cut cells held anything."""
+    return (row + [""] * (width - len(row)))[:width], bool("".join(row[width:]).strip())
 
 
-def _line_break_error(line: int, path: str) -> InputError:
-    """A row that holds a line break in a cell, named by the line it began on.
-
-    The reader only crosses a line end inside a quoted cell, so such a row
-    ends on a later line than it began; a quote still open at the end of
-    the file leaves the break in the row's last cell instead.
-    """
-    return InputError(
-        f"line {line} of {path!r} has a line break inside a cell; is a quote left open?"
-    )
+def _line_break_error(row: list[str], line: int, path: str) -> InputError | None:
+    """The error for a row holding a line break in a cell, named by the line it
+    began on, or None. csv.reader reads past a line end only inside a quoted
+    cell, which keeps the break, so every row that spans lines holds one."""
+    if any("\n" in cell or "\r" in cell for cell in row):
+        return InputError(
+            f"line {line} of {path!r} has a line break inside a cell; is a quote left open?"
+        )
+    return None
 
 
 def load_csv(
@@ -399,9 +394,12 @@ def load_csv(
     quote followed by more than 128 KiB) raise InputError naming the
     first such row's file line.
 
-    Rows are read in blocks of ``_BLOCK_ROWS``, and each block is parsed
-    one column at a time, so memory holds one block of raw rows plus the
-    kept cells.
+    No cell may hold a line break, so every row kept is one line. Lines are
+    read in blocks of ``_BLOCK_ROWS``. A block with no double quote, no NUL
+    and no line past the field limit is split on commas; any other goes
+    through csv.reader, so quoting, NUL and the field limit work, and fail
+    with the messages, as in csv. Each block is parsed one column at a
+    time: memory holds one block's lines and cells, plus the kept cells.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
@@ -415,17 +413,16 @@ def load_csv(
         raise InputError(f"cannot read {path!r}: {exc}") from None
 
     with handle:
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = next(csv.reader(handle))
         except StopIteration:
             raise InputError(f"{path!r} is empty") from None
         except UnicodeDecodeError:
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
         except csv.Error as exc:
             raise InputError(f"line 1 of {path!r}: {exc}") from None
-        if reader.line_num != 1 or _holds_line_break(header):
-            raise _line_break_error(1, path)
+        if error := _line_break_error(header, 1, path):
+            raise error
         header = [name.strip() for name in header]
         if covariates is None:
             covariate_names = [name for name in header if name and name not in bound]
@@ -440,9 +437,9 @@ def load_csv(
             if header.count(name) > 1:
                 raise InputError(f"duplicate column name: {name!r}")
         width = len(header)
-        cells_of = {name: itemgetter(header.index(name)) for name in bound + covariate_names}
+        position = {name: header.index(name) for name in bound + covariate_names}
         checks = [(outcome, _parse_binary), (score, _parse_score), (decision, _parse_binary)]
-        checks = [(cells_of[name], name, parse) for name, parse in checks if name is not None]
+        checks = [(name, parse) for name, parse in checks if name is not None]
 
         outcomes: list[np.ndarray] = []
         code_of: dict[str, int] = {}  # group label -> code, numbered as first met
@@ -452,58 +449,70 @@ def load_csv(
         raw_covariates: dict[str, list[str]] = {name: [] for name in covariate_names}
         dropped_by_reason = dict.fromkeys(_DROP_REASONS, 0)
 
-        def parse_block(rows: list[list[str]], first: int) -> int:
-            """Parse rows read from file line ``first`` on; return how many were read."""
-            read = len(rows)
-            if not read:
+        def load_block(first: int) -> int:
+            """Read and parse the rows from file line ``first`` on; return how many."""
+            lines = list(islice(handle, _BLOCK_ROWS))
+            text, limit = "".join(lines), csv.field_size_limit()
+            error = None  # what ends the block early, raised after the rows before it
+            if '"' in text or "\0" in text or len(text) > limit < max(map(len, lines)):
+                cells, extra = [], []  # ``width`` cells per row; whether cut cells held any
+                try:
+                    for row in islice(csv.reader(chain(lines, handle)), len(lines)):
+                        if error := _line_break_error(row, first + len(extra), path):
+                            break
+                        row, cut = _fitted(row, width)
+                        cells += row
+                        extra.append(cut)
+                except csv.Error as exc:  # e.g. an open quote swallowing the field limit
+                    error = InputError(f"line {first + len(extra)} of {path!r}: {exc}")
+            else:
+                extra = np.zeros(len(lines), dtype=bool)
+                commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
+                ragged = np.flatnonzero(commas != width - 1).tolist()
+                for i in ragged:
+                    row, extra[i] = _fitted(lines[i].rstrip("\r\n").split(","), width)
+                    lines[i] = ",".join(row) + "\n"
+                text = "".join(lines) if ragged else text
+                del lines  # one copy of the block's text at a time
+                text = text.replace("\r\n", ",").replace("\r", ",").replace("\n", ",")
+                cells = text.split(",")
+                del text, cells[len(extra) * width :]  # the cell after a last line end
+            n = len(extra)
+            if not n and error is None:
                 return 0
-            if reader.line_num != first + read - 1 or _holds_line_break(rows[-1]):
-                # row i sits on line first + i up to the first row that crossed a line end
-                crossed = (i for i, row in enumerate(rows) if _holds_line_break(row))
-                rows = rows[: next(crossed, read)]
-            n = len(rows)
-            lengths = np.fromiter(map(len, rows), np.intp, n)
-            for i in np.flatnonzero(lengths < width).tolist():
-                rows[i] += [""] * (width - len(rows[i]))
 
-            bad = np.zeros(n, dtype=bool)
-            for i in np.flatnonzero(lengths > width).tolist():
-                bad[i] = bool("".join(rows[i][width:]).strip())
-            y = _binary_codes(list(map(cells_of[outcome], rows)))
+            column = {name: cells[k::width] for name, k in position.items()}
+            bad = np.array(extra, dtype=bool)
+            y = _binary_codes(column[outcome])
             bad |= y == _BAD
-            g = _block_codes(list(map(cells_of[group], rows)), code_of)
+            g = _block_codes(column[group], code_of)
             has_value = np.zeros(n, dtype=bool)
             if score is not None:
-                s, bad_score = _scores(list(map(cells_of[score], rows)))
+                s, bad_score = _scores(column[score])
                 bad |= bad_score
                 has_value |= ~np.isnan(s)
             if decision is not None:
-                d = _binary_codes(list(map(cells_of[decision], rows)))
+                d = _binary_codes(column[decision])
                 bad |= d == _BAD
                 has_value |= d >= 0
             if bad.any():  # the first bad row: extra cells, then outcome, score, decision
                 i = int(bad.argmax())
-                row, where = rows[i], f"line {first + i} of {path!r}"
-                if "".join(row[width:]).strip():
+                where = f"line {first + i} of {path!r}"
+                if extra[i]:
                     raise InputError(f"{where} has more cells than the header")
                 try:
-                    for cell, name, parse in checks:
-                        parse(cell(row), name)
+                    for name, parse in checks:
+                        parse(column[name][i], name)
                 except InputError as exc:
                     raise InputError(f"{where}: {exc}") from None
-            if n < read:
-                raise _line_break_error(first + n, path)
+            if error is not None:
+                raise error
 
             blank = np.zeros(n, dtype=bool)
             for i in np.flatnonzero(y == _BLANK).tolist():
-                blank[i] = not "".join(rows[i]).strip()
-            has_outcome = y >= 0
-            named = g >= 0
-            missing = (
-                ~has_outcome & ~blank,
-                has_outcome & ~named,
-                has_outcome & named & ~has_value,
-            )
+                blank[i] = not "".join(cells[i * width : (i + 1) * width]).strip()
+            has_outcome, named = y >= 0, g >= 0
+            missing = ~has_outcome & ~blank, has_outcome & ~named, has_outcome & named & ~has_value
             for reason, mask in zip(_DROP_REASONS, missing):
                 dropped_by_reason[reason] += int(np.count_nonzero(mask))
 
@@ -515,22 +524,13 @@ def load_csv(
             if decision is not None:
                 decisions.append(d[keep])
             keep = keep.tolist()
-            for name, cells in raw_covariates.items():
-                cells.extend(compress(map(cells_of[name], rows), keep))
-            return read
-
-        def read_block() -> list[list[str]]:
-            rows: list[list[str]] = []
-            try:
-                rows.extend(islice(reader, _BLOCK_ROWS))  # keeps the rows read before an error
-            except csv.Error as exc:  # e.g. an open quote swallowing more than the field limit
-                parse_block(rows, first)  # a bad row before the one that failed comes first
-                raise InputError(f"line {first + len(rows)} of {path!r}: {exc}") from None
-            return rows
+            for name, kept in raw_covariates.items():
+                kept.extend(compress(column[name], keep))
+            return n
 
         first = 2  # the file line of the block's first row
         try:
-            while read := parse_block(read_block(), first):
+            while read := load_block(first):
                 first += read
         except UnicodeDecodeError:
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
@@ -650,7 +650,7 @@ def apply_threshold(dataset: AuditDataset, cutoff: float) -> AuditDataset:
     and applying the same cutoff twice is the identity.
     """
     cutoff = checked_threshold(cutoff)
-    if dataset.score is None or np.isnan(dataset.score).any():
+    if not dataset.has_scores:
         raise InputError("cannot apply a threshold: some records have no score")
     return replace(
         dataset,

@@ -206,6 +206,13 @@ def resample_within_groups(
     record of the group lacks one) and taken cell by cell. They depend
     only on (seed, iteration, label) and the group's records, and they
     are the resample behind that iteration's bootstrap replicate.
+
+    Metrics of the returned dataset equal that replicate's bit for bit,
+    with one exception. When a group has a record without a decision and
+    the resample misses it, every resampled record has a decision, so
+    the resampled group is cut by decision where its replicate was not.
+    Its score sums then add the same records in another order, and its
+    score metrics equal the replicate's only to rounding.
     """
     if seed < 0 or iteration < 0:
         raise InputError("seed and iteration must be non-negative")

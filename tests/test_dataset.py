@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
+import itertools
 import math
 import os
 import tempfile
@@ -557,6 +559,18 @@ class TestEncodedGroup:
         assert calls == {"_labels_to_codes": 0, "_block_codes": 1}
 
 
+def named_csv_errors(rows, path, first):
+    """The rows of a csv reader from file line ``first`` on; a csv error names
+    the line its row began on, as load_csv names it."""
+    for line in itertools.count(first):
+        try:
+            yield next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise InputError(f"line {line} of {path!r}: {exc}") from None
+
+
 def reference_load(path, *, outcome, group, score=None, decision=None):
     """The per-row loader the block-wise one replaced, kept as the oracle.
 
@@ -608,7 +622,7 @@ def reference_load(path, *, outcome, group, score=None, decision=None):
         raw = {name: [] for name in covariate_names}
         reasons = {"outcome": 0, "group": 0, "score_and_decision": 0}
         line = 1
-        for row in reader:
+        for row in named_csv_errors(reader, path, 2):
             line += 1
             if reader.line_num != line or (row and row[-1].endswith(("\n", "\r"))):
                 raise line_break(line)
@@ -700,9 +714,9 @@ def assert_same_load(got, want):
 CELLS = {
     "y": ["0", "1", "1", "0", " 1 ", "1.0", "0e0", ""],
     "s": ["0.1", "0.5", "0.95", " 0.25", "1", "0", "", " "],
-    "g": ["a", "b", "a", "b", " a ", "c", ""],
+    "g": ["a", "b", "a", "b", " a ", "c", "", '"b"'],
     "d": ["0", "1", "1.0", "", " "],
-    "note": ["x", '"p, q"', "", " 7 ", "3.5", "y z"],
+    "note": ["x", '"p, q"', "", " 7 ", "3.5", "y z", '"icu, north"', '"a""b"', "n\0l"],
 }
 BAD_CELLS = {
     "y": ["2", "yes"],
@@ -715,8 +729,10 @@ HEADER = tuple(CELLS)
 
 @st.composite
 def csv_files(draw):
-    """A small CSV with blank, whitespace-only and ragged rows; some files also
-    hold bad cells, non-blank extra cells or an unclosed quote."""
+    """A small CSV with blank, whitespace-only and ragged rows, quoted and NUL
+    cells, lines ending in \\n, \\r\\n, \\r or a mix, and maybe a byte-order
+    mark; some files also hold bad cells, non-blank extra cells or an
+    unclosed quote."""
     lines = [",".join(HEADER)]
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
@@ -742,8 +758,14 @@ def csv_files(draw):
             cells += [""] * (j + 1 - len(cells))
             cells[j] = draw(st.sampled_from(BAD_CELLS.get(HEADER[j], ["x"])))
         lines[i] = ",".join(cells)
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    if ending == "mixed":
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    else:
+        ends = [ending] * len(lines)
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + "".join(map(str.__add__, lines, ends))
 
 
 BINDINGS = [
@@ -789,6 +811,46 @@ class TestBlockLoaderMatchesRowLoader:
         with pytest.raises(InputError) as caught:
             load_csv(path, outcome="y", score="s", group="g")
         assert str(caught.value) == f"line 7 of {path!r}: y value outside {{0, 1}}: '2'"
+
+
+class TestCsvFallback:
+    """Blocks holding a quote, a NUL or a line past the field limit are read by csv."""
+
+    @pytest.mark.parametrize("rows", [1, 4, dataset_module._BLOCK_ROWS])
+    def test_unquoted_cell_past_the_field_limit_names_its_line(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", rows)
+        cell = "x" * (csv.field_size_limit() + 1)
+        text = f"y,s,g,note\n1,0.5,a,n\n0,0.4,b,n\n\n1,0.3,a,{cell}\n0,0.2,b,n\n"
+        path = write(tmp_path, text)
+        with pytest.raises(csv.Error) as raised:
+            next(csv.reader([cell]))
+        assert "field larger than field limit" in str(raised.value)
+        want = f"line 5 of {path!r}: {raised.value}"
+        assert loaded(load_csv, path, outcome="y", score="s", group="g") == want
+
+    @pytest.mark.parametrize("length", [35, 41])
+    def test_the_field_limit_applies_to_cells_not_lines(self, tmp_path, length):
+        text = f"y,s,g,note\n1,0.5,a,{'x' * length}\n0,0.4,b,n\n"
+        path = write(tmp_path, text)
+        limit = csv.field_size_limit(40)
+        try:
+            got = loaded(load_csv, path, outcome="y", score="s", group="g")
+            want = loaded(reference_load, path, outcome="y", score="s", group="g")
+        finally:
+            csv.field_size_limit(limit)
+        assert_same_load(got, want)
+        assert isinstance(got, str) == (length > 40)
+
+    def test_nul_cell_reads_as_csv_reads_it(self, tmp_path):
+        text = "y,s,g,note\n1,0.5,a,n\n0,0.4,b,x\0y\n1,0.3,a,n\n"
+        path = write(tmp_path, text)
+        got = loaded(load_csv, path, outcome="y", score="s", group="g")
+        try:
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+        except csv.Error as exc:  # csv before Python 3.11 rejects NUL
+            assert got == f"line 3 of {path!r}: {exc}"
+        else:
+            assert got.covariates["note"].tolist() == [row[3] for row in rows[1:]]
 
 
 class TestDropReasons:
