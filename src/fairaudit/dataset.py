@@ -14,7 +14,7 @@ from itertools import chain, compress, islice, repeat
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,8 +213,13 @@ class AuditDataset:
             self, "decision", _read_only(decision) if decision is not None else None
         )
         object.__setattr__(self, "covariates", MappingProxyType(covariates))
-        for name in ("imputation_log", "dropped_covariates", "dropped_by_reason"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        object.__setattr__(self, "imputation_log", MappingProxyType(dict(self.imputation_log)))
+        object.__setattr__(
+            self, "dropped_covariates", MappingProxyType(dict(self.dropped_covariates))
+        )
+        object.__setattr__(
+            self, "dropped_by_reason", MappingProxyType(dict(self.dropped_by_reason))
+        )
         index = MappingProxyType(dict(zip(group.labels, map(_read_only, rows))))
         object.__setattr__(self, "_group_index", index)
         object.__setattr__(self, "_memo", {})
@@ -285,8 +290,10 @@ def _parse_binary(cell: str, column: str) -> int | None:
         value = float(cell)
     except ValueError:
         raise InputError(f"{column} value outside {{0, 1}}: {cell!r}") from None
-    if value in (0.0, 1.0):
-        return int(value)
+    if value == 0.0:
+        return 0
+    if value == 1.0:
+        return 1
     raise InputError(f"{column} value outside {{0, 1}}: {cell!r}")
 
 
@@ -356,15 +363,53 @@ def _fitted(row: list[str], width: int) -> tuple[list[str], bool]:
     return (row + [""] * (width - len(row)))[:width], bool("".join(row[width:]).strip())
 
 
-def _line_break_error(row: list[str], line: int, path: str) -> InputError | None:
-    """The error for a row holding a line break in a cell, named by the line it
-    began on, or None. csv.reader reads past a line end only inside a quoted
-    cell, which keeps the break, so every row that spans lines holds one."""
-    if any("\n" in cell or "\r" in cell for cell in row):
-        return InputError(
-            f"line {line} of {path!r} has a line break inside a cell; is a quote left open?"
-        )
-    return None
+def _holds_line_break(row: list[str]) -> bool:
+    return any("\n" in cell or "\r" in cell for cell in row)
+
+
+def _line_break_error(line: int, path: str) -> InputError:
+    """A row that holds a line break in a cell, named by the line it began on.
+
+    csv.reader reads past a line end only inside a quoted cell, which keeps
+    the break, so every row that spans lines holds one; so does a row whose
+    quote is still open at the end of the file.
+    """
+    return InputError(
+        f"line {line} of {path!r} has a line break inside a cell; is a quote left open?"
+    )
+
+
+def _csv_block(
+    lines: list[str], handle: Iterable[str], width: int, first: int, path: str
+) -> tuple[list[str], np.ndarray, InputError | None]:
+    """Read a block of ``lines``, from file line ``first`` on, with csv.reader.
+
+    Returns the rows' cells, ``width`` per row (short rows padded, long ones
+    cut), whether each row's cut cells held anything, and the error that
+    ended the rows early: a csv error, or the first row holding a line break.
+    Such a row is read again, on into ``handle``, as a quote it left open
+    past the block's end may run into csv's field limit.
+    """
+    rows: list[list[str]] = []
+    error = None
+    try:
+        rows.extend(csv.reader(lines))  # keeps the rows read before an error
+    except csv.Error as exc:  # e.g. an open quote swallowing more than the field limit
+        error = InputError(f"line {first + len(rows)} of {path!r}: {exc}")
+    if len(rows) < len(lines) or _holds_line_break(rows[-1]):  # a row spans lines?
+        n = next((i for i, row in enumerate(rows) if _holds_line_break(row)), len(rows))
+        if n < len(rows):  # each row before it is one line, so it begins on line first + n
+            error = _line_break_error(first + n, path)
+            try:
+                next(csv.reader(chain(lines[n:], handle)))
+            except csv.Error as exc:
+                error = InputError(f"line {first + n} of {path!r}: {exc}")
+            del rows[n:]
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    extra = np.zeros(len(rows), dtype=bool)
+    for i in np.flatnonzero(lengths != width).tolist():
+        rows[i], extra[i] = _fitted(rows[i], width)
+    return list(chain.from_iterable(rows)), extra, error
 
 
 def load_csv(
@@ -421,8 +466,8 @@ def load_csv(
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
         except csv.Error as exc:
             raise InputError(f"line 1 of {path!r}: {exc}") from None
-        if error := _line_break_error(header, 1, path):
-            raise error
+        if _holds_line_break(header):
+            raise _line_break_error(1, path)
         header = [name.strip() for name in header]
         if covariates is None:
             covariate_names = [name for name in header if name and name not in bound]
@@ -453,19 +498,13 @@ def load_csv(
             """Read and parse the rows from file line ``first`` on; return how many."""
             lines = list(islice(handle, _BLOCK_ROWS))
             text, limit = "".join(lines), csv.field_size_limit()
-            error = None  # what ends the block early, raised after the rows before it
-            if '"' in text or "\0" in text or len(text) > limit < max(map(len, lines)):
-                cells, extra = [], []  # ``width`` cells per row; whether cut cells held any
-                try:
-                    for row in islice(csv.reader(chain(lines, handle)), len(lines)):
-                        if error := _line_break_error(row, first + len(extra), path):
-                            break
-                        row, cut = _fitted(row, width)
-                        cells += row
-                        extra.append(cut)
-                except csv.Error as exc:  # e.g. an open quote swallowing the field limit
-                    error = InputError(f"line {first + len(extra)} of {path!r}: {exc}")
+            if '"' in text or "\0" in text or (
+                len(text) > limit and max(map(len, lines)) > limit
+            ):
+                del text  # one copy of the block's text at a time
+                cells, extra, error = _csv_block(lines, handle, width, first, path)
             else:
+                error = None
                 extra = np.zeros(len(lines), dtype=bool)
                 commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
                 ragged = np.flatnonzero(commas != width - 1).tolist()
@@ -482,7 +521,7 @@ def load_csv(
                 return 0
 
             column = {name: cells[k::width] for name, k in position.items()}
-            bad = np.array(extra, dtype=bool)
+            bad = extra.copy()
             y = _binary_codes(column[outcome])
             bad |= y == _BAD
             g = _block_codes(column[group], code_of)
@@ -505,14 +544,19 @@ def load_csv(
                         parse(column[name][i], name)
                 except InputError as exc:
                     raise InputError(f"{where}: {exc}") from None
-            if error is not None:
+            if error is not None:  # what ended the block, after the bad rows before it
                 raise error
 
             blank = np.zeros(n, dtype=bool)
             for i in np.flatnonzero(y == _BLANK).tolist():
                 blank[i] = not "".join(cells[i * width : (i + 1) * width]).strip()
-            has_outcome, named = y >= 0, g >= 0
-            missing = ~has_outcome & ~blank, has_outcome & ~named, has_outcome & named & ~has_value
+            has_outcome = y >= 0
+            named = g >= 0
+            missing = (
+                ~has_outcome & ~blank,
+                has_outcome & ~named,
+                has_outcome & named & ~has_value,
+            )
             for reason, mask in zip(_DROP_REASONS, missing):
                 dropped_by_reason[reason] += int(np.count_nonzero(mask))
 
