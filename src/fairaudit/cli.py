@@ -44,8 +44,15 @@ from .fairness import (
     evaluate_all,
     selected_criteria,
 )
-from .inference import BootstrapConfig
-from .metrics import checked_bins, coerce_metric, group_metric, is_defined
+from .inference import ALPHA_DEFAULT, SEED_DEFAULT, BootstrapConfig
+from .metrics import (
+    BINS_DEFAULT,
+    MIN_BIN_COUNT_DEFAULT,
+    checked_bins,
+    coerce_metric,
+    group_metric,
+    is_defined,
+)
 from .multigroup import MetaMetricKind, checked_exponent, coerce_kind, meta
 from .report import build_document, emit_markdown, render_json
 
@@ -55,6 +62,11 @@ _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 # allocates; no meaningful audit comes near either.
 MAX_BOOTSTRAP = 10**6
 MAX_BINS = 10**4
+
+# The --criteria token that names DEFAULT_CRITERIA, and the report formats.
+CRITERIA_DEFAULT = "default"
+FORMATS = ("json", "markdown")
+FORMAT_DEFAULT = "markdown"
 
 
 @dataclass(frozen=True)
@@ -68,15 +80,15 @@ class AuditRequest:
     decision: str | None = None
     reference: str | None = None
     threshold: float | None = None
-    criteria: str = "default"
+    criteria: str = CRITERIA_DEFAULT
     conditions: Mapping[str, str] = field(default_factory=dict)
     bootstrap: int | None = None
-    alpha: float = 0.05
-    seed: int = 0
-    bins: int = 10
-    min_bin_count: int = 10
+    alpha: float = ALPHA_DEFAULT
+    seed: int = SEED_DEFAULT
+    bins: int = BINS_DEFAULT
+    min_bin_count: int = MIN_BIN_COUNT_DEFAULT
     epsilon: tuple[float, ...] = ()
-    format: str = "markdown"
+    format: str = FORMAT_DEFAULT
     output: str | None = None
     meta: bool = False
     impute_max_missing: float = MAX_MISSING_DEFAULT
@@ -87,7 +99,7 @@ class AuditRequest:
             raise InputError("empty criteria list")
         out: list[FairnessCriterion] = []
         for token in tokens:
-            if token == "default":
+            if token == CRITERIA_DEFAULT:
                 out.extend(DEFAULT_CRITERIA)
             elif token == "all":
                 out.extend(
@@ -110,7 +122,7 @@ class AuditRequest:
         return BootstrapConfig(iterations=self.bootstrap, alpha=self.alpha, seed=self.seed)
 
     def validate(self) -> None:
-        if self.format not in ("json", "markdown"):
+        if self.format not in FORMATS:
             raise InputError(f"unknown format: {self.format!r}")
         if self.threshold is not None:
             checked_threshold(self.threshold)
@@ -352,7 +364,7 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
         help="derive decisions: positive when the score exceeds this cutoff",
     )
     parser.add_argument(
-        "--format", choices=("json", "markdown"), default="markdown", help="output format"
+        "--format", choices=FORMATS, default=FORMAT_DEFAULT, help="output format"
     )
     parser.add_argument("--output", help="write the report here instead of stdout")
 
@@ -369,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--reference", help="reference group label (default: first sorted label)")
     audit.add_argument(
         "--criteria",
-        default="default",
+        default=CRITERIA_DEFAULT,
         help="comma-separated criteria names, or 'default' or 'all'",
     )
     audit.add_argument(
@@ -381,11 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--bootstrap", type=int, metavar="B", help="bootstrap iterations for intervals"
     )
-    audit.add_argument("--alpha", type=float, default=0.05, help="interval miss probability")
-    audit.add_argument("--seed", type=int, default=0, help="bootstrap seed")
-    audit.add_argument("--bins", type=int, default=10, help="calibration bins")
+    audit.add_argument("--alpha", type=float, default=ALPHA_DEFAULT, help="interval miss probability")
+    audit.add_argument("--seed", type=int, default=SEED_DEFAULT, help="bootstrap seed")
+    audit.add_argument("--bins", type=int, default=BINS_DEFAULT, help="calibration bins")
     audit.add_argument(
-        "--min-bin-count", type=int, default=10, help="records per usable calibration bin"
+        "--min-bin-count", type=int, default=MIN_BIN_COUNT_DEFAULT,
+        help="records per usable calibration bin",
     )
     audit.add_argument(
         "--epsilon",

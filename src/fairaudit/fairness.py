@@ -5,6 +5,8 @@ group and a comparison group, reporting the difference and the ratio.
 Every row is built once, by :func:`make_comparison`, with its bootstrap
 intervals (if any) attached at construction. Calibration-style criteria
 compare binned curves instead and live in :func:`compare_calibration`.
+To add or change a criterion, edit its one entry in ``_CRITERIA``; every
+public criterion table is derived from it.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .dataset import AuditDataset, filter_condition
 from .errors import ComputationError, InputError
 from .inference import BootstrapConfig, Interval, PairIntervals, bootstrap_intervals
 from .metrics import (
+    BINS_DEFAULT,
+    MIN_BIN_COUNT_DEFAULT,
     SCORE_METRICS,
     CalibrationCurve,
     MetricId,
@@ -55,96 +59,53 @@ class FairnessCriterion(Enum):
     TREATMENT_EQUALITY = "treatment_equality"
 
 
-CRITERION_CATEGORY: Mapping[FairnessCriterion, Category] = {
-    FairnessCriterion.STATISTICAL_PARITY: Category.INDEPENDENCE,
-    FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY: Category.INDEPENDENCE,
-    FairnessCriterion.EQUALIZED_ODDS: Category.SEPARATION,
-    FairnessCriterion.PREDICTIVE_EQUALITY: Category.SEPARATION,
-    FairnessCriterion.EQUAL_OPPORTUNITY: Category.SEPARATION,
-    FairnessCriterion.BALANCE_POSITIVE: Category.SEPARATION,
-    FairnessCriterion.BALANCE_NEGATIVE: Category.SEPARATION,
-    FairnessCriterion.CONDITIONAL_USE_ACCURACY: Category.SUFFICIENCY,
-    FairnessCriterion.PREDICTIVE_PARITY: Category.SUFFICIENCY,
-    FairnessCriterion.WELL_CALIBRATION: Category.SUFFICIENCY,
-    FairnessCriterion.TEST_FAIRNESS: Category.SUFFICIENCY,
-    FairnessCriterion.BRIER_PARITY: Category.OTHER,
-    FairnessCriterion.OVERALL_ACCURACY: Category.OTHER,
-    FairnessCriterion.TREATMENT_EQUALITY: Category.OTHER,
+# The one table of criteria, in report row order: label, category, the
+# per-group metrics compared (one row each) and whether an audit runs the
+# criterion by default. Calibration criteria compare binned curves, so they
+# have no components, and are opt-in because they need well-populated bins.
+_CRITERIA: dict[FairnessCriterion, tuple[str, Category, tuple[MetricId, ...], bool]] = {
+    FairnessCriterion.STATISTICAL_PARITY:
+        ("Statistical Parity", Category.INDEPENDENCE, (MetricId.POSITIVE_RATE,), True),
+    FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY: (
+        "Conditional Statistical Parity", Category.INDEPENDENCE,
+        (MetricId.POSITIVE_RATE,), False,
+    ),
+    FairnessCriterion.EQUAL_OPPORTUNITY:
+        ("Equal Opportunity", Category.SEPARATION, (MetricId.FNR,), True),
+    FairnessCriterion.PREDICTIVE_EQUALITY:
+        ("Predictive Equality", Category.SEPARATION, (MetricId.FPR,), True),
+    FairnessCriterion.EQUALIZED_ODDS:
+        ("Equalized Odds", Category.SEPARATION, (MetricId.FNR, MetricId.FPR), False),
+    FairnessCriterion.BALANCE_POSITIVE:
+        ("Balance for Positive Class", Category.SEPARATION, (MetricId.MEAN_SCORE_POS,), True),
+    FairnessCriterion.BALANCE_NEGATIVE:
+        ("Balance for Negative Class", Category.SEPARATION, (MetricId.MEAN_SCORE_NEG,), True),
+    FairnessCriterion.PREDICTIVE_PARITY:
+        ("Predictive Parity", Category.SUFFICIENCY, (MetricId.PPV,), True),
+    FairnessCriterion.CONDITIONAL_USE_ACCURACY: (
+        "Conditional Use Accuracy Equality", Category.SUFFICIENCY,
+        (MetricId.PPV, MetricId.NPV), False,
+    ),
+    FairnessCriterion.WELL_CALIBRATION: ("Well Calibration", Category.SUFFICIENCY, (), False),
+    FairnessCriterion.TEST_FAIRNESS: ("Test Fairness", Category.SUFFICIENCY, (), False),
+    FairnessCriterion.BRIER_PARITY:
+        ("Brier Score Parity", Category.OTHER, (MetricId.BRIER_SCORE,), True),
+    FairnessCriterion.OVERALL_ACCURACY:
+        ("Overall Accuracy Equality", Category.OTHER, (MetricId.ACCURACY,), True),
+    FairnessCriterion.TREATMENT_EQUALITY:
+        ("Treatment Equality", Category.OTHER, (MetricId.FN_FP_RATIO,), True),
 }
 
-# Scalar criteria map to the per-group metrics they compare. Two-metric
-# criteria emit one comparison row per component. Calibration criteria
-# have no scalar components and are handled separately.
+CANONICAL_ORDER: tuple[FairnessCriterion, ...] = tuple(_CRITERIA)
+CRITERION_LABELS: Mapping[FairnessCriterion, str] = {c: e[0] for c, e in _CRITERIA.items()}
+CRITERION_CATEGORY: Mapping[FairnessCriterion, Category] = {c: e[1] for c, e in _CRITERIA.items()}
 CRITERION_COMPONENTS: Mapping[FairnessCriterion, tuple[MetricId, ...]] = {
-    FairnessCriterion.STATISTICAL_PARITY: (MetricId.POSITIVE_RATE,),
-    FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY: (MetricId.POSITIVE_RATE,),
-    FairnessCriterion.EQUALIZED_ODDS: (MetricId.FNR, MetricId.FPR),
-    FairnessCriterion.PREDICTIVE_EQUALITY: (MetricId.FPR,),
-    FairnessCriterion.EQUAL_OPPORTUNITY: (MetricId.FNR,),
-    FairnessCriterion.BALANCE_POSITIVE: (MetricId.MEAN_SCORE_POS,),
-    FairnessCriterion.BALANCE_NEGATIVE: (MetricId.MEAN_SCORE_NEG,),
-    FairnessCriterion.CONDITIONAL_USE_ACCURACY: (MetricId.PPV, MetricId.NPV),
-    FairnessCriterion.PREDICTIVE_PARITY: (MetricId.PPV,),
-    FairnessCriterion.WELL_CALIBRATION: (),
-    FairnessCriterion.TEST_FAIRNESS: (),
-    FairnessCriterion.BRIER_PARITY: (MetricId.BRIER_SCORE,),
-    FairnessCriterion.OVERALL_ACCURACY: (MetricId.ACCURACY,),
-    FairnessCriterion.TREATMENT_EQUALITY: (MetricId.FN_FP_RATIO,),
+    c: e[2] for c, e in _CRITERIA.items()
 }
-
-CRITERION_LABELS: Mapping[FairnessCriterion, str] = {
-    FairnessCriterion.STATISTICAL_PARITY: "Statistical Parity",
-    FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY: "Conditional Statistical Parity",
-    FairnessCriterion.EQUALIZED_ODDS: "Equalized Odds",
-    FairnessCriterion.PREDICTIVE_EQUALITY: "Predictive Equality",
-    FairnessCriterion.EQUAL_OPPORTUNITY: "Equal Opportunity",
-    FairnessCriterion.BALANCE_POSITIVE: "Balance for Positive Class",
-    FairnessCriterion.BALANCE_NEGATIVE: "Balance for Negative Class",
-    FairnessCriterion.CONDITIONAL_USE_ACCURACY: "Conditional Use Accuracy Equality",
-    FairnessCriterion.PREDICTIVE_PARITY: "Predictive Parity",
-    FairnessCriterion.WELL_CALIBRATION: "Well Calibration",
-    FairnessCriterion.TEST_FAIRNESS: "Test Fairness",
-    FairnessCriterion.BRIER_PARITY: "Brier Score Parity",
-    FairnessCriterion.OVERALL_ACCURACY: "Overall Accuracy Equality",
-    FairnessCriterion.TREATMENT_EQUALITY: "Treatment Equality",
-}
-
-# Row order for reports, and the default criteria an audit evaluates.
-# Conditional rows follow statistical parity; calibration criteria are
-# opt-in because they need well-populated score bins.
-CANONICAL_ORDER: tuple[FairnessCriterion, ...] = (
-    FairnessCriterion.STATISTICAL_PARITY,
-    FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY,
-    FairnessCriterion.EQUAL_OPPORTUNITY,
-    FairnessCriterion.PREDICTIVE_EQUALITY,
-    FairnessCriterion.EQUALIZED_ODDS,
-    FairnessCriterion.BALANCE_POSITIVE,
-    FairnessCriterion.BALANCE_NEGATIVE,
-    FairnessCriterion.PREDICTIVE_PARITY,
-    FairnessCriterion.CONDITIONAL_USE_ACCURACY,
-    FairnessCriterion.WELL_CALIBRATION,
-    FairnessCriterion.TEST_FAIRNESS,
-    FairnessCriterion.BRIER_PARITY,
-    FairnessCriterion.OVERALL_ACCURACY,
-    FairnessCriterion.TREATMENT_EQUALITY,
-)
-
-DEFAULT_CRITERIA: tuple[FairnessCriterion, ...] = (
-    FairnessCriterion.STATISTICAL_PARITY,
-    FairnessCriterion.EQUAL_OPPORTUNITY,
-    FairnessCriterion.PREDICTIVE_EQUALITY,
-    FairnessCriterion.BALANCE_POSITIVE,
-    FairnessCriterion.BALANCE_NEGATIVE,
-    FairnessCriterion.PREDICTIVE_PARITY,
-    FairnessCriterion.BRIER_PARITY,
-    FairnessCriterion.OVERALL_ACCURACY,
-    FairnessCriterion.TREATMENT_EQUALITY,
-)
+DEFAULT_CRITERIA: tuple[FairnessCriterion, ...] = tuple(c for c, e in _CRITERIA.items() if e[3])
 
 
 def coerce_criterion(criterion: FairnessCriterion | str) -> FairnessCriterion:
-    if isinstance(criterion, FairnessCriterion):
-        return criterion
     try:
         return FairnessCriterion(criterion)
     except ValueError:
@@ -338,9 +299,9 @@ def compare_calibration(
     dataset: AuditDataset,
     group_a: str,
     group_b: str,
-    bins: int = 10,
+    bins: int = BINS_DEFAULT,
     *,
-    min_bin_count: int = 10,
+    min_bin_count: int = MIN_BIN_COUNT_DEFAULT,
 ) -> CalibrationComparison:
     """Compare score calibration between two groups on shared bins."""
     _check_pair(dataset, group_a, group_b)
@@ -414,8 +375,8 @@ def evaluate_all(
     criteria: Sequence[FairnessCriterion | str] | None = None,
     conditions: Mapping[str, ConditionPredicate | str] | None = None,
     bootstrap: BootstrapConfig | None = None,
-    bins: int = 10,
-    min_bin_count: int = 10,
+    bins: int = BINS_DEFAULT,
+    min_bin_count: int = MIN_BIN_COUNT_DEFAULT,
 ) -> FairnessReport:
     """Evaluate many criteria for one group pair in canonical row order.
 
@@ -498,11 +459,7 @@ def evaluate_all(
 
     report_notes: list[str] = []
     calibration = None
-    wants_calibration = selected & {
-        FairnessCriterion.WELL_CALIBRATION,
-        FairnessCriterion.TEST_FAIRNESS,
-    }
-    if wants_calibration:
+    if any(not CRITERION_COMPONENTS[c] for c in selected):
         if not dataset.has_scores:
             report_notes.append(f"{CALIBRATION_SKIPPED}risk scores not loaded")
         else:

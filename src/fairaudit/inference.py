@@ -19,14 +19,13 @@ same in every pair it joins. A group's draws are planned once per
 replicate build (non-empty cells, multinomial probabilities, cell record
 ranges, the label's substream key), and both the replicate build and
 :func:`resample_within_groups` draw through that plan. A block only
-records: its cell counts and, for each float term the metrics read (s
-for the mean scores, (s−y)² for the Brier score, |s−y| for the mean
-absolute error), the sum of every (cell, resample) segment of its drawn
-records; one pass per group then builds the replicate sums the way the
-point sums are built. A dataset keeps each group's replicate sums under
-the memo key ``("replicates", label, seed, iterations, terms)``,
-``terms`` naming the float terms gathered, so the pairs of an audit
-share them.
+records: its cell counts and, for each float term the metrics read
+(``metrics._SCORE_TERMS``), the sum of every (cell, resample) segment of
+its drawn records; one pass per group then builds the replicate sums the
+way the point sums are built. A dataset keeps each group's replicate sums
+under the memo key ``("replicates", label, seed, iterations, terms)``,
+``terms`` naming the float terms gathered, so the pairs of an audit share
+them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences, and the ratio interval
@@ -65,6 +64,11 @@ from .metrics import (
 )
 
 
+# Interval defaults, shared by the library and the CLI flags.
+ALPHA_DEFAULT = 0.05
+SEED_DEFAULT = 0
+
+
 @dataclass(frozen=True)
 class BootstrapConfig:
     """Resampling parameters.
@@ -74,8 +78,8 @@ class BootstrapConfig:
     """
 
     iterations: int = 1000
-    alpha: float = 0.05
-    seed: int = 0
+    alpha: float = ALPHA_DEFAULT
+    seed: int = SEED_DEFAULT
     degenerate_tolerance: float = 0.01
 
     def __post_init__(self) -> None:
@@ -83,6 +87,8 @@ class BootstrapConfig:
             raise InputError("bootstrap needs at least 2 iterations")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha outside (0, 1)")
+        if 1.0 - self.alpha / 2.0 == 1.0:
+            raise InputError("alpha too small: 1 - alpha/2 rounds to 1")
         if self.seed < 0:
             raise InputError("seed must be non-negative")
         if not 0.0 <= self.degenerate_tolerance <= 1.0:
@@ -196,7 +202,7 @@ def _draw(
 
 
 def resample_within_groups(
-    dataset: AuditDataset, seed: int = 0, iteration: int = 0
+    dataset: AuditDataset, seed: int = SEED_DEFAULT, iteration: int = 0
 ) -> AuditDataset:
     """One stratified resample: per-group draws with replacement.
 
@@ -350,9 +356,12 @@ def _wald(va, vb, point_a: float, point_b: float, config: BootstrapConfig, log: 
     center = point_a - point_b
     margin = config.z * float(np.std(va - vb, ddof=1))
     bounds = (center - margin, center + margin)
-    if log:
+    if not log:
+        return Interval(*bounds, IntervalMethod.WALD_DIFF, discarded)
+    try:
         return Interval(*map(math.exp, bounds), IntervalMethod.WALD_LOG_RATIO, discarded)
-    return Interval(*bounds, IntervalMethod.WALD_DIFF, discarded)
+    except OverflowError:
+        raise ComputationError("ratio interval bound overflows a float") from None
 
 
 def _single_interval(dataset, metric, group_a, group_b, config, log: bool) -> Interval:

@@ -12,11 +12,12 @@ a lookup in the dataset's metric table (:func:`_metric_table`, memo key
 ``("metrics",)``). The float terms s, (s−y)² and |s−y| are rebuilt from
 the sorted rows whenever score sums are formed, never kept: the point
 sums build all three, a bootstrap replicate build only those its metrics
-read (s for ``mean_score_pos``/``mean_score_neg``, (s−y)² for
-``brier_score``, |s−y| for ``mean_absolute_error``), and the replicate
-memo key names them. A resample is a count of records per cell plus, for
-the score sums, which records of each cell it drew; the point estimate
-counts every record once. Both become sums rows through one
+read, and the replicate memo key names them. Which term each score metric
+reads is one table, ``_SCORE_TERMS``: ``SCORE_METRICS``,
+``DECISION_METRICS`` and the terms a request reads are derived from it, so
+a score metric is added there. A resample is a count of records per cell
+plus, for the score sums, which records of each cell it drew; the point
+estimate counts every record once. Both become sums rows through one
 :func:`_sums_rows`, which adds the cells by outcome. A zero denominator
 gives the UNDEFINED sentinel, never an exception; callers decide how to
 surface that.
@@ -79,28 +80,17 @@ class MetricId(Enum):
     FN_FP_RATIO = "fn_fp_ratio"
 
 
-SCORE_METRICS = frozenset(
-    {
-        MetricId.BRIER_SCORE,
-        MetricId.MEAN_ABSOLUTE_ERROR,
-        MetricId.MEAN_SCORE_POS,
-        MetricId.MEAN_SCORE_NEG,
-    }
-)
-
-DECISION_METRICS = frozenset(
-    {
-        MetricId.TPR,
-        MetricId.TNR,
-        MetricId.FPR,
-        MetricId.FNR,
-        MetricId.PPV,
-        MetricId.NPV,
-        MetricId.ACCURACY,
-        MetricId.POSITIVE_RATE,
-        MetricId.FN_FP_RATIO,
-    }
-)
+# The one table of score metrics: each maps to the float term its sums
+# read (s, (s−y)² or |s−y|). Every other metric but the prevalence reads
+# decisions. To add a score metric, add it here.
+_SCORE_TERMS = {
+    MetricId.MEAN_SCORE_POS: "s",
+    MetricId.MEAN_SCORE_NEG: "s",
+    MetricId.BRIER_SCORE: "sq_err",
+    MetricId.MEAN_ABSOLUTE_ERROR: "abs_err",
+}
+SCORE_METRICS = frozenset(_SCORE_TERMS)
+DECISION_METRICS = frozenset(set(MetricId) - SCORE_METRICS - {MetricId.PREVALENCE})
 
 # Metrics rendered as percentages in human-readable output; the count
 # ratio keeps its natural scale.
@@ -108,8 +98,6 @@ PERCENT_METRICS = frozenset(set(MetricId) - {MetricId.FN_FP_RATIO})
 
 
 def coerce_metric(metric: MetricId | str) -> MetricId:
-    if isinstance(metric, MetricId):
-        return metric
     try:
         return MetricId(metric)
     except ValueError:
@@ -221,18 +209,14 @@ def _checked_cells(dataset: AuditDataset, label: str, metrics: tuple[MetricId, .
     return cells
 
 
-# The float terms score sums are built from, each with the metrics that read it.
-_TERM_READERS = {
-    "s": frozenset({MetricId.MEAN_SCORE_POS, MetricId.MEAN_SCORE_NEG}),
-    "sq_err": frozenset({MetricId.BRIER_SCORE}),
-    "abs_err": frozenset({MetricId.MEAN_ABSOLUTE_ERROR}),
-}
-_TERMS = tuple(_TERM_READERS)
+# The float terms score sums are built from.
+_TERMS = tuple(dict.fromkeys(_SCORE_TERMS.values()))
 
 
 def _terms(metrics: tuple[MetricId, ...]) -> tuple[str, ...]:
     """The float terms these metrics read, in ``_TERMS`` order."""
-    return tuple(term for term, readers in _TERM_READERS.items() if not readers.isdisjoint(metrics))
+    read = {_SCORE_TERMS.get(m) for m in metrics}
+    return tuple(term for term in _TERMS if term in read)
 
 
 def _floats(dataset: AuditDataset, cells: _Cells, terms: tuple[str, ...]) -> np.ndarray:
@@ -377,6 +361,11 @@ def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
     )
 
 
+# Calibration defaults, shared by the library and the CLI flags.
+BINS_DEFAULT = 10
+MIN_BIN_COUNT_DEFAULT = 10
+
+
 def checked_bins(bins: int, min_bin_count: int) -> int:
     """The calibration bin count; it must be at least 2, and ``min_bin_count`` at least 1."""
     if bins < 2:
@@ -389,9 +378,9 @@ def checked_bins(bins: int, min_bin_count: int) -> int:
 def calibration_curve(
     dataset: AuditDataset,
     group: str,
-    bins: int = 10,
+    bins: int = BINS_DEFAULT,
     *,
-    min_bin_count: int = 10,
+    min_bin_count: int = MIN_BIN_COUNT_DEFAULT,
 ) -> CalibrationCurve:
     """Bin one group's scores into equal-width bins over [0, 1].
 

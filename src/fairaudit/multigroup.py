@@ -46,8 +46,6 @@ class MetaMetricResult:
 
 
 def coerce_kind(kind: MetaMetricKind | str) -> MetaMetricKind:
-    if isinstance(kind, MetaMetricKind):
-        return kind
     try:
         return MetaMetricKind(kind)
     except ValueError:
@@ -85,7 +83,8 @@ def meta(
     All values must be defined; ratio and entropy kinds additionally need
     them strictly positive. The generalized entropy exponent must be
     finite and avoid 0 and 1, where the formula degenerates; it defaults
-    to 2.
+    to 2. A summary that overflows to a value that is not finite is
+    refused.
 
     Identical inputs yield exactly 0 (exactly 1 for the ratio kind).
     """
@@ -111,23 +110,26 @@ def meta(
 
     exponent = checked_exponent(kind, exponent)
 
-    if np.all(array == array[0]):
-        value = 1.0 if kind is MetaMetricKind.MAX_MIN_RATIO else 0.0
-    elif kind is MetaMetricKind.MAX_MIN_DIFF:
-        value = float(array.max() - array.min())
-    elif kind is MetaMetricKind.MAX_MIN_RATIO:
-        value = float(array.max() / array.min())
-    elif kind is MetaMetricKind.MAX_ABS_DIFF:
-        value = float(np.abs(array - array.mean()).max())
-    elif kind is MetaMetricKind.MEAN_ABS_DEV:
-        value = float(np.abs(array - array.mean()).mean())
-    elif kind is MetaMetricKind.VARIANCE:
-        value = float(array.var(ddof=1))
-    else:
-        mean = array.mean()
-        k = array.shape[0]
-        total = float(((array / mean) ** exponent - 1.0).sum())
-        value = total / (k * exponent * (exponent - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.all(array == array[0]):
+            value = 1.0 if kind is MetaMetricKind.MAX_MIN_RATIO else 0.0
+        elif kind is MetaMetricKind.MAX_MIN_DIFF:
+            value = float(array.max() - array.min())
+        elif kind is MetaMetricKind.MAX_MIN_RATIO:
+            value = float(array.max() / array.min())
+        elif kind is MetaMetricKind.MAX_ABS_DIFF:
+            value = float(np.abs(array - array.mean()).max())
+        elif kind is MetaMetricKind.MEAN_ABS_DEV:
+            value = float(np.abs(array - array.mean()).mean())
+        elif kind is MetaMetricKind.VARIANCE:
+            value = float(array.var(ddof=1))
+        else:
+            mean = array.mean()
+            k = array.shape[0]
+            total = float(((array / mean) ** exponent - 1.0).sum())
+            value = total / (k * exponent * (exponent - 1.0))
+    if not np.isfinite(value):
+        raise InputError(f"{kind.value} is not finite for these group values")
 
     return MetaMetricResult(
         kind=kind,

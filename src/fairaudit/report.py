@@ -17,13 +17,8 @@ import numpy as np
 
 from .dataset import AuditDataset
 from .diagnostics import EpsilonAssessment, IncompatibilityVerdict
-from .fairness import (
-    CRITERION_COMPONENTS,
-    CRITERION_LABELS,
-    Comparison,
-    FairnessReport,
-    coerce_criterion,
-)
+from .errors import InputError
+from .fairness import CRITERION_LABELS, Comparison, FairnessReport, criterion_components
 from .inference import Interval
 from .metrics import PERCENT_METRICS, MetricId, is_defined
 from .multigroup import MetaMetricResult
@@ -264,8 +259,8 @@ def _row_title(row: Mapping) -> str:
     criterion = row.get("criterion")
     if criterion is not None:
         try:
-            components = CRITERION_COMPONENTS[coerce_criterion(criterion)]
-        except Exception:
+            components = criterion_components(criterion)
+        except InputError:
             components = ()
         if len(components) > 1 and row.get("metric"):
             return f"{label} ({row['metric']})"

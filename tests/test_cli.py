@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fairaudit import __version__, load_report_schema
+from fairaudit import InputError, __version__, load_report_schema
 from fairaudit.cli import AuditRequest, build_parser, main
 
 
@@ -616,6 +616,32 @@ class TestErrors:
         assert code == 2 and out == ""
         assert err == "fairaudit: group 'tiny' has no score bin with at least 10 records\n"
 
+    def test_ratio_bound_overflow_exits_two(self, capsys, tmp_path):
+        # group b's negatives score 1e-320 (subnormal): the log ratio of the
+        # mean negative scores is ~737, and its interval bounds overflow a float
+        lines = ["y,g,s"]
+        for label in ("a", "b"):
+            for i in range(200):
+                y = int(i % 3 == 0)
+                score = "1e-320" if label == "b" and not y else f"0.{(7 * i) % 10}5"
+                lines.append(f"{y},{label},{score}")
+        path = tmp_path / "subnormal.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            *("audit", "--input", str(path), "--outcome", "y", "--group", "g", "--score", "s"),
+            *("--threshold", "0.5", "--bootstrap", "200"),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "fairaudit: mean_score_neg, 'a' vs 'b': ratio interval bound overflows a float\n"
+        )
+
+    def test_unknown_format_rejected_by_the_request(self):
+        request = AuditRequest(input="in.csv", outcome="y", group="g", format="xml")
+        with pytest.raises(InputError, match="unknown format: 'xml'"):
+            request.validate()
+
     @pytest.mark.parametrize(
         "flag,value,message",
         [
@@ -648,6 +674,13 @@ class TestErrors:
             ),
             ("meta", ("--kind", "variance", "--exponent", "3"), "variance takes no exponent"),
             ("audit", ("--min-bin-count", "0"), "min_bin_count must be at least 1"),
+            (
+                "audit",
+                ("--bootstrap", "50", "--alpha", "1e-17"),
+                "alpha too small: 1 - alpha/2 rounds to 1",
+            ),
+            ("audit", ("--criteria", ","), "empty criteria list"),
+            ("audit", ("--epsilon", "abc"), "argument --epsilon: invalid float value: 'abc'"),
         ],
     )
     def test_flags_checked_before_the_input_is_read(self, capsys, command, flags, message):
@@ -849,6 +882,22 @@ class TestMetaSubcommand:
         assert out == ""
         assert err.startswith("fairaudit: ") and err.count("\n") == 1
         assert ("finite" if exponent in ("nan", "inf") else "must avoid 0 and 1") in err
+
+    def test_value_that_is_not_finite_becomes_a_note(self, capsys, three_group_csv):
+        # positive rates 0.5, 0.25, 0.75: (0.75 / 0.5) ** 1e308 overflows
+        code, out, err = run(
+            capsys,
+            *("meta", "--input", three_group_csv, "--outcome", "y", "--group", "g"),
+            *("--decision", "d", "--kind", "generalized_entropy", "--exponent", "1e308"),
+            *("--format", "json"),
+        )
+        assert code == 0 and err == ""
+        (entry,) = json.loads(out)["meta_metrics"]
+        assert entry == {
+            "kind": "generalized_entropy",
+            "metric": "positive_rate",
+            "note": "generalized_entropy is not finite for these group values",
+        }
 
 
 class TestDiagnoseSubcommand:

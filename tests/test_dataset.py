@@ -125,6 +125,19 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="fewer than 2"):
             load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
 
+    @pytest.mark.parametrize(
+        "text, bindings, message",
+        [
+            (BASIC, {"score": "y"}, "column names must be distinct"),
+            ("", {}, "is empty"),
+            (BASIC, {"covariates": ["age", "y"]}, "column 'y' is already bound"),
+        ],
+    )
+    def test_bindings_checked_against_the_header(self, tmp_path, text, bindings, message):
+        kwargs = {"outcome": "y", "score": "s", "group": "sex", **bindings}
+        with pytest.raises(InputError, match=message):
+            load_csv(write(tmp_path, text), **kwargs)
+
     def test_missing_file(self):
         with pytest.raises(InputError, match="cannot read"):
             load_csv("/nonexistent/x.csv", outcome="y", score="s", group="g")
@@ -434,6 +447,29 @@ class TestAuditDataset:
         assert out.n == 4
         assert list(out.group) == ["F", "F", "M", "M"]
         assert out.outcome[0] == out.outcome[1] == 1
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"outcome": np.array([], dtype=int)}, "outcome column must be a non-empty 1-d array"),
+            ({"outcome": np.array([2, 0])}, "outcome values outside"),
+            ({"score": np.array([1.5, 0.5])}, "score values outside"),
+            ({"decision": np.array([2, 0])}, "decision values outside"),
+            ({"score": np.array([0.5])}, "score column length does not match outcome"),
+            ({"decision": np.array([1])}, "decision column length does not match outcome"),
+            ({"covariates": {"age": np.array([1.0])}}, "covariate 'age' length does not match"),
+            ({"group": np.array(["a", "b", "a"], dtype=object)}, "group column length does not"),
+        ],
+    )
+    def test_bad_columns_rejected(self, columns, message):
+        kwargs = {
+            "outcome": np.array([1, 0]),
+            "group": np.array(["a", "b"], dtype=object),
+            "score": np.array([0.1, 0.5]),
+            **columns,
+        }
+        with pytest.raises(InputError, match=message):
+            AuditDataset(**kwargs)
 
     @pytest.mark.parametrize(
         "labels",
@@ -890,6 +926,10 @@ class TestDropReasons:
 def test_memory_holds_one_block_of_rows(tmp_path):
     """A wide unbound column costs at most about one block of rows, not the file."""
     rows = 8 * dataset_module._BLOCK_ROWS
+    # the narrow file's own load holds ~0.5 kB per block line, which would
+    # hide a narrow note's transients; at 1,000 characters the block's text
+    # reads ~1.75 copies here, and one more copy of it breaks the bound
+    width = 1000
 
     def peak(note):
         path = tmp_path / f"note{len(note)}.csv"
@@ -903,4 +943,4 @@ def test_memory_holds_one_block_of_rows(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak("n" * 150) - peak("n") < 2 * dataset_module._BLOCK_ROWS * 151
+    assert peak("n" * width) - peak("n") < 2 * dataset_module._BLOCK_ROWS * (width + 1)

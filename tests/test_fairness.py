@@ -400,6 +400,20 @@ class TestEvaluateAll:
         # the stratum resample differs from the full-data resample
         assert conditional.ci_diff != base.ci_diff
 
+    def test_bootstrap_with_only_conditional_rows(self):
+        ds = covariate_dataset()
+        config = BootstrapConfig(iterations=60, seed=11, degenerate_tolerance=1.0)
+        conditions = {"senior": "age >= 60"}
+        _, mixed = evaluate_all(
+            ds, "a", "b", criteria=["statistical_parity"], conditions=conditions, bootstrap=config
+        ).rows
+        (only,) = evaluate_all(
+            ds, "a", "b", criteria=[], conditions=conditions, bootstrap=config
+        ).rows
+        assert only.condition == "senior" and only.ci_diff is not None
+        # a stratum's resamples do not depend on which other rows asked for intervals
+        assert only == mixed
+
     def test_swap_is_antisymmetric(self, toy):
         forward = evaluate_all(toy, "F", "M").rows
         backward = evaluate_all(toy, "M", "F").rows

@@ -87,6 +87,7 @@ class TestBootstrapConfig:
             {"seed": -1},
             {"degenerate_tolerance": -0.1},
             {"degenerate_tolerance": 1.5},
+            {"alpha": 1e-17},  # 1 - alpha/2 rounds to 1: no normal quantile
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -676,6 +677,12 @@ class TestDiffInterval:
         assert interval.discarded > 0
         assert interval.lower <= 1.0 <= interval.upper
 
+    def test_fewer_than_two_kept_iterations_rejected(self):
+        config = BootstrapConfig(iterations=10, degenerate_tolerance=1.0)
+        kept = np.array([True] + [False] * 9)
+        with pytest.raises(ComputationError, match="fewer than 2 usable bootstrap iterations"):
+            inference._check_discarded(kept, config, "difference")
+
 
 class TestRatioInterval:
     def test_matches_composed_oracle(self, toy):
@@ -714,6 +721,20 @@ class TestRatioInterval:
         )
         with pytest.raises(InputError, match="strictly positive"):
             ci_ratio(ds, MetricId.FPR, "a", "b", BootstrapConfig(iterations=10))
+
+    def test_bound_overflowing_a_float_rejected(self):
+        # group b's negatives score 1e-320 (subnormal), so the log ratio of
+        # the mean negative scores is ~737, past what math.exp can return
+        outcome = np.arange(400) % 3 == 0
+        score = np.where(outcome, 0.5, 0.3)
+        score[200:][~outcome[200:]] = 1e-320
+        ds = AuditDataset(
+            outcome=outcome.astype(int),
+            group=np.array(["a"] * 200 + ["b"] * 200, dtype=object),
+            score=score,
+        )
+        with pytest.raises(ComputationError, match="ratio interval bound overflows a float"):
+            ci_ratio(ds, MetricId.MEAN_SCORE_NEG, "a", "b", BootstrapConfig(iterations=50))
 
 
 class TestBatchedIntervals:

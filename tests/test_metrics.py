@@ -307,3 +307,13 @@ class TestCalibrationCurve:
         )
         with pytest.raises(InputError, match="risk scores"):
             calibration_curve(ds, "a")
+
+    def test_needs_every_score_of_the_group(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0, 1]),
+            group=np.array(["a", "a", "b"], dtype=object),
+            score=np.array([0.2, np.nan, 0.7]),
+            decision=np.array([1, 0, 1]),
+        )
+        with pytest.raises(InputError, match="group 'a' has records without scores"):
+            calibration_curve(ds, "a")

@@ -131,6 +131,11 @@ class TestValidation:
         with pytest.raises(InputError, match="finite"):
             meta([0.2, 0.4], "generalized_entropy", exponent=exponent)
 
+    def test_value_that_is_not_finite_rejected(self):
+        # (0.75 / 0.5) ** 1e308 overflows; numpy must not warn about it
+        with pytest.raises(InputError, match="generalized_entropy is not finite"):
+            meta([0.25, 0.75], "generalized_entropy", exponent=1e308)
+
     def test_exponent_rejected_elsewhere(self):
         with pytest.raises(InputError, match="takes no exponent"):
             meta([0.2, 0.4], "variance", exponent=2.0)
