@@ -11,6 +11,7 @@ public criterion table is derived from it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -151,18 +152,20 @@ class Comparison:
     """One criterion component compared between two groups.
 
     ``diff`` is value_a minus value_b; ``ratio`` is value_a over value_b,
-    UNDEFINED when value_b is zero or either value is UNDEFINED.
-    ``condition`` names the stratum for conditional rows.
+    UNDEFINED when value_b is zero, either value is UNDEFINED or the
+    quotient overflows a float. ``condition`` names the stratum for
+    conditional rows. Rows that were not evaluated keep every value
+    UNDEFINED.
     """
 
     criterion: FairnessCriterion
     metric: MetricId | None
     group_a: str
     group_b: str
-    value_a: MetricValue
-    value_b: MetricValue
-    diff: MetricValue
-    ratio: MetricValue
+    value_a: MetricValue = UNDEFINED
+    value_b: MetricValue = UNDEFINED
+    diff: MetricValue = UNDEFINED
+    ratio: MetricValue = UNDEFINED
     ci_diff: Interval | None = None
     ci_ratio: Interval | None = None
     condition: str | None = None
@@ -201,6 +204,9 @@ def make_comparison(
             notes.append("ratio undefined: reference value is 0")
         else:
             ratio = value_a / value_b
+            if not math.isfinite(ratio):
+                ratio = UNDEFINED
+                notes.append("ratio undefined: overflows a float")
     else:
         diff = UNDEFINED
         ratio = UNDEFINED
@@ -343,30 +349,6 @@ class FairnessReport:
     notes: tuple[str, ...] = ()
 
 
-def _not_evaluated(
-    criterion: FairnessCriterion,
-    metric: MetricId | None,
-    group_a: str,
-    group_b: str,
-    note: str,
-    condition: str | None = None,
-    status: RowStatus = RowStatus.NOT_EVALUATED,
-) -> Comparison:
-    return Comparison(
-        criterion=criterion,
-        metric=metric,
-        group_a=group_a,
-        group_b=group_b,
-        value_a=UNDEFINED,
-        value_b=UNDEFINED,
-        diff=UNDEFINED,
-        ratio=UNDEFINED,
-        condition=condition,
-        status=status,
-        notes=(note,),
-    )
-
-
 def evaluate_all(
     dataset: AuditDataset,
     group_a: str,
@@ -380,69 +362,62 @@ def evaluate_all(
 ) -> FairnessReport:
     """Evaluate many criteria for one group pair in canonical row order.
 
-    The dataset must carry decisions. Score-based rows are marked
-    NOT_EVALUATED when scores are absent rather than failing the audit,
-    and per-row input problems (say, a condition that empties a stratum)
-    become rows with ERROR status. Each row is built once, with its
-    intervals: with a bootstrap config, difference and ratio intervals
-    are attached to every evaluated row, and all rows share one set of
-    resamples per stratum. Each condition's stratum is filtered once per
-    dataset and serves its row and its intervals in every pair, and each
-    group's resamples are shared by every pair it joins. An interval that
-    discards more resamples than the tolerance allows raises
-    ComputationError naming the metric, the pair and, for a conditional
-    row, the condition. A calibration comparison that cannot be formed
-    (no scores, or a group without a usable score bin) leaves
-    ``calibration`` None and a ``CALIBRATION_SKIPPED`` pair note.
+    The dataset must carry decisions. The rows follow one flat plan of
+    (criterion, metric, stratum) triples in canonical order: the stratum
+    is None for the whole dataset, and conditional statistical parity
+    plans one triple per condition, whose stratum is filtered once. A
+    condition that cannot form its stratum (say, it empties a group) gives
+    an ERROR row, and a score metric gives a NOT_EVALUATED row when any
+    record lacks a score; neither fails the audit. With a bootstrap
+    config, each stratum runs one ``bootstrap_intervals`` call over the
+    metrics evaluated in it, the whole dataset first, and every evaluated
+    row is built once with its intervals. Each group's resamples are
+    shared by every pair it joins. An interval that discards more
+    resamples than the tolerance allows raises ComputationError naming
+    the metric, the pair and, for a conditional row, the condition. A
+    calibration comparison that cannot be formed (missing scores, or a
+    group without a usable score bin) leaves ``calibration`` None and a
+    ``CALIBRATION_SKIPPED`` pair note.
     """
     _check_pair(dataset, group_a, group_b)
     if not dataset.has_decisions:
         raise InputError("dataset has no decisions; apply a threshold first")
     conditions = dict(conditions or {})
     selected = selected_criteria(criteria, bool(conditions))
+    if dataset.has_scores:
+        unscored, scores_note = frozenset(), ""
+    elif dataset.score is None:
+        unscored, scores_note = SCORE_METRICS, "risk scores not loaded"
+    else:
+        unscored, scores_note = SCORE_METRICS, "risk scores missing for some records"
 
-    # A planned row is either finished or a (criterion, metric, condition)
-    # triple read from strata[condition]; None names the whole dataset.
-    plan: list[Comparison | tuple[FairnessCriterion, MetricId, str | None]] = []
-    strata: dict[str | None, AuditDataset] = {None: dataset}
-    for criterion in CANONICAL_ORDER:
-        components = CRITERION_COMPONENTS[criterion]
-        if criterion not in selected or not components:
-            continue
-        if criterion is FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY:
-            for name, predicate in conditions.items():
-                try:
-                    strata[name] = filter_condition(dataset, predicate)
-                    item = (criterion, MetricId.POSITIVE_RATE, name)
-                except InputError as exc:
-                    item = _not_evaluated(
-                        criterion,
-                        MetricId.POSITIVE_RATE,
-                        group_a,
-                        group_b,
-                        str(exc),
-                        condition=name,
-                        status=RowStatus.ERROR,
-                    )
-                plan.append(item)
-        elif not dataset.has_scores and not SCORE_METRICS.isdisjoint(components):
-            plan.extend(
-                _not_evaluated(criterion, metric, group_a, group_b, "risk scores not loaded")
-                for metric in components
-            )
-        else:
-            plan.extend((criterion, metric, None) for metric in components)
+    # None names the whole dataset; a condition names its stratum, or the
+    # InputError that kept the stratum from forming.
+    strata: dict[str | None, AuditDataset | InputError] = {None: dataset}
+    for name, predicate in conditions.items():
+        try:
+            strata[name] = filter_condition(dataset, predicate)
+        except InputError as exc:
+            strata[name] = exc
 
-    todo = [item for item in plan if isinstance(item, tuple)]
+    conditional = FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY
+    plan = [
+        (criterion, metric, name)
+        for criterion in CANONICAL_ORDER
+        if criterion in selected
+        for metric in CRITERION_COMPONENTS[criterion]
+        for name in (conditions if criterion is conditional else (None,))
+    ]
+
     intervals: dict[str | None, dict[MetricId, PairIntervals]] = {}
     if bootstrap is not None:
         for name, stratum in strata.items():
-            metrics = sorted({m for _, m, c in todo if c == name}, key=lambda m: m.value)
-            if not metrics:
+            metrics = {m for _, m, n in plan if n == name} - unscored
+            if not metrics or isinstance(stratum, InputError):
                 continue
             try:
                 intervals[name] = bootstrap_intervals(
-                    stratum, metrics, group_a, group_b, bootstrap
+                    stratum, sorted(metrics, key=lambda m: m.value), group_a, group_b, bootstrap
                 )
             except ComputationError as exc:
                 if name is None:
@@ -450,18 +425,27 @@ def evaluate_all(
                 raise ComputationError(f"condition {name!r}, {exc}") from None
 
     rows = []
-    for item in plan:
-        if isinstance(item, tuple):
-            criterion, metric, name = item
+    for criterion, metric, name in plan:
+        stratum = strata[name]
+        if isinstance(stratum, InputError):
+            status, note = RowStatus.ERROR, str(stratum)
+        elif metric in unscored:
+            status, note = RowStatus.NOT_EVALUATED, scores_note
+        else:
             pair = intervals[name][metric] if name in intervals else _NO_INTERVALS
-            item = _row(criterion, metric, strata[name], group_a, group_b, name, pair)
-        rows.append(item)
+            rows.append(_row(criterion, metric, stratum, group_a, group_b, name, pair))
+            continue
+        rows.append(
+            Comparison(
+                criterion, metric, group_a, group_b, condition=name, status=status, notes=(note,)
+            )
+        )
 
     report_notes: list[str] = []
     calibration = None
     if any(not CRITERION_COMPONENTS[c] for c in selected):
-        if not dataset.has_scores:
-            report_notes.append(f"{CALIBRATION_SKIPPED}risk scores not loaded")
+        if unscored:
+            report_notes.append(f"{CALIBRATION_SKIPPED}{scores_note}")
         else:
             try:
                 calibration = compare_calibration(

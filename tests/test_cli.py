@@ -329,6 +329,19 @@ class TestOutputFile:
         assert err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == before
 
+        # an existing directory as the target: the temp file is written
+        # beside it, the rename fails, and the temp file is removed
+        target = tmp_path / "existing"
+        target.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run(capsys, *audit_args(clinical_csv, "--output", str(target)))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"fairaudit: cannot write {str(target)!r}: ")
+        assert err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(target) == []
+
     def test_worker_count_never_changes_bytes(self, capsys, clinical_csv, tmp_path):
         reports = []
         for workers in ("1", "4"):
@@ -636,6 +649,54 @@ class TestErrors:
         assert err == (
             "fairaudit: mean_score_neg, 'a' vs 'b': ratio interval bound overflows a float\n"
         )
+
+    def test_ratio_overflowing_a_float_becomes_a_note(self, capsys, tmp_path):
+        # group b's negatives score 1e-320, so 0.3 / 1e-320 overflows a float
+        lines = ["y,g,s"]
+        for label in ("a", "b"):
+            for i in range(200):
+                y = i % 2
+                score = "0.9" if y else "0.3" if label == "a" else "1e-320"
+                lines.append(f"{y},{label},{score}")
+        path = tmp_path / "subnormal.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ("audit", "--input", str(path), "--outcome", "y", "--group", "g", "--score", "s")
+        args += ("--threshold", "0.5")
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert code == 0 and err == ""
+        (pair,) = json.loads(out)["fairness"]
+        (row,) = [r for r in pair["rows"] if r["metric"] == "mean_score_neg"]
+        assert row["value_a"] == 0.3 and row["value_b"] == 1e-320
+        assert row["ratio"] == "UNDEFINED"
+        assert row["notes"] == ["ratio undefined: overflows a float"]
+        code, out, err = run(capsys, *args)
+        assert code == 0 and err == ""
+        assert "- Balance for Negative Class: ratio undefined: overflows a float\n" in out
+
+    def test_score_missing_for_some_records_is_not_called_unloaded(self, capsys, tmp_path):
+        # one record of group a has a decision but no score
+        path = tmp_path / "blank_score.csv"
+        path.write_text(
+            "y,g,s,d\n1,a,0.9,1\n0,a,,0\n1,a,0.7,1\n0,a,0.2,0\n"
+            "1,b,0.8,1\n0,b,0.3,0\n1,b,0.6,0\n0,b,0.1,1\n",
+            encoding="utf-8",
+        )
+        args = ("audit", "--input", str(path), "--outcome", "y", "--group", "g", "--score", "s")
+        args += ("--decision", "d", "--criteria", "all")
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert code == 0 and err == ""
+        note = "risk scores missing for some records"
+        score_metrics = ("mean_score_pos", "mean_score_neg", "brier_score")
+        for pair in json.loads(out)["fairness"]:
+            score_rows = [r for r in pair["rows"] if r["metric"] in score_metrics]
+            assert len(score_rows) == 3
+            for row in score_rows:
+                assert (row["status"], row["notes"]) == ("not_evaluated", [note])
+            assert pair["notes"] == [f"calibration criteria skipped: {note}"]
+        code, out, err = run(capsys, *args)
+        assert code == 0 and err == ""
+        assert "not loaded" not in out
+        assert out.count(note) == 4
 
     def test_unknown_format_rejected_by_the_request(self):
         request = AuditRequest(input="in.csv", outcome="y", group="g", format="xml")

@@ -45,6 +45,15 @@ class TestParse:
         pred = ConditionPredicate.parse('ward != "med"')
         assert pred.clauses[0].value == "med"
 
+    def test_trailing_whitespace(self):
+        pred = ConditionPredicate.parse("age >= 60   ")
+        assert pred.clauses == (Clause("age", ">=", 60.0),)
+        assert str(pred) == "age >= 60"
+
+    def test_str_without_source_joins_the_clauses(self):
+        pred = ConditionPredicate(clauses=(Clause("age", ">=", 60.0), Clause("ward", "==", "icu")))
+        assert str(pred) == "age >= 60.0 AND ward == 'icu'"
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -159,6 +159,20 @@ class TestCompare:
             "fpr undefined for group 'b'",
         )
 
+    def test_ratio_that_overflows_a_float_is_undefined_with_note(self):
+        # 0.3 / 1e-320 exceeds the largest double; both values are defined
+        row = make_comparison(
+            FairnessCriterion.BALANCE_NEGATIVE,
+            MetricId.MEAN_SCORE_NEG,
+            "a",
+            "b",
+            0.3,
+            1e-320,
+        )
+        assert row.diff == 0.3
+        assert row.ratio is UNDEFINED
+        assert row.notes == ("ratio undefined: overflows a float",)
+
     def test_rejects_conditional_and_calibration(self):
         ds = toy_dataset()
         with pytest.raises(InputError, match="compare_conditional"):
@@ -328,6 +342,29 @@ class TestEvaluateAll:
             assert row.notes == ("risk scores not loaded",)
             assert row.diff is UNDEFINED
         assert by_criterion["statistical_parity"].status is RowStatus.EVALUATED
+
+    def test_score_rows_not_evaluated_when_a_record_lacks_a_score(self, toy):
+        # the score column is bound, so "not loaded" would be wrong
+        score = toy.score.copy()
+        score[0] = np.nan
+        ds = AuditDataset(
+            outcome=toy.outcome, group=toy.group, score=score, decision=toy.decision
+        )
+        criteria = [
+            c for c in CANONICAL_ORDER if c is not FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY
+        ]
+        report = evaluate_all(ds, "F", "M", criteria=criteria)
+        by_criterion = {row.criterion.value: row for row in report.rows}
+        for name in ("balance_positive", "balance_negative", "brier_parity"):
+            row = by_criterion[name]
+            assert row.status is RowStatus.NOT_EVALUATED
+            assert row.notes == ("risk scores missing for some records",)
+            assert row.value_a is UNDEFINED and row.diff is UNDEFINED
+        assert by_criterion["statistical_parity"].status is RowStatus.EVALUATED
+        assert report.calibration is None
+        assert report.notes == (
+            "calibration criteria skipped: risk scores missing for some records",
+        )
 
     def test_requires_decisions(self, toy):
         ds = AuditDataset(outcome=toy.outcome, group=toy.group, score=toy.score)
