@@ -125,9 +125,8 @@ class ConditionPredicate:
         """Boolean row mask over the dataset; missing values never match."""
         keep = np.ones(dataset.n, dtype=bool)
         for clause in self.clauses:
-            if clause.name not in dataset.covariates:
-                raise InputError(f"unknown covariate in condition: {clause.name!r}")
-            keep &= _clause_mask(clause, dataset.covariates[clause.name])
+            column = dataset._covariate(clause.name, "unknown covariate in condition")
+            keep &= _clause_mask(clause, column)
         return keep
 
     def __str__(self) -> str:

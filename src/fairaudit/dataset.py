@@ -12,7 +12,6 @@ import csv
 import math
 from itertools import chain, compress, islice, repeat
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -26,8 +25,8 @@ from .errors import InputError
 MAX_MISSING_DEFAULT = 0.10
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array = array.copy()
+def _read_only(array: np.ndarray, dtype=None) -> np.ndarray:
+    array = np.array(array, dtype=dtype)
     array.setflags(write=False)
     return array
 
@@ -84,7 +83,7 @@ def _checked_group(group, n: int) -> tuple[GroupCodes, np.ndarray]:
         codes = (np.cumsum(present) - 1)[codes]
         counts = counts[present]
     narrow = np.int16 if len(labels) <= np.iinfo(np.int16).max else np.intp
-    return GroupCodes(labels, _read_only(codes.astype(narrow, copy=False))), counts
+    return GroupCodes(labels, _read_only(codes, narrow)), counts
 
 
 class _GroupColumn:
@@ -113,7 +112,8 @@ class AuditDataset:
     was bound. ``decision`` is an int8 array over {0, 1} with -1 marking
     unset cells, or None. ``group`` gives one non-empty label per record,
     with at least two distinct labels. Every record carries a score, a
-    decision, or both. ``n_dropped`` counts the records the loader
+    decision, or both; ``has_scores`` and ``has_decisions`` are True when
+    every record carries one. ``n_dropped`` counts the records the loader
     dropped, and ``dropped_by_reason`` splits that count by why (see
     :func:`load_csv`).
 
@@ -137,7 +137,7 @@ class AuditDataset:
     stratum; ``("cells", label)``, a group's records laid out by confusion
     cell; ``("metrics",)``, every group's point estimates (see
     :mod:`fairaudit.metrics`); and ``("replicates", label, seed,
-    iterations, scored)``, a group's bootstrap replicate sums. Only
+    iterations, terms)``, a group's bootstrap replicate sums. Only
     successful results are kept, so errors recur on every call. Datasets
     compare and hash by identity.
     """
@@ -152,6 +152,8 @@ class AuditDataset:
     imputation_log: Mapping[str, float] = field(default_factory=dict)
     dropped_covariates: Mapping[str, float] = field(default_factory=dict)
     dropped_by_reason: Mapping[str, int] = field(default_factory=dict)
+    has_scores: bool = field(init=False, repr=False)
+    has_decisions: bool = field(init=False, repr=False)
     _group: GroupCodes = field(init=False, repr=False)
     _group_index: Mapping[str, np.ndarray] = field(init=False, repr=False)
     _memo: dict = field(init=False, repr=False)
@@ -162,21 +164,20 @@ class AuditDataset:
             raise InputError("outcome column must be a non-empty 1-d array")
         if not np.isin(outcome, (0, 1)).all():
             raise InputError("outcome values outside {0, 1}")
-        outcome = outcome.astype(np.int8)
         n = outcome.shape[0]
 
         group, counts = _checked_group(self._group, n)
         rows = np.split(np.argsort(group.codes, kind="stable"), np.cumsum(counts)[:-1])
 
+        has_score = has_decision = np.zeros(n, dtype=bool)
         score = self.score
         if score is not None:
             score = np.asarray(score, dtype=np.float64)
             if score.shape != (n,):
                 raise InputError("score column length does not match outcome")
-            present = ~np.isnan(score)
-            bad = present & ((score < 0.0) | (score > 1.0))
-            if bad.any():
+            if ((score < 0.0) | (score > 1.0)).any():  # NaN compares False
                 raise InputError("score values outside [0, 1]")
+            has_score = ~np.isnan(score)
 
         decision = self.decision
         if decision is not None:
@@ -185,10 +186,8 @@ class AuditDataset:
                 raise InputError("decision column length does not match outcome")
             if not np.isin(decision, (-1, 0, 1)).all():
                 raise InputError("decision values outside {0, 1}")
-            decision = decision.astype(np.int8)
+            has_decision = decision >= 0
 
-        has_score = ~np.isnan(score) if score is not None else np.zeros(n, dtype=bool)
-        has_decision = (decision >= 0) if decision is not None else np.zeros(n, dtype=bool)
         if not (has_score | has_decision).all():
             raise InputError("every record needs a score or a decision")
 
@@ -200,18 +199,17 @@ class AuditDataset:
             column = np.asarray(column)
             if column.shape != (n,):
                 raise InputError(f"covariate {name!r} length does not match outcome")
-            if column.dtype.kind == "f":
-                column = column.astype(np.float64)
-            else:
-                column = column.astype(object)
-            covariates[name] = _read_only(column)
+            dtype = np.float64 if column.dtype.kind == "f" else object
+            covariates[name] = _read_only(column, dtype)
 
-        object.__setattr__(self, "outcome", _read_only(outcome))
+        object.__setattr__(self, "outcome", _read_only(outcome, np.int8))
         object.__setattr__(self, "_group", group)
         object.__setattr__(self, "score", _read_only(score) if score is not None else None)
         object.__setattr__(
-            self, "decision", _read_only(decision) if decision is not None else None
+            self, "decision", _read_only(decision, np.int8) if decision is not None else None
         )
+        object.__setattr__(self, "has_scores", bool(has_score.all()))
+        object.__setattr__(self, "has_decisions", bool(has_decision.all()))
         object.__setattr__(self, "covariates", MappingProxyType(covariates))
         object.__setattr__(self, "imputation_log", MappingProxyType(dict(self.imputation_log)))
         object.__setattr__(
@@ -234,7 +232,7 @@ class AuditDataset:
     @property
     def groups(self) -> tuple[str, ...]:
         """Distinct group labels in sorted order."""
-        return tuple(self._group_index)
+        return self._group.labels
 
     def group_positions(self, label: str) -> np.ndarray:
         """Row indices belonging to one group, in record order (read-only)."""
@@ -246,15 +244,14 @@ class AuditDataset:
     def group_sizes(self) -> dict[str, int]:
         return {label: len(rows) for label, rows in self._group_index.items()}
 
-    @cached_property
-    def has_scores(self) -> bool:
-        """True when every record carries a score."""
-        return self.score is not None and not np.isnan(self.score).any()
-
-    @cached_property
-    def has_decisions(self) -> bool:
-        """True when every record carries a decision."""
-        return self.decision is not None and bool((self.decision >= 0).all())
+    def _covariate(self, name: str, unknown: str) -> np.ndarray:
+        """The named covariate column, or InputError saying why there is none."""
+        if name in self.covariates:
+            return self.covariates[name]
+        if name in self.dropped_covariates:
+            share = f"{self.dropped_covariates[name]:.0%}"
+            raise InputError(f"covariate {name!r} was dropped: {share} of its cells are missing")
+        raise InputError(f"{unknown}: {name!r}")
 
     def take(self, indices: np.ndarray) -> "AuditDataset":
         """New dataset holding the given rows (repeats allowed)."""
@@ -326,7 +323,7 @@ def _binary_codes(cells: list[str]) -> np.ndarray:
 
 
 def _block_codes(cells: list[str], code_of: dict[str, int]) -> np.ndarray:
-    """Group codes of a block's label cells, -1 where a cell is blank.
+    """Label codes of a block's label cells, -1 where a cell is blank.
 
     Each distinct cell is stripped and looked up once; a label not yet in
     ``code_of`` gets the next free code there.
@@ -444,7 +441,8 @@ def load_csv(
     and no line past the field limit is split on commas; any other goes
     through csv.reader, so quoting, NUL and the field limit work, and fail
     with the messages, as in csv. Each block is parsed one column at a
-    time: memory holds one block's lines and cells, plus the kept cells.
+    time: memory holds one block's lines and cells, plus the kept rows'
+    values, each covariate's as integer codes into its distinct labels.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
@@ -491,7 +489,8 @@ def load_csv(
         group_codes: list[np.ndarray] = []
         scores: list[np.ndarray] = []
         decisions: list[np.ndarray] = []
-        raw_covariates: dict[str, list[str]] = {name: [] for name in covariate_names}
+        covariate_code_of: dict[str, dict[str, int]] = {name: {} for name in covariate_names}
+        covariate_codes: dict[str, list[np.ndarray]] = {name: [] for name in covariate_names}
         dropped_by_reason = dict.fromkeys(_DROP_REASONS, 0)
 
         def load_block(first: int) -> int:
@@ -568,8 +567,9 @@ def load_csv(
             if decision is not None:
                 decisions.append(d[keep])
             keep = keep.tolist()
-            for name, kept in raw_covariates.items():
-                kept.extend(compress(column[name], keep))
+            for name, codes in covariate_codes.items():
+                kept = list(compress(column[name], keep))
+                codes.append(_block_codes(kept, covariate_code_of[name]))
             return n
 
         first = 2  # the file line of the block's first row
@@ -584,17 +584,16 @@ def load_csv(
 
     columns: dict[str, np.ndarray] = {}
     dropped: dict[str, float] = {}
-    for name, cells in raw_covariates.items():
-        stripped = {cell: cell.strip() for cell in set(cells)}
-        if not any(stripped.values()):
+    for name, codes in covariate_codes.items():
+        labels = list(covariate_code_of[name])  # in code order; code -1 reads the last value
+        if not labels:
             dropped[name] = 1.0
             continue
         try:
-            table = {cell: float(c) if c else math.nan for cell, c in stripped.items()}
-            columns[name] = np.fromiter(map(table.__getitem__, cells), np.float64, len(cells))
+            values = np.array([*map(float, labels), math.nan])
         except ValueError:
-            table = {cell: c if c else None for cell, c in stripped.items()}
-            columns[name] = np.array(list(map(table.__getitem__, cells)), dtype=object)
+            values = np.array([*labels, None], dtype=object)
+        columns[name] = values[np.concatenate(codes)]
 
     labels = sorted(code_of)
     renumber = np.empty(len(labels), dtype=np.intp)
@@ -640,11 +639,10 @@ def impute_medians(
     else:
         selected = list(names)
         for name in selected:
-            if name not in dataset.covariates:
-                raise InputError(f"unknown covariate: {name!r}")
-            if dataset.covariates[name].dtype.kind != "f":
+            column = dataset._covariate(name, "unknown covariate")
+            if column.dtype.kind != "f":
                 raise InputError(f"covariate {name!r} is not numeric")
-            if np.isnan(dataset.covariates[name]).all():
+            if np.isnan(column).all():
                 raise InputError(f"covariate {name!r} is entirely missing")
 
     columns = dict(dataset.covariates)

@@ -698,6 +698,33 @@ class TestErrors:
         assert "not loaded" not in out
         assert out.count(note) == 4
 
+    def test_condition_on_a_dropped_covariate_names_the_drop(self, capsys, tmp_path):
+        # age is blank in every 4th row and imputation drops it; sepsis is empty
+        lines = ["y,g,s,age,sepsis"]
+        for i in range(40):
+            lines.append(f"{i % 2},{'ab'[i % 3 % 2]},0.5,{'' if i % 4 == 3 else 30 + i},")
+        path = tmp_path / "dropped.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ("audit", "--input", str(path), "--outcome", "y", "--group", "g", "--score", "s")
+        args += ("--threshold", "0.5", "--condition", "old=age > 40")
+        args += ("--condition", "sep=sepsis == 'yes'")
+        notes = {
+            "old": "covariate 'age' was dropped: 25% of its cells are missing",
+            "sep": "covariate 'sepsis' was dropped: 100% of its cells are missing",
+        }
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert code == 0 and err == ""
+        rows = json.loads(out)["fairness"][0]["rows"]
+        conditional = {r["condition"]: r for r in rows if r["condition"] is not None}
+        assert {name: (r["status"], r["notes"]) for name, r in conditional.items()} == {
+            name: ("error", [note]) for name, note in notes.items()
+        }
+        code, out, err = run(capsys, *args)
+        assert code == 0 and err == ""
+        for name, note in notes.items():
+            assert f"- Conditional Statistical Parity ({name}): {note}\n" in out
+        assert "unknown covariate" not in out
+
     def test_unknown_format_rejected_by_the_request(self):
         request = AuditRequest(input="in.csv", outcome="y", group="g", format="xml")
         with pytest.raises(InputError, match="unknown format: 'xml'"):

@@ -201,6 +201,18 @@ class TestLoadCsv:
         assert ds.n == 2
         assert list(ds.covariates["ward"]) == ["icu, north", "med"]
 
+    def test_non_numeric_cell_on_a_dropped_row_keeps_a_covariate_float(self, tmp_path):
+        text = "y,s,g,age\n1,0.9,a,60\n,0.5,a,old\n0,0.2,b,55\n"
+        ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+        assert ds.covariates["age"].dtype == np.float64
+        assert ds.covariates["age"].tolist() == [60.0, 55.0]
+
+    def test_cell_on_a_dropped_row_keeps_no_covariate(self, tmp_path):
+        text = "y,s,g,note\n1,0.9,a,\n,0.5,a,seen\n0,0.2,b,\n"
+        ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+        assert "note" not in ds.covariates
+        assert ds.dropped_covariates == {"note": 1.0}
+
     def test_blank_extra_cells_load_and_short_rows_drop(self, tmp_path):
         text = "y,s,g\n1,0.9,a,,\n0,0.2,b, \n1,0.5\n"
         ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
@@ -232,6 +244,21 @@ class TestImputeMedians:
         assert "age" not in out.covariates
         assert out.dropped_covariates["age"] == pytest.approx(0.6)
         assert out.imputation_log == {}
+
+    def test_dropped_covariate_is_named_with_its_missing_fraction(self, tmp_path):
+        # age is blank in every 4th row, sepsis in every row
+        lines = ["y,g,s,age,sepsis"]
+        for i in range(40):
+            lines.append(f"{i % 2},{'ab'[i % 3 % 2]},0.5,{'' if i % 4 == 3 else 30 + i},")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        ds = impute_medians(load_csv(path, outcome="y", score="s", group="g"))
+        assert ds.dropped_covariates == {"sepsis": 1.0, "age": 0.25}
+        for name, fraction in [("age", "25%"), ("sepsis", "100%")]:
+            message = f"covariate '{name}' was dropped: {fraction} of its cells are missing"
+            with pytest.raises(InputError, match=message):
+                ConditionPredicate.parse(f"{name} > 40").mask(ds)
+            with pytest.raises(InputError, match=message):
+                impute_medians(ds, names=[name])
 
     def test_identity_when_nothing_missing(self, tmp_path):
         ds = self.make(tmp_path, ["10", "20", "30", "40"])
@@ -591,8 +618,9 @@ class TestEncodedGroup:
             ]
         )
         assert code == 0
-        # the clinical CSV fits in one block; no derived dataset maps labels again
-        assert calls == {"_labels_to_codes": 0, "_block_codes": 1}
+        # the clinical CSV fits in one block: one call for the group and one for
+        # each of its 6 covariates; no derived dataset maps labels again
+        assert calls == {"_labels_to_codes": 0, "_block_codes": 7}
 
 
 def named_csv_errors(rows, path, first):
@@ -944,3 +972,23 @@ def test_memory_holds_one_block_of_rows(tmp_path):
             tracemalloc.stop()
 
     assert peak("n" * width) - peak("n") < 2 * dataset_module._BLOCK_ROWS * (width + 1)
+
+
+def test_kept_covariate_costs_codes_not_strings(tmp_path):
+    """A kept covariate holds an integer code per row, not a string per row."""
+    rows = 8 * dataset_module._BLOCK_ROWS
+    path = tmp_path / "ward.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("y,s,g,ward,age\n")
+        handle.write("1,0.5,a,icu,61.5\n0,0.25,b,general,40\n" * (rows // 2))
+
+    def peak(covariates):
+        tracemalloc.start()
+        try:
+            load_csv(str(path), outcome="y", score="s", group="g", covariates=covariates)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a string per row costs ~80 bytes per row and covariate; codes cost ~30
+    assert peak(["ward", "age"]) - peak([]) < 48 * rows * 2
