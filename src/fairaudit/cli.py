@@ -71,7 +71,9 @@ FORMAT_DEFAULT = "markdown"
 
 @dataclass(frozen=True)
 class AuditRequest:
-    """Validated parameters for one audit run."""
+    """Parameters for one audit run, one field per audit flag. ``validate``
+    checks them all and returns what it builds: the criteria, the parsed
+    conditions and the bootstrap config (None without ``--bootstrap``)."""
 
     input: str
     outcome: str
@@ -93,35 +95,9 @@ class AuditRequest:
     meta: bool = False
     impute_max_missing: float = MAX_MISSING_DEFAULT
 
-    def resolved_criteria(self) -> tuple[FairnessCriterion, ...]:
-        tokens = [t.strip() for t in self.criteria.split(",") if t.strip()]
-        if not tokens:
-            raise InputError("empty criteria list")
-        out: list[FairnessCriterion] = []
-        for token in tokens:
-            if token == CRITERIA_DEFAULT:
-                out.extend(DEFAULT_CRITERIA)
-            elif token == "all":
-                out.extend(
-                    c
-                    for c in FairnessCriterion
-                    if c is not FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY
-                )
-            else:
-                out.append(coerce_criterion(token))
-        return tuple(dict.fromkeys(out))
-
-    def parsed_conditions(self) -> dict[str, ConditionPredicate]:
-        return {
-            name: ConditionPredicate.parse(expr) for name, expr in self.conditions.items()
-        }
-
-    def bootstrap_config(self) -> BootstrapConfig | None:
-        if self.bootstrap is None:
-            return None
-        return BootstrapConfig(iterations=self.bootstrap, alpha=self.alpha, seed=self.seed)
-
-    def validate(self) -> None:
+    def validate(self) -> tuple[
+        tuple[FairnessCriterion, ...], dict[str, ConditionPredicate], BootstrapConfig | None
+    ]:
         if self.format not in FORMATS:
             raise InputError(f"unknown format: {self.format!r}")
         if self.threshold is not None:
@@ -132,13 +108,34 @@ class AuditRequest:
             raise InputError(f"bootstrap must be at most {MAX_BOOTSTRAP}")
         for value in self.epsilon:
             checked_epsilon(value)
-        selected_criteria(self.resolved_criteria(), bool(self.conditions))
-        self.parsed_conditions()
-        self.bootstrap_config()
+        tokens = [t.strip() for t in self.criteria.split(",") if t.strip()]
+        if not tokens:
+            raise InputError("empty criteria list")
+        resolved: list[FairnessCriterion] = []
+        for token in tokens:
+            if token == CRITERIA_DEFAULT:
+                resolved.extend(DEFAULT_CRITERIA)
+            elif token == "all":
+                resolved.extend(
+                    c
+                    for c in FairnessCriterion
+                    if c is not FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY
+                )
+            else:
+                resolved.append(coerce_criterion(token))
+        criteria = tuple(dict.fromkeys(resolved))
+        selected_criteria(criteria, bool(self.conditions))
+        conditions = {
+            name: ConditionPredicate.parse(expr) for name, expr in self.conditions.items()
+        }
+        config = None
+        if self.bootstrap is not None:
+            config = BootstrapConfig(iterations=self.bootstrap, alpha=self.alpha, seed=self.seed)
         BootstrapConfig(alpha=self.alpha, seed=self.seed)  # checked without --bootstrap too
         checked_max_missing(self.impute_max_missing)
+        return criteria, conditions, config
 
-    def echo(self) -> dict:
+    def echo(self, criteria: Sequence[FairnessCriterion]) -> dict:
         return {
             "command": "audit",
             "input": self.input,
@@ -148,7 +145,7 @@ class AuditRequest:
             "group": self.group,
             "reference": self.reference,
             "threshold": self.threshold,
-            "criteria": [c.value for c in self.resolved_criteria()],
+            "criteria": [c.value for c in criteria],
             "conditions": dict(self.conditions),
             "bootstrap": None
             if self.bootstrap is None
@@ -177,29 +174,19 @@ def _prepare_dataset(
     return dataset
 
 
-def _reference_and_pairs(
-    dataset: AuditDataset, reference: str | None
-) -> tuple[str, list[tuple[str, str]]]:
-    groups = dataset.groups
-    if reference is None:
-        reference = groups[0]
-    elif reference not in groups:
-        raise InputError(f"unknown reference group: {reference!r}")
-    return reference, [(reference, other) for other in groups if other != reference]
-
-
 def run_audit(request: AuditRequest) -> dict:
     """Execute an audit request and return the report document."""
-    request.validate()
-    criteria = request.resolved_criteria()
-    conditions = request.parsed_conditions()
+    criteria, conditions, config = request.validate()
     dataset = _prepare_dataset(request, request.impute_max_missing)
     if not dataset.has_decisions:
         raise InputError(
             "no decisions available: bind a decision column or pass --threshold"
         )
-    reference, pairs = _reference_and_pairs(dataset, request.reference)
-    config = request.bootstrap_config()
+    groups = dataset.groups
+    reference = groups[0] if request.reference is None else request.reference
+    if reference not in groups:
+        raise InputError(f"unknown reference group: {reference!r}")
+    pairs = [(reference, other) for other in groups if other != reference]
 
     reports = [
         evaluate_all(
@@ -245,7 +232,7 @@ def run_audit(request: AuditRequest) -> dict:
 
     return build_document(
         version=__version__,
-        request=request.echo(),
+        request=request.echo(criteria),
         dataset=dataset,
         reports=reports,
         meta_results=meta_results,

@@ -584,16 +584,18 @@ def load_csv(
 
     columns: dict[str, np.ndarray] = {}
     dropped: dict[str, float] = {}
-    for name, codes in covariate_codes.items():
+    for name in covariate_names:
         labels = list(covariate_code_of[name])  # in code order; code -1 reads the last value
         if not labels:
             dropped[name] = 1.0
+            del covariate_codes[name]
             continue
         try:
             values = np.array([*map(float, labels), math.nan])
         except ValueError:
             values = np.array([*labels, None], dtype=object)
-        columns[name] = values[np.concatenate(codes)]
+        # popped, so no covariate's block codes outlive its column's decoding
+        columns[name] = values[np.concatenate(covariate_codes.pop(name))]
 
     labels = sorted(code_of)
     renumber = np.empty(len(labels), dtype=np.intp)

@@ -229,6 +229,16 @@ def format_general(value: Any) -> str:
     return f"{float(value):.6g}"
 
 
+def _format_level(alpha: float) -> str:
+    """The confidence level ``1 - alpha`` in percent, to six significant
+    digits or as many more as a level below 100 takes not to read 100."""
+    level = 100 * (1 - alpha)
+    digits = 6
+    while (text := f"{level:.{digits}g}") == "100" and level < 100:
+        digits += 1
+    return text
+
+
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -363,7 +373,7 @@ def emit_markdown(document: Mapping) -> str:
 
     # the interval header names the bootstrap's level; 95% is the --alpha default
     bootstrap = (document.get("request") or {}).get("bootstrap")
-    level = format_general(100 * (1 - bootstrap["alpha"])) if bootstrap else "95"
+    level = _format_level(bootstrap["alpha"]) if bootstrap else "95"
     for pair in document.get("fairness", []):
         lines.extend(_pair_section(pair, f"{level}% CI"))
 

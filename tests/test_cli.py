@@ -14,8 +14,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fairaudit import InputError, __version__, load_report_schema
+from fairaudit import InputError, __version__, cli, load_report_schema
 from fairaudit.cli import AuditRequest, build_parser, main
+from fairaudit.conditions import ConditionPredicate
+from fairaudit.fairness import DEFAULT_CRITERIA, FairnessCriterion
 
 
 def test_import_loads_no_scipy():
@@ -244,6 +246,15 @@ class TestAuditHappyPath:
         (header,) = [line for line in out.splitlines() if line.startswith("| Criterion |")]
         assert header.count(f"| {level}% CI |") == 2
         assert header.count("% CI") == 2
+
+    @pytest.mark.parametrize("alpha, level", [("1e-6", "99.9999"), ("1e-7", "99.99999")])
+    def test_interval_header_never_rounds_a_level_up_to_100(self, capsys, tmp_path, alpha, level):
+        path = tiny_group_csv(tmp_path, ("a", "b"))
+        extra = ("--bootstrap", "50", "--alpha", alpha, "--criteria", "statistical_parity")
+        code, out, err = run(capsys, *tiny_group_args(path, *extra))
+        assert code == 0 and err == ""
+        (header,) = [line for line in out.splitlines() if line.startswith("| Criterion |")]
+        assert header.endswith(f"| Difference | {level}% CI | Ratio | {level}% CI |")
 
     def test_diagnostics_block_present(self, capsys, clinical_csv):
         _, out, _ = run(capsys, *audit_args(clinical_csv, "--format", "json"))
@@ -845,6 +856,86 @@ class TestAuditRequestFromFlags:
         args = build_parser().parse_args(argv)
         args.handler(args)
         assert seen == [expected]
+
+
+class TestRunAuditResolvesEachFlagOnce:
+    """run_audit uses what AuditRequest.validate builds, and builds none of it again."""
+
+    def test_each_condition_is_parsed_once(self, capsys, monkeypatch, clinical_csv):
+        parsed: list[str] = []
+        parse = ConditionPredicate.parse
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(ConditionPredicate, "parse", counting_parse)
+        args = ("--condition", "senior=age >= 60", "--condition", "icu=ward == 'icu'")
+        code, _, err = run(capsys, *audit_args(clinical_csv, *args))
+        assert code == 0 and err == ""
+        assert parsed == ["age >= 60", "ward == 'icu'"]
+
+    def test_validated_values_reach_echo_and_every_pair(self, monkeypatch, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(1))
+        lines = ["y,g,s,age"]
+        for i in range(300):
+            lines.append(f"{int(rng.random() < 0.4)},{'abc'[i % 3]},{rng.random():.3f},{i % 60}")
+        path = tmp_path / "scored.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        request = AuditRequest(
+            input=str(path),
+            outcome="y",
+            group="g",
+            score="s",
+            threshold=0.5,
+            criteria="statistical_parity,default",
+            conditions={"old": "age >= 30"},
+            bootstrap=20,
+        )
+        validated, echoed, evaluated = [], [], []
+        validate, echo, evaluate = AuditRequest.validate, AuditRequest.echo, cli.evaluate_all
+
+        def recording_validate(self):
+            validated.append(validate(self))
+            return validated[-1]
+
+        def recording_echo(self, criteria):
+            echoed.append(criteria)
+            return echo(self, criteria)
+
+        def recording_evaluate(dataset, group_a, group_b, **kwargs):
+            evaluated.append((kwargs["criteria"], kwargs["conditions"], kwargs["bootstrap"]))
+            return evaluate(dataset, group_a, group_b, **kwargs)
+
+        monkeypatch.setattr(AuditRequest, "validate", recording_validate)
+        monkeypatch.setattr(AuditRequest, "echo", recording_echo)
+        monkeypatch.setattr(cli, "evaluate_all", recording_evaluate)
+        document = cli.run_audit(request)
+        ((criteria, conditions, config),) = validated
+        parity = FairnessCriterion.STATISTICAL_PARITY
+        assert criteria == (parity, *(c for c in DEFAULT_CRITERIA if c is not parity))
+        assert list(conditions) == ["old"] and isinstance(conditions["old"], ConditionPredicate)
+        assert (config.iterations, config.alpha, config.seed) == (20, 0.05, 0)
+        assert len(echoed) == 1 and echoed[0] is criteria
+        assert len(evaluated) == 2
+        for pair in evaluated:
+            assert all(got is want for got, want in zip(pair, (criteria, conditions, config)))
+        assert document["request"]["criteria"] == [c.value for c in criteria]
+
+    def test_without_bootstrap_the_config_is_none(self):
+        request = AuditRequest(input="in.csv", outcome="y", group="g", criteria="all")
+        criteria, conditions, config = request.validate()
+        assert FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY not in criteria
+        assert conditions == {} and config is None
+
+    def test_reference_pairs_come_in_label_order(self, capsys, three_group_csv):
+        args = ("--outcome", "y", "--group", "g", "--decision", "d", "--reference", "b")
+        code, out, err = run(capsys, "audit", "--input", three_group_csv, *args, "--format", "json")
+        assert code == 0 and err == ""
+        document = json.loads(out)
+        assert document["request"]["reference"] == "b"
+        pairs = [(pair["group_a"], pair["group_b"]) for pair in document["fairness"]]
+        assert pairs == [("b", "a"), ("b", "c")]
 
 
 class TestMetaSubcommand:

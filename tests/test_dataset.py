@@ -990,5 +990,28 @@ def test_kept_covariate_costs_codes_not_strings(tmp_path):
         finally:
             tracemalloc.stop()
 
-    # a string per row costs ~80 bytes per row and covariate; codes cost ~30
-    assert peak(["ward", "age"]) - peak([]) < 48 * rows * 2
+    # a string per row costs ~80 bytes per row and covariate; the decoded
+    # column and the dataset's own copy of it cost 16
+    assert peak(["ward", "age"]) - peak([]) < 20 * rows * 2
+
+
+def test_covariate_without_labels_keeps_no_codes(tmp_path):
+    """A covariate dropped for holding no label frees its codes before the dataset is built."""
+    rows = 8 * dataset_module._BLOCK_ROWS
+    path = tmp_path / "blank.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("y,s,g,blank\n")
+        handle.write("1,0.5,a,\n0,0.25,b,\n" * (rows // 2))
+
+    def peak(covariates):
+        tracemalloc.start()
+        try:
+            dataset = load_csv(str(path), outcome="y", score="s", group="g", covariates=covariates)
+            return tracemalloc.get_traced_memory()[1], dataset.dropped_covariates
+        finally:
+            tracemalloc.stop()
+
+    (with_blank, dropped), (without, _) = peak(["blank"]), peak([])
+    assert dropped == {"blank": 1.0}
+    # its codes, kept until the dataset is built, would add 8 bytes per row
+    assert with_blank - without < 4 * rows
