@@ -9,8 +9,9 @@ downstream statistics consume it; none of them mutate it.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -266,10 +267,11 @@ class AuditDataset:
         )
 
 
-# Lines read at a time: memory holds one block of lines and cells, never the
-# whole file. A block holding a double quote, a NUL or a line longer than csv's
-# field limit goes through csv.reader; any other is split on commas directly.
-_BLOCK_ROWS = 2**12
+# Characters read at a time, plus the rest of the last line: memory holds one
+# block of text and cells, never the whole file. A block holding a double
+# quote, a NUL or a line longer than csv's field limit goes through csv.reader;
+# any other is split on commas directly.
+_BLOCK_CHARS = 2**16
 
 # Codes of a binary cell besides 0 and 1. Decision codes are kept as they are,
 # so _BLANK must be AuditDataset's code for an unset decision.
@@ -345,6 +347,13 @@ def _float_or_nan(cell: str) -> float:
 def _scores(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """A score column, NaN where blank, and a mask of the cells that
     :func:`_parse_score` rejects: not blank, and not a number in [0, 1]."""
+    if "" not in cells:
+        try:  # numpy parses a str as float() does
+            score = np.array(cells, dtype=np.float64)
+        except ValueError:  # a whitespace-only or non-numeric cell
+            pass
+        else:
+            return score, ~((score >= 0.0) & (score <= 1.0))
     try:
         values = [float(cell) if cell else math.nan for cell in cells]
     except ValueError:  # a whitespace-only or non-numeric cell
@@ -409,6 +418,32 @@ def _csv_block(
     return list(chain.from_iterable(rows)), extra, error
 
 
+def _comma_block(text: str, width: int) -> tuple[list[str], np.ndarray]:
+    """Split a block of lines, each ending in "\\n", with no quote or NUL, on commas.
+
+    Returns the cells, ``width`` per line (short lines padded, long ones
+    cut), and whether each line's cut cells held anything. One pass over
+    the block's UTF-8 bytes finds the line ends and each line's comma
+    count; only lines of another count are split one at a time.
+    """
+    data = np.frombuffer(text.encode("utf-8"), np.uint8)
+    marks = np.flatnonzero((data == ord("\n")) | (data == ord(",")))
+    ends = np.flatnonzero(data[marks] == ord("\n"))  # each line end's index among the marks
+    del data, marks
+    extra = np.zeros(len(ends), dtype=bool)
+    ragged = np.flatnonzero(np.diff(ends, prepend=-1) != width).tolist()  # commas + 1 per line
+    if ragged:
+        lines = text.split("\n")
+        for i in ragged:
+            row, extra[i] = _fitted(lines[i].split(","), width)
+            lines[i] = ",".join(row)
+        text = "\n".join(lines)
+        del lines
+    cells = text.replace("\n", ",").split(",")
+    del text, cells[len(ends) * width :]  # the cell after the last line end
+    return cells, extra
+
+
 def load_csv(
     path: str,
     *,
@@ -436,13 +471,16 @@ def load_csv(
     quote followed by more than 128 KiB) raise InputError naming the
     first such row's file line.
 
-    No cell may hold a line break, so every row kept is one line. Lines are
-    read in blocks of ``_BLOCK_ROWS``. A block with no double quote, no NUL
-    and no line past the field limit is split on commas; any other goes
-    through csv.reader, so quoting, NUL and the field limit work, and fail
-    with the messages, as in csv. Each block is parsed one column at a
-    time: memory holds one block's lines and cells, plus the kept rows'
-    values, each covariate's as integer codes into its distinct labels.
+    No cell may hold a line break, so every row kept is one line. The file
+    is read in blocks of ``_BLOCK_CHARS`` characters and the rest of the
+    last line; a block never ends between a "\\r" and its "\\n". A block
+    with no double quote, no NUL and no line past the field limit has its
+    line ends made "\\n" and is split on commas; any other is cut into lines
+    as the file iterator cuts them and goes through csv.reader, so quoting,
+    NUL and the field limit work, and fail with the messages, as in csv.
+    Each block is parsed one column at a time: memory holds one block's
+    text and cells, plus the kept rows' values, each covariate's as integer
+    codes into its distinct labels.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
@@ -495,29 +533,27 @@ def load_csv(
 
         def load_block(first: int) -> int:
             """Read and parse the rows from file line ``first`` on; return how many."""
-            lines = list(islice(handle, _BLOCK_ROWS))
-            text, limit = "".join(lines), csv.field_size_limit()
-            if '"' in text or "\0" in text or (
-                len(text) > limit and max(map(len, lines)) > limit
-            ):
+            text = handle.read(_BLOCK_CHARS)
+            if text[-1:] != "\n":  # finish the last line, and a "\r\n" its "\r" may begin
+                text += handle.readline()
+            if not text:
+                return 0
+            quoted = '"' in text or "\0" in text
+            if not quoted:  # end each line in "\n"; the file iterator also ends one at "\r"
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                if text[-1:] != "\n":
+                    text += "\n"
+            limit = csv.field_size_limit()
+            if quoted or (len(text) > limit and max(map(len, text.split("\n"))) > limit):
+                lines = list(io.StringIO(text, newline=""))
                 del text  # one copy of the block's text at a time
                 cells, extra, error = _csv_block(lines, handle, width, first, path)
             else:
                 error = None
-                extra = np.zeros(len(lines), dtype=bool)
-                commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, len(lines))
-                ragged = np.flatnonzero(commas != width - 1).tolist()
-                for i in ragged:
-                    row, extra[i] = _fitted(lines[i].rstrip("\r\n").split(","), width)
-                    lines[i] = ",".join(row) + "\n"
-                text = "".join(lines) if ragged else text
-                del lines  # one copy of the block's text at a time
-                text = text.replace("\r\n", ",").replace("\r", ",").replace("\n", ",")
-                cells = text.split(",")
-                del text, cells[len(extra) * width :]  # the cell after a last line end
+                cells, extra = _comma_block(text, width)
+                del text
             n = len(extra)
-            if not n and error is None:
-                return 0
 
             column = {name: cells[k::width] for name, k in position.items()}
             bad = extra.copy()
@@ -566,9 +602,9 @@ def load_csv(
                 scores.append(s[keep])
             if decision is not None:
                 decisions.append(d[keep])
-            keep = keep.tolist()
+            keep = None if keep.all() else keep.tolist()
             for name, codes in covariate_codes.items():
-                kept = list(compress(column[name], keep))
+                kept = column[name] if keep is None else list(compress(column[name], keep))
                 codes.append(_block_codes(kept, covariate_code_of[name]))
             return n
 

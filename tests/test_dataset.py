@@ -848,9 +848,9 @@ class TestBlockLoaderMatchesRowLoader:
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
             want = loaded(reference_load, path, **bindings)
-            for rows in (1, 2, 3, dataset_module._BLOCK_ROWS):
+            for chars in (1, 2, 3, 5, 17, dataset_module._BLOCK_CHARS):
                 with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(dataset_module, "_BLOCK_ROWS", rows)
+                    patch.setattr(dataset_module, "_BLOCK_CHARS", chars)
                     assert_same_load(loaded(load_csv, path, **bindings), want)
 
     def test_first_bad_row_wins_across_columns(self, tmp_path):
@@ -860,9 +860,9 @@ class TestBlockLoaderMatchesRowLoader:
             load_csv(path, outcome="y", score="s", group="g")
         assert str(caught.value) == f"line 3 of {path!r}: s value is not numeric: 'high'"
 
-    @pytest.mark.parametrize("rows", [1, 4])
-    def test_error_in_a_later_block_names_its_own_line(self, tmp_path, monkeypatch, rows):
-        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", rows)
+    @pytest.mark.parametrize("chars", [1, 2, 3, 4, 5, 17, dataset_module._BLOCK_CHARS])
+    def test_error_in_a_later_block_names_its_own_line(self, tmp_path, monkeypatch, chars):
+        monkeypatch.setattr(dataset_module, "_BLOCK_CHARS", chars)
         text = "y,s,g\n1,0.5,a\n0,0.4,b\n\n1,0.3,a\n0,0.2,b\n1,1.5,a\n"
         path = write(tmp_path, text)
         with pytest.raises(InputError) as caught:
@@ -876,13 +876,88 @@ class TestBlockLoaderMatchesRowLoader:
             load_csv(path, outcome="y", score="s", group="g")
         assert str(caught.value) == f"line 7 of {path!r}: y value outside {{0, 1}}: '2'"
 
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_line_endings_load_alike_at_every_block_size(self, tmp_path, bad):
+        lines = [
+            "y,s,g,note",
+            "1,0.5,a,x",
+            "",  # blank: skipped
+            "0,0.25,b",  # ragged: short
+            "1,0.75,a,y,,",  # ragged: blank cells past the header
+            ",0.5,b,z",  # dropped: no outcome
+            "0,0.125,b,w",
+            "1,1.5,a,v" if bad else "1,1,a,v",  # line 8
+            "0,0,b,u",
+        ]
+        want = None
+        for name, end in [("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")]:
+            text = end.join(lines) + end
+            path = tmp_path / name / "data.csv"
+            path.parent.mkdir()
+            path.write_bytes(text.encode("utf-8"))
+            body = text[len(lines[0] + end) :]  # what the blocks read, after the header
+            sizes = range(1, len(body) + 1)
+            if end == "\r\n":  # some block's read ends between a "\r" and its "\n"
+                assert any(body[size - 1] == "\r" for size in sizes)
+            for size in [*sizes, dataset_module._BLOCK_CHARS]:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(dataset_module, "_BLOCK_CHARS", size)
+                    got = loaded(load_csv, str(path), outcome="y", score="s", group="g")
+                if isinstance(got, str):
+                    got = got.replace(repr(str(path)), "PATH")
+                if want is None:
+                    want = got
+                assert_same_load(got, want)
+        if bad:
+            assert want == "line 8 of PATH: s value outside [0, 1]: '1.5'"
+        else:
+            assert want.n == 6 and dict(want.dropped_by_reason)["outcome"] == 1
+            assert want.covariates["note"].tolist() == ["x", None, "y", "w", "v", "u"]
+
+
+# Score cells whose spelling float() reads in its own way, and each one's
+# loaded score, or the message naming it; a blank or whitespace-only cell
+# drops its row.
+SCORE_SPELLINGS = {
+    " 0.5 ": 0.5,
+    "1_0": "s value outside [0, 1]: '1_0'",
+    "١": 1.0,  # ARABIC-INDIC DIGIT ONE
+    "nan": "s value outside [0, 1]: 'nan'",
+    "inf": "s value outside [0, 1]: 'inf'",
+    "1e400": "s value outside [0, 1]: '1e400'",
+    "-0": -0.0,
+    " \t ": None,
+    "": None,
+}
+
+
+class TestScoreSpellings:
+    @pytest.mark.parametrize("cell", list(SCORE_SPELLINGS))
+    @pytest.mark.parametrize("with_blank", [False, True])
+    def test_each_spelling_reads_as_float_reads_it(self, tmp_path, cell, with_blank):
+        """A block with no blank score and one with a blank one read a cell alike."""
+        rows = ["y,s,g", "1,0.5,a", f"0,{cell},b", "1,0.25,b"] + ["0,,a"] * with_blank
+        path = write(tmp_path, "\n".join(rows) + "\n")
+        got = loaded(load_csv, path, outcome="y", score="s", group="g")
+        assert_same_load(got, loaded(reference_load, path, outcome="y", score="s", group="g"))
+        want = SCORE_SPELLINGS[cell]
+        if isinstance(want, str):
+            assert got == f"line 3 of {path!r}: {want}"
+        elif want is None:
+            assert got.score.tolist() == [0.5, 0.25]
+            assert dict(got.dropped_by_reason)["score_and_decision"] == 1 + with_blank
+        else:
+            assert list(map(repr, got.score.tolist())) == ["0.5", repr(want), "0.25"]
+
 
 class TestCsvFallback:
     """Blocks holding a quote, a NUL or a line past the field limit are read by csv."""
 
-    @pytest.mark.parametrize("rows", [1, 4, dataset_module._BLOCK_ROWS])
-    def test_unquoted_cell_past_the_field_limit_names_its_line(self, tmp_path, monkeypatch, rows):
-        monkeypatch.setattr(dataset_module, "_BLOCK_ROWS", rows)
+    @pytest.mark.parametrize("chars", [1, 2, 3, 4, 5, 17, 4096, dataset_module._BLOCK_CHARS])
+    def test_unquoted_cell_past_the_field_limit_names_its_line(
+        self, tmp_path, monkeypatch, chars
+    ):
+        monkeypatch.setattr(dataset_module, "_BLOCK_CHARS", chars)
         cell = "x" * (csv.field_size_limit() + 1)
         text = f"y,s,g,note\n1,0.5,a,n\n0,0.4,b,n\n\n1,0.3,a,{cell}\n0,0.2,b,n\n"
         path = write(tmp_path, text)
@@ -953,7 +1028,7 @@ class TestDropReasons:
 
 def test_memory_holds_one_block_of_rows(tmp_path):
     """A wide unbound column costs at most about one block of rows, not the file."""
-    rows = 8 * dataset_module._BLOCK_ROWS
+    rows = 8 * 4096
     # the narrow file's own load holds ~0.5 kB per block line, which would
     # hide a narrow note's transients; at 1,000 characters the block's text
     # reads ~1.75 copies here, and one more copy of it breaks the bound
@@ -971,12 +1046,12 @@ def test_memory_holds_one_block_of_rows(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak("n" * width) - peak("n") < 2 * dataset_module._BLOCK_ROWS * (width + 1)
+    assert peak("n" * width) - peak("n") < 2 * 4096 * (width + 1)
 
 
 def test_kept_covariate_costs_codes_not_strings(tmp_path):
     """A kept covariate holds an integer code per row, not a string per row."""
-    rows = 8 * dataset_module._BLOCK_ROWS
+    rows = 8 * 4096
     path = tmp_path / "ward.csv"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("y,s,g,ward,age\n")
@@ -997,7 +1072,7 @@ def test_kept_covariate_costs_codes_not_strings(tmp_path):
 
 def test_covariate_without_labels_keeps_no_codes(tmp_path):
     """A covariate dropped for holding no label frees its codes before the dataset is built."""
-    rows = 8 * dataset_module._BLOCK_ROWS
+    rows = 8 * 4096
     path = tmp_path / "blank.csv"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("y,s,g,blank\n")
