@@ -38,7 +38,6 @@ from .fairness import (
     RowStatus,
     compare,
     compare_calibration,
-    compare_conditional,
     criterion_category,
     criterion_components,
     evaluate_all,
@@ -111,7 +110,6 @@ __all__ = [
     "ci_ratio",
     "compare",
     "compare_calibration",
-    "compare_conditional",
     "criterion_category",
     "criterion_components",
     "emit_markdown",

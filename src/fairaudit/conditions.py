@@ -50,7 +50,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
-        if match is None or match.end() == match.start():
+        if match is None:
             remainder = text[pos:].strip()
             if not remainder:
                 break

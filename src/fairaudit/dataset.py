@@ -114,9 +114,10 @@ class AuditDataset:
     unset cells, or None. ``group`` gives one non-empty label per record,
     with at least two distinct labels. Every record carries a score, a
     decision, or both; ``has_scores`` and ``has_decisions`` are True when
-    every record carries one. ``n_dropped`` counts the records the loader
-    dropped, and ``dropped_by_reason`` splits that count by why (see
-    :func:`load_csv`).
+    every record carries one. A boolean, integer or float covariate is kept
+    as a numeric float64 column, any other as a categorical object column.
+    ``n_dropped`` counts the records the loader dropped, and
+    ``dropped_by_reason`` splits that count by why (see :func:`load_csv`).
 
     The group column is dictionary-encoded: the dataset keeps its sorted
     distinct labels and one integer code per record (int16 below 2**15
@@ -200,7 +201,7 @@ class AuditDataset:
             column = np.asarray(column)
             if column.shape != (n,):
                 raise InputError(f"covariate {name!r} length does not match outcome")
-            dtype = np.float64 if column.dtype.kind == "f" else object
+            dtype = np.float64 if column.dtype.kind in "biuf" else object
             covariates[name] = _read_only(column, dtype)
 
         object.__setattr__(self, "outcome", _read_only(outcome, np.int8))

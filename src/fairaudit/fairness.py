@@ -249,38 +249,19 @@ def compare(
 ) -> list[Comparison]:
     """Compare one criterion's components between two groups.
 
-    Returns one row per component metric. Conditional and calibration
-    criteria have their own entry points and are rejected here.
+    Returns one row per component metric. Conditional statistical parity
+    needs a condition, so its rows come from :func:`evaluate_all` with
+    ``conditions``; calibration criteria compare curves, through
+    :func:`compare_calibration`. Both are rejected here.
     """
     criterion = coerce_criterion(criterion)
     _check_pair(dataset, group_a, group_b)
     if criterion is FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY:
-        raise InputError("conditional criterion needs a predicate: use compare_conditional")
+        raise InputError("conditional criterion needs a condition: use evaluate_all")
     components = CRITERION_COMPONENTS[criterion]
     if not components:
         raise InputError(f"{criterion.value} compares curves: use compare_calibration")
     return [_row(criterion, metric, dataset, group_a, group_b) for metric in components]
-
-
-def compare_conditional(
-    dataset: AuditDataset,
-    predicate: ConditionPredicate | str,
-    group_a: str,
-    group_b: str,
-    name: str | None = None,
-) -> Comparison:
-    """Positive-rate comparison restricted to records matching a predicate."""
-    if isinstance(predicate, str):
-        predicate = ConditionPredicate.parse(predicate)
-    _check_pair(dataset, group_a, group_b)
-    return _row(
-        FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY,
-        MetricId.POSITIVE_RATE,
-        filter_condition(dataset, predicate),
-        group_a,
-        group_b,
-        name or str(predicate),
-    )
 
 
 @dataclass(frozen=True)

@@ -176,26 +176,21 @@ def _draw_plan(label: str, cells: _Cells) -> _DrawPlan:
     )
 
 
-def _draw(
-    plan: _DrawPlan, seed: int, start: int, records: bool
-) -> tuple[np.ndarray, Iterator[np.ndarray] | None]:
+def _draw(plan: _DrawPlan, seed: int, start: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """The resamples of the block starting at iteration ``start``.
 
     Returns their (rows, 4) cell counts, one Multinomial(n, sizes / n) row
-    per resample, and, with ``records``, the records drawn within cells:
-    one array per non-empty cell, in cell order, of positions among the
-    group's records sorted by cell, resample by resample. The positions
-    are drawn lazily, after every count, so a caller that only counts
-    draws none and a score metric never changes the counts, and only one
-    cell's positions need be held at a time. A block always draws all
-    ``plan.rows`` resamples, so its draws never depend on the iteration
-    count.
+    per resample, and the records drawn within cells: one array per
+    non-empty cell, in cell order, of positions among the group's records
+    sorted by cell, resample by resample. The positions are drawn lazily,
+    after every count, so a caller that only counts draws none and a
+    score metric never changes the counts, and only one cell's positions
+    need be held at a time. A block always draws all ``plan.rows``
+    resamples, so its draws never depend on the iteration count.
     """
     rng = _substream(seed, start, plan.key)
     counts = np.zeros((plan.rows, _CELLS), dtype=np.int64)
     counts[:, plan.cells] = rng.multinomial(plan.size, plan.pvals, size=plan.rows)
-    if not records:
-        return counts, None
     totals = counts.sum(axis=0)
     cells = zip(plan.cells, plan.low, plan.high)
     return counts, (rng.integers(low, high, totals[c]) for c, low, high in cells)
@@ -227,7 +222,7 @@ def resample_within_groups(
         cells = _cells(dataset, label)
         plan = _draw_plan(label, cells)
         row = iteration % plan.rows
-        counts, draws = _draw(plan, seed, iteration - row, records=True)
+        counts, draws = _draw(plan, seed, iteration - row)
         before = counts[:row].sum(axis=0)
         picks = [
             drawn[before[c] : before[c] + counts[row, c]]
@@ -289,7 +284,7 @@ def _replicate_sums(
     floats = _floats(dataset, cells, terms) if terms else None
     for start in blocks:
         rows = slice(start, start + plan.rows)
-        counts[rows], draws = _draw(plan, config.seed, start, records=bool(terms))
+        counts[rows], draws = _draw(plan, config.seed, start)
         if terms:
             block = counts[rows]
             drawn = block > 0

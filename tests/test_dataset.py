@@ -1027,12 +1027,14 @@ class TestDropReasons:
 
 
 def test_memory_holds_one_block_of_rows(tmp_path):
-    """A wide unbound column costs at most about one block of rows, not the file."""
-    rows = 8 * 4096
-    # the narrow file's own load holds ~0.5 kB per block line, which would
-    # hide a narrow note's transients; at 1,000 characters the block's text
-    # reads ~1.75 copies here, and one more copy of it breaks the bound
+    """A wide unbound column costs about one block of text, not the file."""
+    block = dataset_module._BLOCK_CHARS
     width = 1000
+    # a 16-block file: its kept columns and per-block arrays stay far below
+    # one block, so the peak is the block itself; a block of wide lines is
+    # held three times as it is split (its text, the text with its line ends
+    # made commas, the cells), and one more copy of it breaks the bound
+    rows = 16 * block // width
 
     def peak(note):
         path = tmp_path / f"note{len(note)}.csv"
@@ -1046,7 +1048,8 @@ def test_memory_holds_one_block_of_rows(tmp_path):
         finally:
             tracemalloc.stop()
 
-    assert peak("n" * width) - peak("n") < 2 * 4096 * (width + 1)
+    peak("n")  # the first load in a process also allocates what later loads reuse
+    assert peak("n" * width) - peak("n") < 3.5 * block
 
 
 def test_kept_covariate_costs_codes_not_strings(tmp_path):

@@ -23,12 +23,12 @@ from fairaudit import (
     bootstrap_replicates,
     compare,
     compare_calibration,
-    compare_conditional,
     criterion_category,
     criterion_components,
     evaluate_all,
     filter_condition,
     group_metric,
+    impute_medians,
     is_defined,
     make_comparison,
 )
@@ -175,7 +175,7 @@ class TestCompare:
 
     def test_rejects_conditional_and_calibration(self):
         ds = toy_dataset()
-        with pytest.raises(InputError, match="compare_conditional"):
+        with pytest.raises(InputError, match="use evaluate_all"):
             compare(ds, "conditional_statistical_parity", "F", "M")
         with pytest.raises(InputError, match="compare_calibration"):
             compare(ds, "well_calibration", "F", "M")
@@ -189,11 +189,25 @@ class TestCompare:
 
 
 class TestCompareConditional:
+    """Conditional statistical parity rows, which evaluate_all builds from a
+    condition's stratum."""
+
+    @staticmethod
+    def _row(condition):
+        report = evaluate_all(
+            covariate_dataset(),
+            "a",
+            "b",
+            criteria=["conditional_statistical_parity"],
+            conditions={"senior": condition},
+        )
+        (row,) = report.rows
+        return row
+
     def test_matches_manual_filter(self):
-        ds = covariate_dataset()
-        row = compare_conditional(ds, "age >= 60", "a", "b", name="senior")
+        row = self._row("age >= 60")
         manual = compare(
-            filter_condition(ds, "age >= 60"), "statistical_parity", "a", "b"
+            filter_condition(covariate_dataset(), "age >= 60"), "statistical_parity", "a", "b"
         )[0]
         assert row.criterion is FairnessCriterion.CONDITIONAL_STATISTICAL_PARITY
         assert row.condition == "senior"
@@ -202,18 +216,32 @@ class TestCompareConditional:
         assert row.diff == manual.diff and row.ratio == manual.ratio
 
     def test_exact_stratum_values(self):
-        row = compare_conditional(covariate_dataset(), "age >= 60", "a", "b")
+        row = self._row("age >= 60")
         assert row.value_a == 2 / 3
         assert row.value_b == 1 / 3
         assert row.ratio == 2.0
 
-    def test_default_condition_name_is_source_text(self):
-        row = compare_conditional(covariate_dataset(), "age >= 60", "a", "b")
-        assert row.condition == "age >= 60"
+    def test_emptied_group_gives_error_row(self):
+        row = self._row("age >= 71")
+        assert row.status is RowStatus.ERROR
+        assert row.notes == ("condition 'age >= 71' leaves group 'a' empty",)
 
-    def test_emptied_group_raises(self):
-        with pytest.raises(InputError, match="leaves group 'a' empty"):
-            compare_conditional(covariate_dataset(), "age >= 71", "a", "b")
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.uint8, bool])
+    def test_integer_and_boolean_covariates_are_numeric(self, dtype):
+        floats = covariate_dataset()
+        age = floats.covariates["age"]
+        column = age >= 60 if dtype is bool else age.astype(dtype)
+        condition = "age == 1" if dtype is bool else "age >= 60"
+        ints = dataclasses.replace(floats, group=floats._group, covariates={"age": column})
+        assert ints.covariates["age"].dtype == np.float64
+        assert impute_medians(ints, ["age"]) is ints  # numeric, and nothing to fill
+        stratum = filter_condition(ints, condition)
+        expected = filter_condition(floats, "age >= 60")
+        assert np.array_equal(stratum.outcome, expected.outcome)
+        assert np.array_equal(stratum.decision, expected.decision)
+        assert np.array_equal(stratum.group, expected.group)
+        rows = evaluate_all(ints, "a", "b", conditions={"senior": condition}).rows
+        assert rows == evaluate_all(floats, "a", "b", conditions={"senior": "age >= 60"}).rows
 
 
 class TestCompareCalibration:
