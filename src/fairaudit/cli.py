@@ -452,7 +452,7 @@ def _write_output(text: str, path: str | None) -> None:
         if temp_path is not None:
             with contextlib.suppress(OSError):
                 os.unlink(temp_path)
-        raise InputError(f"cannot write {path!r}: {exc}") from None
+        raise InputError(f"cannot write {path!r}: {exc.strerror or exc}") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -492,7 +492,7 @@ def load_csv(
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from None
+        raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None
 
     with handle:
         try:

@@ -10,22 +10,26 @@ decision whenever every record of the group has one, so they never
 depend on the metrics requested. The cell counts alone give every
 confusion metric; records within cells are drawn only for score
 metrics, after the counts, so a score metric never changes the counts.
-A group's iterations are drawn in blocks of ``max(1, 2**15 // n)``
-resamples, and each (seed, first iteration of the block, group label)
-triple addresses that block's random substream. Replicates are therefore
-a pure function of the data order, the seed, the iteration and the
-group: reruns reproduce bit for bit, and a group's replicates are the
-same in every pair it joins. A group's draws are planned once per
-replicate build (non-empty cells, multinomial probabilities, cell record
-ranges, the label's substream key), and both the replicate build and
-:func:`resample_within_groups` draw through that plan. A block only
-records: its cell counts and, for each float term the metrics read
-(``metrics._SCORE_TERMS``), the sum of every (cell, resample) segment of
-its drawn records; one pass per group then builds the replicate sums the
-way the point sums are built. A dataset keeps each group's replicate sums
-under the memo key ``("replicates", label, seed, iterations, terms)``,
-``terms`` naming the float terms gathered, so the pairs of an audit share
-them.
+A group's iterations are drawn in blocks of
+``max(1, 2**15 // n, min(128, 2**17 // n))`` resamples: 2**15 // n of
+them for a group of 256 records or fewer, otherwise at most 128 and at
+most 2**17 records drawn within cells (one resample above 2**17
+records). Each (seed, first iteration of the block, group label) triple
+addresses that block's random substream, and a block always draws all
+its resamples. Replicates are therefore a pure function of the data
+order, the seed, the iteration and the group: reruns reproduce bit for
+bit, the first B replicates do not depend on how many follow, and a
+group's replicates are the same in every pair it joins. A group's draws
+are planned once per replicate build (non-empty cells, multinomial
+probabilities, cell record ranges, the label's substream key), and both
+the replicate build and :func:`resample_within_groups` draw through that
+plan. A block only records: its cell counts and, for each float term the
+metrics read (``metrics._SCORE_TERMS``), the sum of every (cell,
+resample) segment of its drawn records; one pass per group then builds
+the replicate sums the way the point sums are built. A dataset keeps each
+group's replicate sums under the memo key ``("replicates", label, seed,
+iterations, terms)``, ``terms`` naming the float terms gathered, so the
+pairs of an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences, and the ratio interval
@@ -139,13 +143,14 @@ def _substream(seed: int, iteration: int, group_key: int) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(sequence))
 
 
-# A block holds max(1, _BLOCK_CELLS // n) resamples of an n-record group,
-# which bounds the records one block draws within cells.
-_BLOCK_CELLS = 2**15
+# A large group's block draws at most _BLOCK_CELLS records within cells and
+# at most 128 resamples, so no group draws far more resamples than it needs;
+# a group of n <= 256 records keeps 2**15 // n resamples per block.
+_BLOCK_CELLS = 2**17
 
 
 def _block_rows(size: int) -> int:
-    return max(1, _BLOCK_CELLS // size)
+    return max(1, 2**15 // size, min(128, _BLOCK_CELLS // size))
 
 
 class _DrawPlan(NamedTuple):

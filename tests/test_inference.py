@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,10 +177,10 @@ class TestBootstrapReplicates:
                 assert same(replicates.values_b[iteration, j], expect_b)
 
     def test_block_boundaries_match_public_resampler_exactly(self):
-        # 12,000 records make two resamples per block: iterations 0-1 and
+        # 50,000 records make two resamples per block: iterations 0-1 and
         # 2-3 fill a block each and iteration 4 ends in a partial block
-        ds = random_dataset({"a": 12_000, "b": 30}, seed=11)
-        assert inference._block_rows(12_000) == 2
+        ds = random_dataset({"a": 50_000, "b": 30}, seed=11)
+        assert inference._block_rows(50_000) == 2
         metrics = tuple(MetricId)
         config = BootstrapConfig(iterations=5, seed=3)
         replicates = bootstrap_replicates(ds, metrics, "a", "b", config)
@@ -192,8 +193,8 @@ class TestBootstrapReplicates:
                 assert same(replicates.values_b[iteration, j], expect_b)
 
     def test_rare_cell_matches_public_resampler_exactly(self):
-        # one false positive among 40,000 records: with one resample per
-        # block, a block often draws nothing from that cell
+        # one false positive among 40,000 records: a resample often draws
+        # nothing from that cell
         n = 40_000
         outcome = np.zeros(n + 30, dtype=np.int8)
         outcome[1 : n // 2] = 1
@@ -217,6 +218,30 @@ class TestBootstrapReplicates:
                 expect_b = as_float(group_metric(resampled, "b", metric))
                 assert same(replicates.values_a[iteration, j], expect_a)
                 assert same(replicates.values_b[iteration, j], expect_b)
+
+    def test_block_drawing_nothing_from_a_cell_matches_public_resampler(self):
+        # one false positive among 70,000 records, drawn one resample per
+        # block: a block often draws no position from that cell
+        n = 70_000
+        assert inference._block_rows(n) == 1
+        decision = np.zeros(n + 30, dtype=np.int8)
+        decision[0] = 1
+        rng = np.random.Generator(np.random.PCG64(6))
+        ds = AuditDataset(
+            outcome=np.zeros(n + 30, dtype=np.int8),
+            group=np.array(["a"] * n + ["b"] * 30, dtype=object),
+            score=rng.random(n + 30),
+            decision=decision,
+        )
+        metrics = (MetricId.FPR, MetricId.MEAN_SCORE_NEG, MetricId.BRIER_SCORE)
+        config = BootstrapConfig(iterations=6, seed=2)
+        replicates = bootstrap_replicates(ds, metrics, "a", "b", config)
+        assert (replicates.values_a[:, 0] == 0.0).any()
+        for iteration in range(config.iterations):
+            resampled = resample_within_groups(ds, seed=2, iteration=iteration)
+            for j, metric in enumerate(metrics):
+                expect = as_float(group_metric(resampled, "a", metric))
+                assert same(replicates.values_a[iteration, j], expect)
 
     @staticmethod
     def record_blocks(monkeypatch) -> list:
@@ -258,10 +283,44 @@ class TestBootstrapReplicates:
             assert block.rows == inference._block_rows(block.size)
             cells = sum(block.within)
             assert cells == block.rows * block.size
-            if block.size > 2**15:
-                assert cells == block.size
-            else:
-                assert cells <= 2**15
+            assert cells <= max(inference._BLOCK_CELLS, block.size)
+
+    @given(st.integers(1, 10**7))
+    def test_block_rows_bound_blocks_and_surplus_resamples(self, n):
+        rows = inference._block_rows(n)
+        assert rows >= max(1, 2**15 // n)  # never more blocks than 2**15-record blocks
+        assert rows <= max(128, 2**15 // n)  # a block draws few resamples past B
+        assert rows * n <= max(2**17, n)
+
+    def test_first_replicates_do_not_depend_on_the_iteration_count(self):
+        # 43 and 128 resamples per block: neither divides 200, so the
+        # shorter build ends inside a block the longer one fills
+        sizes = {"a": 3_000, "b": 400}
+        assert [inference._block_rows(n) for n in sizes.values()] == [43, 128]
+        metrics = (MetricId.POSITIVE_RATE, MetricId.FNR, MetricId.BRIER_SCORE)
+
+        def replicates(iterations):
+            config = BootstrapConfig(iterations=iterations, seed=5)
+            return bootstrap_replicates(random_dataset(sizes, seed=9), metrics, "a", "b", config)
+
+        short, long = replicates(200), replicates(1000)
+        assert np.array_equal(short.values_a, long.values_a[:200], equal_nan=True)
+        assert np.array_equal(short.values_b, long.values_b[:200], equal_nan=True)
+
+    def test_replicate_build_memory_stays_near_one_block(self):
+        ds = random_dataset({"a": 8_000, "b": 30}, seed=3)
+        metrics = (MetricId.MEAN_SCORE_POS, MetricId.BRIER_SCORE)  # terms s and (s-y)^2
+        config = BootstrapConfig(iterations=200, seed=1)
+        _cells(ds, "a")  # the group's cells are built before the replicates
+        tracemalloc.start()
+        try:
+            inference._group_replicates(ds, "a", metrics, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks of 16 resamples (2**17 records within cells), drawn a cell
+        # at a time, peak near 0.7 MB; blocks of 2**18 records peak above 1.2 MB
+        assert peak < 2**20
 
     def test_confusion_only_request_draws_no_records(self, monkeypatch):
         blocks = self.record_blocks(monkeypatch)
