@@ -282,62 +282,6 @@ _BLANK, _BAD = -1, 2
 _DROP_REASONS = ("outcome", "group", "score_and_decision")
 
 
-def _parse_binary(cell: str, column: str) -> int | None:
-    cell = cell.strip()
-    if not cell:
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        raise InputError(f"{column} value outside {{0, 1}}: {cell!r}") from None
-    if value == 0.0:
-        return 0
-    if value == 1.0:
-        return 1
-    raise InputError(f"{column} value outside {{0, 1}}: {cell!r}")
-
-
-def _parse_score(cell: str, column: str) -> float:
-    cell = cell.strip()
-    if not cell:
-        return math.nan
-    try:
-        value = float(cell)
-    except ValueError:
-        raise InputError(f"{column} value is not numeric: {cell!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise InputError(f"{column} value outside [0, 1]: {cell!r}")
-    return value
-
-
-def _binary_codes(cells: list[str]) -> np.ndarray:
-    """int8 codes of a binary column: 0, 1, _BLANK, or _BAD outside {0, 1}.
-
-    Each distinct cell is parsed once, by :func:`_parse_binary`.
-    """
-    table = {}
-    for cell in set(cells):
-        try:
-            value = _parse_binary(cell, "")
-        except InputError:
-            value = _BAD
-        table[cell] = _BLANK if value is None else value
-    return np.fromiter(map(table.__getitem__, cells), np.int8, len(cells))
-
-
-def _block_codes(cells: list[str], code_of: dict[str, int]) -> np.ndarray:
-    """Label codes of a block's label cells, -1 where a cell is blank.
-
-    Each distinct cell is stripped and looked up once; a label not yet in
-    ``code_of`` gets the next free code there.
-    """
-    table = {}
-    for cell in set(cells):
-        label = cell.strip()
-        table[cell] = code_of.setdefault(label, len(code_of)) if label else -1
-    return np.fromiter(map(table.__getitem__, cells), np.intp, len(cells))
-
-
 def _float_or_nan(cell: str) -> float:
     try:
         return float(cell)
@@ -345,24 +289,58 @@ def _float_or_nan(cell: str) -> float:
         return math.nan
 
 
+def _binary_code(cell: str) -> int:
+    """A binary cell's code: 0 or 1 as float() reads it, _BLANK, or _BAD."""
+    if not cell.strip():
+        return _BLANK
+    return {0.0: 0, 1.0: 1}.get(_float_or_nan(cell), _BAD)
+
+
+def _encoded(cells: list[str], code, dtype) -> np.ndarray:
+    """A column's codes: ``code(cell)`` once per distinct cell, then one lookup."""
+    table = {cell: code(cell) for cell in set(cells)}
+    return np.fromiter(map(table.__getitem__, cells), dtype, len(cells))
+
+
+def _block_codes(cells: list[str], code_of: dict[str, int]) -> np.ndarray:
+    """Label codes of a block's label cells, -1 where a cell is blank; a label
+    not yet in ``code_of`` gets the next free code there."""
+
+    def code(cell: str) -> int:
+        label = cell.strip()
+        return code_of.setdefault(label, len(code_of)) if label else -1
+
+    return _encoded(cells, code, np.intp)
+
+
 def _scores(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """A score column, NaN where blank, and a mask of the cells that
-    :func:`_parse_score` rejects: not blank, and not a number in [0, 1]."""
-    if "" not in cells:
-        try:  # numpy parses a str as float() does
-            score = np.array(cells, dtype=np.float64)
-        except ValueError:  # a whitespace-only or non-numeric cell
-            pass
-        else:
-            return score, ~((score >= 0.0) & (score <= 1.0))
-    try:
-        values = [float(cell) if cell else math.nan for cell in cells]
+    """A score column, NaN where blank, and a mask of the cells that are not
+    blank and not a number in [0, 1]."""
+    some_blank = "" in cells
+    try:  # numpy parses a str as float() does; a blank cell is passed as NaN
+        score = np.array([cell or "nan" for cell in cells] if some_blank else cells, np.float64)
     except ValueError:  # a whitespace-only or non-numeric cell
         cells = [cell.strip() for cell in cells]
-        values = list(map(_float_or_nan, cells))
-    score = np.array(values, dtype=np.float64)
-    filled = np.fromiter(map(bool, cells), bool, len(cells))
-    return score, filled & ~((score >= 0.0) & (score <= 1.0))
+        score = np.fromiter(map(_float_or_nan, cells), np.float64, len(cells))
+        some_blank = True
+    bad = ~((score >= 0.0) & (score <= 1.0))
+    if some_blank:
+        bad &= np.fromiter(map(bool, cells), bool, len(cells))
+    return score, bad
+
+
+def _rejection(column: str, cell: str, binary: bool) -> str:
+    """Why a cell of ``column`` that its parse rejected does not load."""
+    cell = cell.strip()
+    if binary:
+        why = "outside {0, 1}"
+    else:
+        try:
+            float(cell)
+            why = "outside [0, 1]"
+        except ValueError:
+            why = "is not numeric"
+    return f"{column} value {why}: {cell!r}"
 
 
 def _fitted(row: list[str], width: int) -> tuple[list[str], bool]:
@@ -461,7 +439,9 @@ def load_csv(
     kept. Records missing the outcome, the group label, or both score and
     decision are dropped, counted in ``n_dropped`` and, by the first of
     those reasons, in ``dropped_by_reason``; blank lines are skipped and
-    not counted. Covariate columns whose non-missing cells all parse as
+    not counted. The header is the first line with a non-blank cell; the
+    blank lines before it are skipped too, but still counted in line
+    numbers. Covariate columns whose non-missing cells all parse as
     numbers become float columns (NaN for missing); anything else stays
     categorical (None for missing). Covariate columns that are entirely
     missing are dropped. The file is read as UTF-8; a leading byte-order
@@ -495,16 +475,19 @@ def load_csv(
         raise InputError(f"cannot read {path!r}: {exc.strerror or exc}") from None
 
     with handle:
+        rows, header = csv.reader(handle), []
         try:
-            header = next(csv.reader(handle))
+            while not "".join(header).strip():  # blank lines before the header are skipped
+                line = rows.line_num + 1
+                header = next(rows)
+                if _holds_line_break(header):
+                    raise _line_break_error(line, path)
         except StopIteration:
             raise InputError(f"{path!r} is empty") from None
         except UnicodeDecodeError:
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
         except csv.Error as exc:
-            raise InputError(f"line 1 of {path!r}: {exc}") from None
-        if _holds_line_break(header):
-            raise _line_break_error(1, path)
+            raise InputError(f"line {line} of {path!r}: {exc}") from None
         header = [name.strip() for name in header]
         if covariates is None:
             covariate_names = [name for name in header if name and name not in bound]
@@ -520,8 +503,6 @@ def load_csv(
                 raise InputError(f"duplicate column name: {name!r}")
         width = len(header)
         position = {name: header.index(name) for name in bound + covariate_names}
-        checks = [(outcome, _parse_binary), (score, _parse_score), (decision, _parse_binary)]
-        checks = [(name, parse) for name, parse in checks if name is not None]
 
         outcomes: list[np.ndarray] = []
         code_of: dict[str, int] = {}  # group label -> code, numbered as first met
@@ -557,29 +538,26 @@ def load_csv(
             n = len(extra)
 
             column = {name: cells[k::width] for name, k in position.items()}
-            bad = extra.copy()
-            y = _binary_codes(column[outcome])
-            bad |= y == _BAD
+            y = _encoded(column[outcome], _binary_code, np.int8)
             g = _block_codes(column[group], code_of)
+            rejected = [(outcome, y == _BAD)]  # each bound column's rejected cells, in order
             has_value = np.zeros(n, dtype=bool)
             if score is not None:
                 s, bad_score = _scores(column[score])
-                bad |= bad_score
+                rejected.append((score, bad_score))
                 has_value |= ~np.isnan(s)
             if decision is not None:
-                d = _binary_codes(column[decision])
-                bad |= d == _BAD
+                d = _encoded(column[decision], _binary_code, np.int8)
+                rejected.append((decision, d == _BAD))
                 has_value |= d >= 0
+            bad = np.logical_or.reduce([extra] + [mask for _, mask in rejected])
             if bad.any():  # the first bad row: extra cells, then outcome, score, decision
                 i = int(bad.argmax())
                 where = f"line {first + i} of {path!r}"
                 if extra[i]:
                     raise InputError(f"{where} has more cells than the header")
-                try:
-                    for name, parse in checks:
-                        parse(column[name][i], name)
-                except InputError as exc:
-                    raise InputError(f"{where}: {exc}") from None
+                name = next(name for name, mask in rejected if mask[i])
+                raise InputError(f"{where}: {_rejection(name, column[name][i], name != score)}")
             if error is not None:  # what ended the block, after the bad rows before it
                 raise error
 
@@ -609,7 +587,7 @@ def load_csv(
                 codes.append(_block_codes(kept, covariate_code_of[name]))
             return n
 
-        first = 2  # the file line of the block's first row
+        first = line + 1  # the file line of the block's first row
         try:
             while read := load_block(first):
                 first += read

@@ -219,6 +219,30 @@ class TestLoadCsv:
         assert list(ds.group) == ["a", "b"]
         assert ds.n_dropped == 1
 
+    @pytest.mark.parametrize(
+        "lead, skipped", [("\n", 1), ("\r\n\r\n", 2), (" ,\t,\n\n", 2), (",,\r", 1)]
+    )
+    def test_blank_lines_before_the_header_are_skipped_and_counted(
+        self, tmp_path, lead, skipped
+    ):
+        bindings = {"outcome": "y", "score": "s", "group": "g"}
+        text = "y,s,g\n1,0.5,a\n0,0.4,b\n"
+        got = load_csv(write(tmp_path, lead + text, name="lead.csv"), **bindings)
+        assert_same_load(got, load_csv(write(tmp_path, text), **bindings))
+        path = write(tmp_path, lead + text + "1,x,a\n", name="bad.csv")
+        assert loaded(load_csv, path, **bindings) == (
+            f"line {skipped + 4} of {path!r}: s value is not numeric: 'x'"
+        )
+        path = write(tmp_path, lead + 'y,"s,g\n1,0.5,a\n', name="open.csv")
+        assert loaded(load_csv, path, **bindings) == (
+            f"line {skipped + 1} of {path!r} has a line break inside a cell; is a quote left open?"
+        )
+
+    @pytest.mark.parametrize("text", ["", "\n", "\r\n \n", " , ,\n,,\r\n\t"])
+    def test_file_of_blank_lines_is_empty(self, tmp_path, text):
+        path = write(tmp_path, text, name="x.csv")
+        assert loaded(load_csv, path, outcome="y", score="s", group="g") == f"{path!r} is empty"
+
 
 class TestImputeMedians:
     def make(self, tmp_path, age_cells):
@@ -410,6 +434,9 @@ class TestAuditDataset:
         assert list(toy.group_positions("M")) == [8, 9, 10, 11]
         with pytest.raises(InputError, match="unknown group"):
             toy.group_positions("X")
+
+    def test_len_is_the_record_count(self, toy):
+        assert len(toy) == toy.n == 12
 
     def test_every_record_needs_score_or_decision(self):
         with pytest.raises(InputError, match="score or a decision"):
@@ -913,6 +940,60 @@ class TestBlockLoaderMatchesRowLoader:
         else:
             assert want.n == 6 and dict(want.dropped_by_reason)["outcome"] == 1
             assert want.covariates["note"].tolist() == ["x", None, "y", "w", "v", "u"]
+
+
+# Cells that float() reads in its own way, or that no bound column accepts.
+ROW_CELLS = ["", " ", " 1", "1e0", "-0", "nan", "inf", "1_0", "abc", "2", "0.5", "0", "\t0.25 "]
+
+
+def documented_rejection(y, s, d):
+    """The message naming the first of a row's outcome, score and decision
+    cells that does not load, or None when all three load."""
+    for column, cell in (("y", y), ("s", s), ("d", d)):
+        cell = cell.strip()
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if column != "s":
+            if value not in (0.0, 1.0):
+                return f"{column} value outside {{0, 1}}: {cell!r}"
+        elif value is None:
+            return f"s value is not numeric: {cell!r}"
+        elif not 0.0 <= value <= 1.0:
+            return f"s value outside [0, 1]: {cell!r}"
+    return None
+
+
+class TestRejectedCells:
+    @pytest.mark.parametrize("score", ["0.5", "", " "])
+    def test_bad_decision_after_a_valid_or_blank_score(self, tmp_path, score):
+        path = write(tmp_path, f"y,s,d,g\n1,0.5,1,a\n0,{score},yes,b\n")
+        got = loaded(load_csv, path, outcome="y", score="s", decision="d", group="g")
+        assert got == f"line 3 of {path!r}: d value outside {{0, 1}}: 'yes'"
+
+    @settings(max_examples=300)
+    @given(cells=st.tuples(*[st.sampled_from(ROW_CELLS)] * 3))
+    def test_a_row_loads_as_float_reads_it_or_names_its_first_bad_cell(self, cells):
+        y, s, d = cells
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "row.csv")
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(f"y,s,d,g\n1,0.5,1,a\n0,0.25,0,b\n{y},{s},{d},a\n")
+            got = loaded(load_csv, path, outcome="y", score="s", decision="d", group="g")
+        message = documented_rejection(y, s, d)
+        if message is not None:
+            assert got == f"line 4 of {path!r}: {message}"
+        elif not y.strip():
+            assert got.n == 2 and dict(got.dropped_by_reason)["outcome"] == 1
+        elif not (s.strip() or d.strip()):
+            assert got.n == 2 and dict(got.dropped_by_reason)["score_and_decision"] == 1
+        else:
+            assert got.n == 3 and got.outcome[2] == float(y)
+            assert repr(got.score[2].item()) == repr(float(s) if s.strip() else math.nan)
+            assert got.decision[2] == (float(d) if d.strip() else -1)
 
 
 # Score cells whose spelling float() reads in its own way, and each one's

@@ -41,6 +41,10 @@ class TestConfusionCounts:
         assert group_confusion(toy, "F") == ConfusionCounts(tp=2, fp=1, tn=3, fn=2)
         assert group_confusion(toy, "M") == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
 
+    def test_n_is_the_group_size(self, toy):
+        assert group_confusion(toy, "F").n == 8
+        assert group_confusion(toy, "M").n == 4
+
 
 class TestGroupMetric:
     @pytest.mark.parametrize(

@@ -435,6 +435,21 @@ class TestMarkdown:
             for l in md.splitlines()
         )
 
+    def test_row_without_a_metric_renders_as_percent(self):
+        doc = handmade_document()
+        doc["fairness"][0]["rows"] = [{**SP_ROW, "metric": None}]
+        jsonschema.validate(doc, load_report_schema())
+        line = next(l for l in emit_markdown(doc).splitlines() if l.startswith("| Statistical"))
+        assert cells(line)[2:] == ["17%", "8%", "9%", "[5%, 13%]", "2.12", "[1.49, 3.04]"]
+
+    def test_row_of_an_unknown_criterion_is_titled_by_its_label(self):
+        doc = handmade_document()
+        doc["fairness"][0]["rows"] = [{**FNR_ROW, "criterion": "custom_check", "label": "Custom"}]
+        jsonschema.validate(doc, load_report_schema())
+        lines = emit_markdown(doc).splitlines()
+        assert cells(next(l for l in lines if l.startswith("| Custom")))[0] == "Custom"
+        assert "- Custom: fnr undefined for group 'M'" in lines
+
     def test_notes_are_listed(self):
         md = emit_markdown(handmade_document())
         assert "- Equalized Odds (fnr): fnr undefined for group 'M'" in md.splitlines()
