@@ -26,7 +26,6 @@ from .diagnostics import (
     epsilon_assessment,
     incompatibility_verdict,
     independence_test,
-    prevalence_by_group,
 )
 from .errors import ComputationError, FairauditError, InputError
 from .fairness import (
@@ -38,33 +37,25 @@ from .fairness import (
     RowStatus,
     compare,
     compare_calibration,
-    criterion_category,
     criterion_components,
     evaluate_all,
     make_comparison,
 )
 from .inference import (
     BootstrapConfig,
-    BootstrapReplicates,
     Interval,
     IntervalMethod,
     PairIntervals,
     bootstrap_intervals,
-    bootstrap_replicates,
     ci_diff,
     ci_ratio,
-    resample_within_groups,
 )
 from .metrics import (
     UNDEFINED,
     CalibrationCurve,
-    ConfusionCounts,
-    GroupMetrics,
     MetricId,
     calibration_curve,
-    group_confusion,
     group_metric,
-    group_metrics,
     is_defined,
 )
 from .multigroup import MetaMetricKind, MetaMetricResult, meta
@@ -74,20 +65,17 @@ __all__ = [
     "__version__",
     "AuditDataset",
     "BootstrapConfig",
-    "BootstrapReplicates",
     "CalibrationComparison",
     "CalibrationCurve",
     "Category",
     "Comparison",
     "ComputationError",
     "ConditionPredicate",
-    "ConfusionCounts",
     "EpsilonAssessment",
     "FairauditError",
     "FairnessCriterion",
     "FairnessReport",
     "GroupCodes",
-    "GroupMetrics",
     "IncompatibilityVerdict",
     "IncompatiblePair",
     "IndependenceTest",
@@ -103,22 +91,18 @@ __all__ = [
     "Verdict",
     "apply_threshold",
     "bootstrap_intervals",
-    "bootstrap_replicates",
     "build_document",
     "calibration_curve",
     "ci_diff",
     "ci_ratio",
     "compare",
     "compare_calibration",
-    "criterion_category",
     "criterion_components",
     "emit_markdown",
     "epsilon_assessment",
     "evaluate_all",
     "filter_condition",
-    "group_confusion",
     "group_metric",
-    "group_metrics",
     "impute_medians",
     "incompatibility_verdict",
     "independence_test",
@@ -127,7 +111,5 @@ __all__ = [
     "load_report_schema",
     "make_comparison",
     "meta",
-    "prevalence_by_group",
     "render_json",
-    "resample_within_groups",
 ]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -125,7 +125,7 @@ class ConditionPredicate:
         """Boolean row mask over the dataset; missing values never match."""
         keep = np.ones(dataset.n, dtype=bool)
         for clause in self.clauses:
-            column = dataset._covariate(clause.name, "unknown covariate in condition")
+            column = dataset._covariate(clause.name)
             keep &= _clause_mask(clause, column)
         return keep
 

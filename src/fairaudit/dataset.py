@@ -246,14 +246,14 @@ class AuditDataset:
     def group_sizes(self) -> dict[str, int]:
         return {label: len(rows) for label, rows in self._group_index.items()}
 
-    def _covariate(self, name: str, unknown: str) -> np.ndarray:
-        """The named covariate column, or InputError saying why there is none."""
+    def _covariate(self, name: str) -> np.ndarray:
+        """The covariate a condition names, or InputError saying why there is none."""
         if name in self.covariates:
             return self.covariates[name]
         if name in self.dropped_covariates:
             share = f"{self.dropped_covariates[name]:.0%}"
             raise InputError(f"covariate {name!r} was dropped: {share} of its cells are missing")
-        raise InputError(f"{unknown}: {name!r}")
+        raise InputError(f"unknown covariate in condition: {name!r}")
 
     def take(self, indices: np.ndarray) -> "AuditDataset":
         """New dataset holding the given rows (repeats allowed)."""
@@ -635,39 +635,23 @@ def checked_max_missing(max_missing: float) -> float:
 
 
 def impute_medians(
-    dataset: AuditDataset,
-    names: Sequence[str] | None = None,
-    *,
-    max_missing: float = MAX_MISSING_DEFAULT,
+    dataset: AuditDataset, *, max_missing: float = MAX_MISSING_DEFAULT
 ) -> AuditDataset:
     """Fill missing numeric covariate cells with the column median.
 
     Columns whose missing fraction exceeds ``max_missing`` are dropped
     instead and recorded in ``dropped_covariates``. Imputed medians are
     recorded in ``imputation_log``. Non-missing cells are never altered,
-    so re-running is the identity. With ``names`` given, every named
-    column must exist, be numeric, and have at least one observed value.
+    so re-running is the identity.
     """
     checked_max_missing(max_missing)
-    if names is None:
-        selected = [
-            name for name, col in dataset.covariates.items() if col.dtype.kind == "f"
-        ]
-    else:
-        selected = list(names)
-        for name in selected:
-            column = dataset._covariate(name, "unknown covariate")
-            if column.dtype.kind != "f":
-                raise InputError(f"covariate {name!r} is not numeric")
-            if np.isnan(column).all():
-                raise InputError(f"covariate {name!r} is entirely missing")
-
     columns = dict(dataset.covariates)
     log = dict(dataset.imputation_log)
     dropped = dict(dataset.dropped_covariates)
     changed = False
-    for name in selected:
-        column = columns[name]
+    for name, column in dataset.covariates.items():
+        if column.dtype.kind != "f":
+            continue
         missing = np.isnan(column)
         count = int(missing.sum())
         if count == 0:

@@ -45,14 +45,6 @@ class IndependenceTest(NamedTuple):
     min_expected: float
 
 
-def prevalence_by_group(dataset: AuditDataset) -> dict[str, float]:
-    """Observed outcome rate per group, keyed by sorted label."""
-    return {
-        label: float(group_metric(dataset, label, MetricId.PREVALENCE))
-        for label in dataset.groups
-    }
-
-
 def _chi2_survival(statistic: float, dof: int) -> float:
     """Upper tail of the chi-square distribution at an integer dof.
 
@@ -114,6 +106,8 @@ def independence_test(
 class IncompatibilityVerdict:
     """Which criterion families are mutually exclusive on this data.
 
+    ``prevalence`` is the observed outcome rate of each group, keyed by
+    sorted label.
     ``informative`` is True when the pooled true positive rate differs
     from the pooled false positive rate, so decisions depend on the
     outcome (a constant predictor's two rates are equal); ``imperfect``
@@ -160,7 +154,10 @@ def incompatibility_verdict(
             f"count is {test.min_expected:.3g}, below {MIN_EXPECTED_COUNT:g}"
         )
     return IncompatibilityVerdict(
-        prevalence=prevalence_by_group(dataset),
+        prevalence={
+            label: float(group_metric(dataset, label, MetricId.PREVALENCE))
+            for label in dataset.groups
+        },
         statistic=test.statistic,
         p_value=test.p_value,
         reject_independence=test.reject,

@@ -137,10 +137,6 @@ def criterion_components(criterion: FairnessCriterion | str) -> tuple[MetricId, 
     return CRITERION_COMPONENTS[coerce_criterion(criterion)]
 
 
-def criterion_category(criterion: FairnessCriterion | str) -> Category:
-    return CRITERION_CATEGORY[coerce_criterion(criterion)]
-
-
 class RowStatus(Enum):
     EVALUATED = "evaluated"
     NOT_EVALUATED = "not_evaluated"

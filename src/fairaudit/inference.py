@@ -21,15 +21,14 @@ order, the seed, the iteration and the group: reruns reproduce bit for
 bit, the first B replicates do not depend on how many follow, and a
 group's replicates are the same in every pair it joins. A group's draws
 are planned once per replicate build (non-empty cells, multinomial
-probabilities, cell record ranges, the label's substream key), and both
-the replicate build and :func:`resample_within_groups` draw through that
-plan. A block only records: its cell counts and, for each float term the
-metrics read (``metrics._SCORE_TERMS``), the sum of every (cell,
-resample) segment of its drawn records; one pass per group then builds
-the replicate sums the way the point sums are built. A dataset keeps each
-group's replicate sums under the memo key ``("replicates", label, seed,
-iterations, terms)``, ``terms`` naming the float terms gathered, so the
-pairs of an audit share them.
+probabilities, cell record ranges, the label's substream key), and every
+block draws through that plan. A block only records: its cell counts
+and, for each float term the metrics read (``metrics._SCORE_TERMS``),
+the sum of every (cell, resample) segment of its drawn records; one
+pass per group then builds the replicate sums the way the point sums
+are built. A dataset keeps each group's replicate sums under the memo
+key ``("replicates", label, seed, iterations, terms)``, ``terms`` naming
+the float terms gathered, so the pairs of an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences, and the ratio interval
@@ -56,7 +55,6 @@ from .metrics import (
     _CELLS,
     MetricId,
     _Cells,
-    _cells,
     _checked_cells,
     _floats,
     _metric_values,
@@ -201,53 +199,6 @@ def _draw(plan: _DrawPlan, seed: int, start: int) -> tuple[np.ndarray, Iterator[
     return counts, (rng.integers(low, high, totals[c]) for c, low, high in cells)
 
 
-def resample_within_groups(
-    dataset: AuditDataset, seed: int = SEED_DEFAULT, iteration: int = 0
-) -> AuditDataset:
-    """One stratified resample: per-group draws with replacement.
-
-    Group sizes are preserved exactly. A group's resample is the one at
-    ``iteration`` in its block (see the module docstring): its records
-    are drawn within the group's cells (cut by decision only when no
-    record of the group lacks one) and taken cell by cell. They depend
-    only on (seed, iteration, label) and the group's records, and they
-    are the resample behind that iteration's bootstrap replicate.
-
-    Metrics of the returned dataset equal that replicate's bit for bit,
-    with one exception. When a group has a record without a decision and
-    the resample misses it, every resampled record has a decision, so
-    the resampled group is cut by decision where its replicate was not.
-    Its score sums then add the same records in another order, and its
-    score metrics equal the replicate's only to rounding.
-    """
-    if seed < 0 or iteration < 0:
-        raise InputError("seed and iteration must be non-negative")
-    parts = []
-    for label in dataset.groups:
-        cells = _cells(dataset, label)
-        plan = _draw_plan(label, cells)
-        row = iteration % plan.rows
-        counts, draws = _draw(plan, seed, iteration - row)
-        before = counts[:row].sum(axis=0)
-        picks = [
-            drawn[before[c] : before[c] + counts[row, c]]
-            for c, drawn in zip(plan.cells, draws)
-        ]
-        parts.append(cells.rows[np.concatenate(picks)])
-    return dataset.take(np.concatenate(parts))
-
-
-@dataclass(frozen=True)
-class BootstrapReplicates:
-    """Per-iteration metric values for two groups; NaN marks undefined."""
-
-    metrics: tuple[MetricId, ...]
-    group_a: str
-    group_b: str
-    values_a: np.ndarray
-    values_b: np.ndarray
-
-
 def _group_replicates(
     dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...], config: BootstrapConfig
 ) -> np.ndarray:
@@ -302,33 +253,6 @@ def _replicate_sums(
     return _sums_rows(cells, counts[:B], cell_sums[:, :, :B], terms)
 
 
-def bootstrap_replicates(
-    dataset: AuditDataset,
-    metrics,
-    group_a: str,
-    group_b: str,
-    config: BootstrapConfig,
-) -> BootstrapReplicates:
-    """Evaluate metrics on every stratified resample of a group pair.
-
-    All requested metrics share one draw per (iteration, group), so adding
-    a metric never changes the resamples of the others, and each group's
-    replicates depend only on that group, never on the pair it joins.
-    """
-    metric_tuple = tuple(dict.fromkeys(coerce_metric(m) for m in metrics))
-    if not metric_tuple:
-        raise InputError("no metrics requested")
-    if group_a == group_b:
-        raise InputError("group pair must name two distinct groups")
-    return BootstrapReplicates(
-        metrics=metric_tuple,
-        group_a=group_a,
-        group_b=group_b,
-        values_a=_group_replicates(dataset, group_a, metric_tuple, config),
-        values_b=_group_replicates(dataset, group_b, metric_tuple, config),
-    )
-
-
 def _check_discarded(kept: np.ndarray, config: BootstrapConfig, what: str) -> int:
     B = kept.shape[0]
     discarded = int(B - kept.sum())
@@ -375,8 +299,10 @@ def _single_interval(dataset, metric, group_a, group_b, config, log: bool) -> In
         raise InputError(
             f"ratio interval for {metric.value} needs strictly positive point estimates"
         )
-    replicates = bootstrap_replicates(dataset, (metric,), group_a, group_b, config)
-    va, vb = replicates.values_a[:, 0], replicates.values_b[:, 0]
+    if group_a == group_b:
+        raise InputError("group pair must name two distinct groups")
+    va = _group_replicates(dataset, group_a, (metric,), config)[:, 0]
+    vb = _group_replicates(dataset, group_b, (metric,), config)[:, 0]
     return _wald(va, vb, point_a, point_b, config, log)
 
 
@@ -424,18 +350,25 @@ def bootstrap_intervals(
 ) -> dict[MetricId, PairIntervals]:
     """Difference and ratio intervals for several metrics in one pass.
 
-    All metrics share the same resamples. Precondition failures are
-    reported per metric in notes rather than raised; exceeding the
-    discard tolerance still raises, naming the metric and the pair.
+    All requested metrics share one draw per (iteration, group), so adding
+    a metric never changes the resamples of the others, and each group's
+    replicates depend only on that group, never on the pair it joins.
+    Precondition failures are reported per metric in notes rather than
+    raised; exceeding the discard tolerance still raises, naming the
+    metric and the pair.
     """
     config = config or BootstrapConfig()
-    replicates = bootstrap_replicates(dataset, metrics, group_a, group_b, config)
+    metrics = tuple(dict.fromkeys(coerce_metric(m) for m in metrics))
+    if not metrics:
+        raise InputError("no metrics requested")
+    if group_a == group_b:
+        raise InputError("group pair must name two distinct groups")
+    values_a = _group_replicates(dataset, group_a, metrics, config)
+    values_b = _group_replicates(dataset, group_b, metrics, config)
     out: dict[MetricId, PairIntervals] = {}
-    for j, metric in enumerate(replicates.metrics):
+    for metric, va, vb in zip(metrics, values_a.T, values_b.T):
         point_a = group_metric(dataset, group_a, metric)
         point_b = group_metric(dataset, group_b, metric)
-        va = replicates.values_a[:, j]
-        vb = replicates.values_b[:, j]
         notes: list[str] = []
         diff = ratio = None
         try:

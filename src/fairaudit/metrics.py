@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,29 +102,6 @@ def coerce_metric(metric: MetricId | str) -> MetricId:
         return MetricId(metric)
     except ValueError:
         raise InputError(f"unknown metric: {metric!r}") from None
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """2x2 confusion table for one group (positive decision vs outcome)."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class GroupMetrics:
-    """Every metric the dataset's columns allow, for one group."""
-
-    group: str
-    n: int
-    values: Mapping[MetricId, MetricValue]
 
 
 @dataclass(frozen=True)
@@ -335,30 +312,6 @@ def group_metric(dataset: AuditDataset, group: str, metric: MetricId | str) -> M
     metric = coerce_metric(metric)
     _checked_cells(dataset, group, (metric,))
     return _as_metric_value(_metric_table(dataset)[group][_COLUMN[metric]])
-
-
-def group_confusion(dataset: AuditDataset, group: str) -> ConfusionCounts:
-    """Confusion table for one group of a thresholded dataset."""
-    tn, fp, fn, tp = _checked_cells(dataset, group, (MetricId.ACCURACY,)).sizes.tolist()
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def group_metrics(dataset: AuditDataset, group: str) -> GroupMetrics:
-    """Every metric the dataset's columns support, for one group.
-
-    A score (decision) metric is left out when that column is unbound or
-    has an unset cell in the group.
-    """
-    cells = _cells(dataset, group)
-    omit = (set() if cells.scored else SCORE_METRICS) | (
-        set() if cells.decided else DECISION_METRICS
-    )
-    row = _metric_table(dataset)[group]
-    return GroupMetrics(
-        group=group,
-        n=int(cells.rows.shape[0]),
-        values={m: _as_metric_value(row[j]) for m, j in _COLUMN.items() if m not in omit},
-    )
 
 
 # Calibration defaults, shared by the library and the CLI flags.

@@ -22,9 +22,10 @@ from fairaudit import (
     ConditionPredicate,
     GroupCodes,
     InputError,
+    MetricId,
     apply_threshold,
     filter_condition,
-    group_metrics,
+    group_metric,
     impute_medians,
     load_csv,
 )
@@ -281,8 +282,6 @@ class TestImputeMedians:
             message = f"covariate '{name}' was dropped: {fraction} of its cells are missing"
             with pytest.raises(InputError, match=message):
                 ConditionPredicate.parse(f"{name} > 40").mask(ds)
-            with pytest.raises(InputError, match=message):
-                impute_medians(ds, names=[name])
 
     def test_identity_when_nothing_missing(self, tmp_path):
         ds = self.make(tmp_path, ["10", "20", "30", "40"])
@@ -293,30 +292,6 @@ class TestImputeMedians:
         once = impute_medians(ds, max_missing=0.5)
         twice = impute_medians(once, max_missing=0.5)
         assert twice is once
-
-    def test_named_column_must_exist(self, tmp_path):
-        ds = self.make(tmp_path, ["10", "20"])
-        with pytest.raises(InputError, match="unknown covariate"):
-            impute_medians(ds, names=["weight"])
-
-    def test_named_column_must_be_numeric(self, tmp_path):
-        text = "y,s,g,ward\n1,0.5,a,icu\n0,0.4,b,med\n"
-        ds = load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
-        with pytest.raises(InputError, match="not numeric"):
-            impute_medians(ds, names=["ward"])
-
-    def test_named_all_missing_column_rejected(self, tmp_path):
-        outcome = np.array([1, 0, 1, 0])
-        group = np.array(["a", "a", "b", "b"], dtype=object)
-        score = np.array([0.5, 0.4, 0.3, 0.2])
-        ds = AuditDataset(
-            outcome=outcome,
-            group=group,
-            score=score,
-            covariates={"age": np.full(4, np.nan)},
-        )
-        with pytest.raises(InputError, match="entirely missing"):
-            impute_medians(ds, names=["age"])
 
     def test_max_missing_validated(self, tmp_path):
         ds = self.make(tmp_path, ["10", "20"])
@@ -566,7 +541,9 @@ class TestEncodedGroup:
             assert np.array_equal(
                 by_labels.group_positions(label), by_codes.group_positions(label)
             )
-            assert group_metrics(by_labels, label) == group_metrics(by_codes, label)
+            for metric in MetricId:
+                expected = group_metric(by_labels, label, metric)
+                assert group_metric(by_codes, label, metric) == expected
 
     def test_codes_are_narrow(self):
         ds = self.from_group(GroupCodes(("a", "b", "c"), np.array([0, 1, 2, 0, 1, 2, 0, 1])))

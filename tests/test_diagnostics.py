@@ -23,7 +23,6 @@ from fairaudit import (
     incompatibility_verdict,
     independence_test,
     is_defined,
-    prevalence_by_group,
 )
 from fairaudit.diagnostics import _chi2_survival
 
@@ -153,10 +152,10 @@ class TestChi2Survival:
 class TestPrevalence:
     def test_exact_rates(self):
         ds = two_group_dataset(95, 500, 70, 500)
-        assert prevalence_by_group(ds) == {"a": 0.19, "b": 0.14}
+        assert incompatibility_verdict(ds).prevalence == {"a": 0.19, "b": 0.14}
 
     def test_keys_sorted(self):
-        assert list(prevalence_by_group(toy_dataset())) == ["F", "M"]
+        assert list(incompatibility_verdict(toy_dataset()).prevalence) == ["F", "M"]
 
 
 class TestIncompatibilityVerdict:

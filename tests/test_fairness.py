@@ -20,10 +20,8 @@ from fairaudit import (
     RowStatus,
     UNDEFINED,
     bootstrap_intervals,
-    bootstrap_replicates,
     compare,
     compare_calibration,
-    criterion_category,
     criterion_components,
     evaluate_all,
     filter_condition,
@@ -32,7 +30,13 @@ from fairaudit import (
     is_defined,
     make_comparison,
 )
-from fairaudit.fairness import CANONICAL_ORDER, DEFAULT_CRITERIA
+from fairaudit.fairness import (
+    CANONICAL_ORDER,
+    CRITERION_CATEGORY,
+    DEFAULT_CRITERIA,
+    coerce_criterion,
+)
+from fairaudit.inference import _group_replicates
 
 from conftest import toy_dataset
 
@@ -63,15 +67,15 @@ class TestCriterionTables:
         assert criterion_components("test_fairness") == ()
 
     def test_categories(self):
-        assert criterion_category("statistical_parity") is Category.INDEPENDENCE
-        assert criterion_category("equal_opportunity") is Category.SEPARATION
-        assert criterion_category("predictive_parity") is Category.SUFFICIENCY
-        assert criterion_category("treatment_equality") is Category.OTHER
+        assert CRITERION_CATEGORY[FairnessCriterion.STATISTICAL_PARITY] is Category.INDEPENDENCE
+        assert CRITERION_CATEGORY[FairnessCriterion.EQUAL_OPPORTUNITY] is Category.SEPARATION
+        assert CRITERION_CATEGORY[FairnessCriterion.PREDICTIVE_PARITY] is Category.SUFFICIENCY
+        assert CRITERION_CATEGORY[FairnessCriterion.TREATMENT_EQUALITY] is Category.OTHER
 
     def test_every_criterion_has_component_entry(self):
         for criterion in FairnessCriterion:
             criterion_components(criterion)
-            criterion_category(criterion)
+            CRITERION_CATEGORY[criterion]
 
     def test_canonical_order_covers_everything_once(self):
         assert sorted(CANONICAL_ORDER, key=lambda c: c.value) == sorted(
@@ -80,6 +84,8 @@ class TestCriterionTables:
         assert len(set(DEFAULT_CRITERIA)) == len(DEFAULT_CRITERIA)
 
     def test_unknown_criterion(self):
+        with pytest.raises(InputError, match="unknown criterion"):
+            coerce_criterion("parity_of_esteem")
         with pytest.raises(InputError, match="unknown criterion"):
             criterion_components("parity_of_esteem")
 
@@ -234,7 +240,7 @@ class TestCompareConditional:
         condition = "age == 1" if dtype is bool else "age >= 60"
         ints = dataclasses.replace(floats, group=floats._group, covariates={"age": column})
         assert ints.covariates["age"].dtype == np.float64
-        assert impute_medians(ints, ["age"]) is ints  # numeric, and nothing to fill
+        assert impute_medians(ints) is ints  # nothing to fill
         stratum = filter_condition(ints, condition)
         expected = filter_condition(floats, "age >= 60")
         assert np.array_equal(stratum.outcome, expected.outcome)
@@ -582,8 +588,8 @@ class TestOneRowPath:
         for ds, a, b, report in self.reports():
             for row in report.rows:
                 stratum = ds if row.condition is None else filter_condition(ds, "age >= 60")
-                draws = bootstrap_replicates(stratum, [row.metric], a, b, self.CONFIG)
-                va, vb = draws.values_a[:, 0], draws.values_b[:, 0]
+                va = _group_replicates(stratum, a, (row.metric,), self.CONFIG)[:, 0]
+                vb = _group_replicates(stratum, b, (row.metric,), self.CONFIG)[:, 0]
                 kept = np.isfinite(va) & np.isfinite(vb)
                 half = self.CONFIG.z * np.std(va[kept] - vb[kept], ddof=1)
                 assert row.ci_diff.lower == pytest.approx(row.diff - half, rel=1e-12)

@@ -23,22 +23,20 @@ from fairaudit import (
     MetricId,
     UNDEFINED,
     bootstrap_intervals,
-    bootstrap_replicates,
     ci_diff,
     ci_ratio,
     evaluate_all,
     filter_condition,
     group_metric,
-    group_metrics,
     incompatibility_verdict,
     independence_test,
     is_defined,
-    resample_within_groups,
 )
-
+from fairaudit.inference import _group_replicates
 from fairaudit.metrics import _cells
 
 from conftest import toy_dataset
+from reference import resample_within_groups
 
 Z_975 = 1.959963984540054
 
@@ -164,33 +162,29 @@ class TestResampleWithinGroups:
 
 
 class TestBootstrapReplicates:
-    def test_matches_public_resampler_exactly(self, toy):
-        metrics = tuple(MetricId)
-        config = BootstrapConfig(iterations=5, seed=9)
-        replicates = bootstrap_replicates(toy, metrics, "F", "M", config)
+    @staticmethod
+    def assert_matches_resampler(ds, labels, metrics, config) -> dict:
+        """Each group's replicates equal the reference resamples' metrics, bit for bit."""
+        replicates = {label: _group_replicates(ds, label, metrics, config) for label in labels}
         for iteration in range(config.iterations):
-            resampled = resample_within_groups(toy, seed=9, iteration=iteration)
-            for j, metric in enumerate(metrics):
-                expect_a = as_float(group_metric(resampled, "F", metric))
-                expect_b = as_float(group_metric(resampled, "M", metric))
-                assert same(replicates.values_a[iteration, j], expect_a)
-                assert same(replicates.values_b[iteration, j], expect_b)
+            resampled = resample_within_groups(ds, seed=config.seed, iteration=iteration)
+            for label, values in replicates.items():
+                for j, metric in enumerate(metrics):
+                    expect = as_float(group_metric(resampled, label, metric))
+                    assert same(values[iteration, j], expect)
+        return replicates
+
+    def test_matches_public_resampler_exactly(self, toy):
+        config = BootstrapConfig(iterations=5, seed=9)
+        self.assert_matches_resampler(toy, "FM", tuple(MetricId), config)
 
     def test_block_boundaries_match_public_resampler_exactly(self):
         # 50,000 records make two resamples per block: iterations 0-1 and
         # 2-3 fill a block each and iteration 4 ends in a partial block
         ds = random_dataset({"a": 50_000, "b": 30}, seed=11)
         assert inference._block_rows(50_000) == 2
-        metrics = tuple(MetricId)
         config = BootstrapConfig(iterations=5, seed=3)
-        replicates = bootstrap_replicates(ds, metrics, "a", "b", config)
-        for iteration in range(config.iterations):
-            resampled = resample_within_groups(ds, seed=3, iteration=iteration)
-            for j, metric in enumerate(metrics):
-                expect_a = as_float(group_metric(resampled, "a", metric))
-                expect_b = as_float(group_metric(resampled, "b", metric))
-                assert same(replicates.values_a[iteration, j], expect_a)
-                assert same(replicates.values_b[iteration, j], expect_b)
+        self.assert_matches_resampler(ds, "ab", tuple(MetricId), config)
 
     def test_rare_cell_matches_public_resampler_exactly(self):
         # one false positive among 40,000 records: a resample often draws
@@ -209,15 +203,8 @@ class TestBootstrapReplicates:
         )
         metrics = tuple(MetricId)
         config = BootstrapConfig(iterations=6, seed=2)
-        replicates = bootstrap_replicates(ds, metrics, "a", "b", config)
-        assert (replicates.values_a[:, metrics.index(MetricId.FPR)] == 0.0).any()
-        for iteration in range(config.iterations):
-            resampled = resample_within_groups(ds, seed=2, iteration=iteration)
-            for j, metric in enumerate(metrics):
-                expect_a = as_float(group_metric(resampled, "a", metric))
-                expect_b = as_float(group_metric(resampled, "b", metric))
-                assert same(replicates.values_a[iteration, j], expect_a)
-                assert same(replicates.values_b[iteration, j], expect_b)
+        replicates = self.assert_matches_resampler(ds, "ab", metrics, config)
+        assert (replicates["a"][:, metrics.index(MetricId.FPR)] == 0.0).any()
 
     def test_block_drawing_nothing_from_a_cell_matches_public_resampler(self):
         # one false positive among 70,000 records, drawn one resample per
@@ -235,13 +222,8 @@ class TestBootstrapReplicates:
         )
         metrics = (MetricId.FPR, MetricId.MEAN_SCORE_NEG, MetricId.BRIER_SCORE)
         config = BootstrapConfig(iterations=6, seed=2)
-        replicates = bootstrap_replicates(ds, metrics, "a", "b", config)
-        assert (replicates.values_a[:, 0] == 0.0).any()
-        for iteration in range(config.iterations):
-            resampled = resample_within_groups(ds, seed=2, iteration=iteration)
-            for j, metric in enumerate(metrics):
-                expect = as_float(group_metric(resampled, "a", metric))
-                assert same(replicates.values_a[iteration, j], expect)
+        replicates = self.assert_matches_resampler(ds, "a", metrics, config)
+        assert (replicates["a"][:, 0] == 0.0).any()
 
     @staticmethod
     def record_blocks(monkeypatch) -> list:
@@ -274,8 +256,8 @@ class TestBootstrapReplicates:
         sizes = {"a": 40_000, "b": 12_000, "c": 500, "d": 1}
         ds = random_dataset(sizes, seed=4)
         config = BootstrapConfig(iterations=70, seed=1)
-        for label in ("b", "c", "d"):
-            bootstrap_replicates(ds, (MetricId.BRIER_SCORE,), "a", label, config)
+        for label in sizes:
+            _group_replicates(ds, label, (MetricId.BRIER_SCORE,), config)
         resample_within_groups(ds, seed=1, iteration=69)
         assert {block.size for block in blocks} == set(sizes.values())
         # the cap keeps one block's drawn records small at 200k records
@@ -299,13 +281,13 @@ class TestBootstrapReplicates:
         assert [inference._block_rows(n) for n in sizes.values()] == [43, 128]
         metrics = (MetricId.POSITIVE_RATE, MetricId.FNR, MetricId.BRIER_SCORE)
 
-        def replicates(iterations):
+        def replicates(iterations, label):
             config = BootstrapConfig(iterations=iterations, seed=5)
-            return bootstrap_replicates(random_dataset(sizes, seed=9), metrics, "a", "b", config)
+            return _group_replicates(random_dataset(sizes, seed=9), label, metrics, config)
 
-        short, long = replicates(200), replicates(1000)
-        assert np.array_equal(short.values_a, long.values_a[:200], equal_nan=True)
-        assert np.array_equal(short.values_b, long.values_b[:200], equal_nan=True)
+        for label in sizes:
+            short, long = replicates(200, label), replicates(1000, label)
+            assert np.array_equal(short, long[:200], equal_nan=True)
 
     def test_replicate_build_memory_stays_near_one_block(self):
         ds = random_dataset({"a": 8_000, "b": 30}, seed=3)
@@ -326,7 +308,8 @@ class TestBootstrapReplicates:
         blocks = self.record_blocks(monkeypatch)
         ds = random_dataset({"a": 3_000, "b": 40}, seed=2)
         config = BootstrapConfig(iterations=50, seed=1)
-        bootstrap_replicates(ds, (MetricId.POSITIVE_RATE,), "a", "b", config)
+        for label in "ab":
+            _group_replicates(ds, label, (MetricId.POSITIVE_RATE,), config)
         assert blocks and all(block.rows for block in blocks)
         assert all(block.within == [] for block in blocks)
 
@@ -334,16 +317,11 @@ class TestBootstrapReplicates:
         sizes = {"a": 9_000, "b": 700}
         config = BootstrapConfig(iterations=40, seed=12)
         confusion = (MetricId.POSITIVE_RATE, MetricId.FNR)
-        narrow = bootstrap_replicates(random_dataset(sizes, seed=8), confusion, "a", "b", config)
-        wide = bootstrap_replicates(
-            random_dataset(sizes, seed=8),
-            confusion + (MetricId.BRIER_SCORE, MetricId.MEAN_SCORE_POS),
-            "a",
-            "b",
-            config,
-        )
-        assert np.array_equal(narrow.values_a, wide.values_a[:, :2])
-        assert np.array_equal(narrow.values_b, wide.values_b[:, :2])
+        wider = confusion + (MetricId.BRIER_SCORE, MetricId.MEAN_SCORE_POS)
+        for label in sizes:
+            narrow = _group_replicates(random_dataset(sizes, seed=8), label, confusion, config)
+            wide = _group_replicates(random_dataset(sizes, seed=8), label, wider, config)
+            assert np.array_equal(narrow, wide[:, :2])
 
     def test_group_replicates_do_not_depend_on_the_pair(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -356,61 +334,76 @@ class TestBootstrapReplicates:
         )
         config = BootstrapConfig(iterations=30, seed=17)
         metrics = (MetricId.POSITIVE_RATE, MetricId.FNR, MetricId.BRIER_SCORE)
-        with_b = bootstrap_replicates(ds, metrics, "a", "b", config)
-        with_c = bootstrap_replicates(ds, metrics, "a", "c", config)
-        assert np.array_equal(with_b.values_a, with_c.values_a, equal_nan=True)
-        assert not np.array_equal(with_b.values_b, with_c.values_b, equal_nan=True)
+
+        def pair(other):
+            """Both groups' replicates, on a dataset that holds only the pair."""
+            alone = ds.take(np.flatnonzero((ds.group == "a") | (ds.group == other)))
+            return [_group_replicates(alone, label, metrics, config) for label in ("a", other)]
+
+        with_b, with_c = pair("b"), pair("c")
+        assert np.array_equal(with_b[0], with_c[0], equal_nan=True)
+        assert not np.array_equal(with_b[1], with_c[1], equal_nan=True)
 
     def test_adding_a_metric_keeps_existing_columns(self, toy):
         config = BootstrapConfig(iterations=20, seed=2)
-        narrow = bootstrap_replicates(toy, (MetricId.POSITIVE_RATE,), "F", "M", config)
-        wide = bootstrap_replicates(
-            toy, (MetricId.POSITIVE_RATE, MetricId.ACCURACY), "F", "M", config
-        )
-        assert np.array_equal(narrow.values_a[:, 0], wide.values_a[:, 0])
-        assert np.array_equal(narrow.values_b[:, 0], wide.values_b[:, 0])
+        for label in "FM":
+            narrow = _group_replicates(toy, label, (MetricId.POSITIVE_RATE,), config)
+            wide = _group_replicates(
+                toy, label, (MetricId.POSITIVE_RATE, MetricId.ACCURACY), config
+            )
+            assert np.array_equal(narrow[:, 0], wide[:, 0])
 
     def test_adding_a_decision_metric_keeps_score_columns(self):
         # a group's cells are cut by decision whenever it has them, so a
         # score-only request draws the same resamples as a mixed one
         config = BootstrapConfig(iterations=30, seed=4)
         sizes = {"a": 500, "b": 60}
-        narrow = bootstrap_replicates(
-            random_dataset(sizes, seed=3), (MetricId.BRIER_SCORE,), "a", "b", config
+        for label in sizes:
+            narrow = _group_replicates(
+                random_dataset(sizes, seed=3), label, (MetricId.BRIER_SCORE,), config
+            )
+            wide = _group_replicates(
+                random_dataset(sizes, seed=3),
+                label,
+                (MetricId.BRIER_SCORE, MetricId.POSITIVE_RATE),
+                config,
+            )
+            assert np.array_equal(narrow[:, 0], wide[:, 0])
+
+    def test_duplicate_metrics_collapse(self, monkeypatch):
+        requested = []
+        group_replicates = inference._group_replicates
+        monkeypatch.setattr(
+            inference,
+            "_group_replicates",
+            lambda ds, label, metrics, config: requested.append(metrics)
+            or group_replicates(ds, label, metrics, config),
         )
-        wide = bootstrap_replicates(
-            random_dataset(sizes, seed=3),
-            (MetricId.BRIER_SCORE, MetricId.POSITIVE_RATE),
+        ds = random_dataset({"a": 200, "b": 200}, seed=1)
+        config = BootstrapConfig(iterations=5, seed=0)
+        intervals = bootstrap_intervals(
+            ds,
+            (MetricId.POSITIVE_RATE, "accuracy", MetricId.POSITIVE_RATE),
             "a",
             "b",
             config,
         )
-        assert np.array_equal(narrow.values_a[:, 0], wide.values_a[:, 0])
-        assert np.array_equal(narrow.values_b[:, 0], wide.values_b[:, 0])
-
-    def test_duplicate_metrics_collapse(self, toy):
-        config = BootstrapConfig(iterations=5, seed=0)
-        replicates = bootstrap_replicates(
-            toy,
-            (MetricId.POSITIVE_RATE, "accuracy", MetricId.POSITIVE_RATE),
-            "F",
-            "M",
-            config,
-        )
-        assert replicates.metrics == (MetricId.POSITIVE_RATE, MetricId.ACCURACY)
-        assert replicates.values_a.shape == (5, 2)
+        assert list(intervals) == [MetricId.POSITIVE_RATE, MetricId.ACCURACY]
+        assert requested == [(MetricId.POSITIVE_RATE, MetricId.ACCURACY)] * 2
 
     def test_input_validation(self, toy):
         config = BootstrapConfig(iterations=5)
         with pytest.raises(InputError, match="no metrics"):
-            bootstrap_replicates(toy, (), "F", "M", config)
+            bootstrap_intervals(toy, (), "F", "M", config)
         with pytest.raises(InputError, match="distinct"):
-            bootstrap_replicates(toy, (MetricId.POSITIVE_RATE,), "F", "F", config)
+            bootstrap_intervals(toy, (MetricId.POSITIVE_RATE,), "F", "F", config)
+        with pytest.raises(InputError, match="distinct"):
+            ci_diff(toy, MetricId.POSITIVE_RATE, "F", "F", config)
 
     def test_score_metric_without_scores(self, toy):
         ds = AuditDataset(outcome=toy.outcome, group=toy.group, decision=toy.decision)
         with pytest.raises(InputError, match="risk scores"):
-            bootstrap_replicates(
+            bootstrap_intervals(
                 ds, (MetricId.BRIER_SCORE,), "F", "M", BootstrapConfig(iterations=5)
             )
 
@@ -423,7 +416,7 @@ class TestBootstrapReplicates:
             decision=np.array([0, 1, 1, 0]),
         )
         with pytest.raises(InputError, match="records without scores"):
-            bootstrap_replicates(
+            bootstrap_intervals(
                 ds, (MetricId.BRIER_SCORE,), "a", "b", BootstrapConfig(iterations=5)
             )
 
@@ -435,7 +428,7 @@ class TestBootstrapReplicates:
             decision=np.array([0, -1, 1, 0]),
         )
         with pytest.raises(InputError, match="records without decisions"):
-            bootstrap_replicates(
+            bootstrap_intervals(
                 ds, (MetricId.POSITIVE_RATE,), "a", "b", BootstrapConfig(iterations=5)
             )
 
@@ -472,10 +465,8 @@ class TestResampleDistribution:
         )
         B = 20_000
         config = BootstrapConfig(iterations=B, seed=5)
-        first = bootstrap_replicates(ds, metrics, "full", "gap", config)
-        second = bootstrap_replicates(ds, metrics, "one", "full", config)
-        replicates = {"full": first.values_a, "gap": first.values_b, "one": second.values_a}
-        for label, values in replicates.items():
+        for label in arrays:
+            values = _group_replicates(ds, label, metrics, config)
             rows = ds.group_positions(label)
             n = rows.shape[0]
             y, d, s = ds.outcome[rows], ds.decision[rows], ds.score[rows]
@@ -506,19 +497,20 @@ class TestReplicateMemo:
     def test_decision_only_call_leaves_score_columns_unchanged(self, toy):
         config = BootstrapConfig(iterations=40, seed=6)
         metrics = (MetricId.POSITIVE_RATE, MetricId.BRIER_SCORE, MetricId.MEAN_SCORE_NEG)
-        bootstrap_replicates(toy, (MetricId.POSITIVE_RATE,), "F", "M", config)
-        after = bootstrap_replicates(toy, metrics, "F", "M", config)
-        fresh = bootstrap_replicates(toy_dataset(), metrics, "F", "M", config)
-        assert np.array_equal(after.values_a, fresh.values_a, equal_nan=True)
-        assert np.array_equal(after.values_b, fresh.values_b, equal_nan=True)
+        fresh = toy_dataset()
+        for label in "FM":
+            _group_replicates(toy, label, (MetricId.POSITIVE_RATE,), config)
+            after = _group_replicates(toy, label, metrics, config)
+            expected = _group_replicates(fresh, label, metrics, config)
+            assert np.array_equal(after, expected, equal_nan=True)
 
     def test_column_checks_run_on_every_call(self, toy):
         ds = AuditDataset(outcome=toy.outcome, group=toy.group, decision=toy.decision)
         config = BootstrapConfig(iterations=5)
-        bootstrap_replicates(ds, (MetricId.POSITIVE_RATE,), "F", "M", config)
+        _group_replicates(ds, "F", (MetricId.POSITIVE_RATE,), config)
         for _ in range(2):
             with pytest.raises(InputError, match="risk scores"):
-                bootstrap_replicates(ds, (MetricId.BRIER_SCORE,), "F", "M", config)
+                _group_replicates(ds, "F", (MetricId.BRIER_SCORE,), config)
 
     def test_group_is_resampled_once_per_dataset(self, toy, monkeypatch):
         calls = []
@@ -527,11 +519,11 @@ class TestReplicateMemo:
             inference, "_substream", lambda *key: calls.append(key) or substream(*key)
         )
         config = BootstrapConfig(iterations=5, seed=2)
-        first = bootstrap_replicates(toy, (MetricId.ACCURACY,), "F", "M", config)
+        first = [_group_replicates(toy, label, (MetricId.ACCURACY,), config) for label in "FM"]
         drawn = len(calls)
-        second = bootstrap_replicates(toy, (MetricId.ACCURACY,), "M", "F", config)
+        second = [_group_replicates(toy, label, (MetricId.ACCURACY,), config) for label in "MF"]
         assert len(calls) == drawn
-        assert np.array_equal(first.values_a, second.values_b)
+        assert np.array_equal(first[0], second[1])
 
     def test_filling_order_does_not_change_results(self):
         def audit_dataset():
@@ -550,9 +542,11 @@ class TestReplicateMemo:
         conditions = {"senior": "age >= 60"}
         filled = audit_dataset()
         resample_within_groups(filled, seed=4, iteration=7)
-        bootstrap_replicates(filled, (MetricId.POSITIVE_RATE,), "a", "b", config)
-        bootstrap_replicates(filled, (MetricId.BRIER_SCORE,), "b", "c", config)
-        group_metrics(filled, "c")
+        for label in "ab":
+            _group_replicates(filled, label, (MetricId.POSITIVE_RATE,), config)
+        for label in "bc":
+            _group_replicates(filled, label, (MetricId.BRIER_SCORE,), config)
+        group_metric(filled, "c", MetricId.ACCURACY)
         independence_test(filled)
         fresh = audit_dataset()
         report = evaluate_all(filled, "a", "b", conditions=conditions, bootstrap=config)
@@ -569,7 +563,8 @@ class TestReplicateMemo:
             covariates={"age": np.linspace(20.0, 80.0, toy.n)},
         )
         filter_condition(ds, "age >= 30")
-        bootstrap_replicates(ds, (MetricId.ACCURACY,), "F", "M", BootstrapConfig(iterations=5))
+        for label in "FM":
+            _group_replicates(ds, label, (MetricId.ACCURACY,), BootstrapConfig(iterations=5))
         assert len(ds._memo) == 5  # the stratum, two groups' cells, two replicate sets
         derived = (
             ds.take(np.arange(ds.n)),
@@ -618,8 +613,15 @@ def memo_cases(draw):
 
     a, b = draw(st.permutations([f"g{i}" for i in range(k)]))[:2]
     probe = make()
-    allowed = set(group_metrics(probe, a).values) & set(group_metrics(probe, b).values)
-    applicable = tuple(m for m in MetricId if m in allowed)
+
+    def allowed(label, metric) -> bool:
+        try:
+            group_metric(probe, label, metric)
+        except InputError:
+            return False
+        return True
+
+    applicable = tuple(m for m in MetricId if allowed(a, m) and allowed(b, m))
     requests = [
         tuple(draw(st.lists(st.sampled_from(applicable), min_size=1, unique=True)))
         for _ in range(2)
@@ -635,15 +637,19 @@ class TestTermKeyedMemo:
     def test_requests_in_turn_match_a_fresh_full_request(self, case):
         make, a, b, applicable, requests, config, iteration = case
         ds = make()
-        answers = [bootstrap_replicates(ds, metrics, a, b, config) for metrics in requests]
-        full = bootstrap_replicates(make(), applicable, a, b, config)
+        answers = [
+            [_group_replicates(ds, label, metrics, config) for label in (a, b)]
+            for metrics in requests
+        ]
+        fresh = make()
+        full = {label: _group_replicates(fresh, label, applicable, config) for label in (a, b)}
         for metrics, answer in zip(requests, answers):
             for j, metric in enumerate(metrics):
                 k = applicable.index(metric)
-                assert same_bits(answer.values_a[:, j], full.values_a[:, k]), metric
-                assert same_bits(answer.values_b[:, j], full.values_b[:, k]), metric
+                for values, label in zip(answer, (a, b)):
+                    assert same_bits(values[:, j], full[label][:, k]), metric
         resampled = resample_within_groups(ds, seed=config.seed, iteration=iteration)
-        for label, values in ((a, full.values_a), (b, full.values_b)):
+        for label, values in full.items():
             # A group with an undecided record is cut by outcome alone; a
             # resample that misses that record is cut by decision too, so
             # its score sums add the same records in another grouping.

@@ -8,42 +8,41 @@ import pytest
 from fairaudit import (
     AuditDataset,
     BootstrapConfig,
-    ConfusionCounts,
     InputError,
     MetaMetricKind,
     MetricId,
     RowStatus,
     UNDEFINED,
-    bootstrap_replicates,
     calibration_curve,
     evaluate_all,
     filter_condition,
-    group_confusion,
     group_metric,
-    group_metrics,
     incompatibility_verdict,
     independence_test,
     is_defined,
-    resample_within_groups,
 )
 from fairaudit import metrics
 from fairaudit.cli import _meta_for_metrics
-from fairaudit.metrics import SCORE_METRICS
+from fairaudit.inference import _group_replicates
+from fairaudit.metrics import _cells
 
 from conftest import toy_dataset
+from reference import resample_within_groups
 
 F_SCORES = [0.9, 0.3, 0.8, 0.6, 0.2, 0.1, 0.4, 0.45]
 F_OUTCOMES = [1, 1, 1, 0, 0, 0, 0, 1]
 
 
 class TestConfusionCounts:
+    """A group's cell sizes, in cell order (TN, FP, FN, TP)."""
+
     def test_toy_counts(self, toy):
-        assert group_confusion(toy, "F") == ConfusionCounts(tp=2, fp=1, tn=3, fn=2)
-        assert group_confusion(toy, "M") == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
+        assert _cells(toy, "F").sizes.tolist() == [3, 1, 2, 2]
+        assert _cells(toy, "M").sizes.tolist() == [1, 1, 1, 1]
 
     def test_n_is_the_group_size(self, toy):
-        assert group_confusion(toy, "F").n == 8
-        assert group_confusion(toy, "M").n == 4
+        assert _cells(toy, "F").sizes.sum() == 8
+        assert _cells(toy, "M").sizes.sum() == 4
 
 
 class TestGroupMetric:
@@ -145,33 +144,20 @@ class TestCapabilityErrors:
         with pytest.raises(InputError, match="needs decisions"):
             group_metric(ds, "a", MetricId.TPR)
 
-    def test_group_metrics_reports_what_it_can(self):
-        ds = AuditDataset(
-            outcome=np.array([1, 0]),
-            group=np.array(["a", "b"], dtype=object),
-            score=np.array([0.9, 0.1]),
-        )
-        summary = group_metrics(ds, "a")
-        assert summary.n == 1
-        assert MetricId.BRIER_SCORE in summary.values
-        assert MetricId.PREVALENCE in summary.values
-        assert MetricId.TPR not in summary.values
-
-    def test_group_metrics_skips_a_family_with_unset_cells(self):
+    def test_a_group_with_unset_scores_keeps_its_decision_metrics(self):
         ds = AuditDataset(
             outcome=np.array([1, 0, 1, 0, 1]),
             group=np.array(["a", "a", "a", "b", "b"], dtype=object),
             score=np.array([0.9, np.nan, 0.4, 0.2, 0.7]),
             decision=np.array([1, 0, 1, 0, 1]),
         )
-        partial = group_metrics(ds, "a")
-        assert set(partial.values) == set(MetricId) - SCORE_METRICS
-        assert partial.values[MetricId.TPR] == 1.0
-        assert partial.values[MetricId.FPR] == 0.0
-        assert partial.values[MetricId.FN_FP_RATIO] is UNDEFINED
-        full = group_metrics(ds, "b")
-        assert set(full.values) == set(MetricId)
-        assert full.values[MetricId.BRIER_SCORE] == pytest.approx((0.2**2 + 0.3**2) / 2, rel=1e-12)
+        assert group_metric(ds, "a", MetricId.TPR) == 1.0
+        assert group_metric(ds, "a", MetricId.FPR) == 0.0
+        assert group_metric(ds, "a", MetricId.FN_FP_RATIO) is UNDEFINED
+        with pytest.raises(InputError, match="records without scores"):
+            group_metric(ds, "a", MetricId.BRIER_SCORE)
+        brier = group_metric(ds, "b", MetricId.BRIER_SCORE)
+        assert brier == pytest.approx((0.2**2 + 0.3**2) / 2, rel=1e-12)
 
 
 class TestPointSumMemo:
@@ -184,10 +170,12 @@ class TestPointSumMemo:
         config = BootstrapConfig(iterations=5, seed=3)
         for _ in range(2):
             values = {m: group_metric(toy, "F", m) for m in (MetricId.TPR, MetricId.BRIER_SCORE)}
-            confusion = group_confusion(toy, "F")
-            summary = group_metrics(toy, "M")
-            replicates = bootstrap_replicates(toy, (MetricId.ACCURACY,), "F", "M", config)
-            bootstrap_replicates(toy, (MetricId.BRIER_SCORE,), "M", "F", config)
+            summary = {m: group_metric(toy, "M", m) for m in MetricId}
+            replicates = [
+                _group_replicates(toy, label, (MetricId.ACCURACY,), config) for label in "FM"
+            ]
+            for label in "MF":
+                _group_replicates(toy, label, (MetricId.BRIER_SCORE,), config)
             resampled = resample_within_groups(toy, seed=3, iteration=2)
             test = independence_test(toy)
         assert len(builds) == len(toy.groups)
@@ -196,11 +184,10 @@ class TestPointSumMemo:
         ]
         fresh = toy_dataset()
         assert values == {m: group_metric(fresh, "F", m) for m in values}
-        assert confusion == group_confusion(fresh, "F")
-        assert summary == group_metrics(fresh, "M")
-        again = bootstrap_replicates(fresh, (MetricId.ACCURACY,), "F", "M", config)
-        assert np.array_equal(replicates.values_a, again.values_a)
-        assert np.array_equal(replicates.values_b, again.values_b)
+        assert summary == {m: group_metric(fresh, "M", m) for m in MetricId}
+        for label, built in zip("FM", replicates):
+            again = _group_replicates(fresh, label, (MetricId.ACCURACY,), config)
+            assert np.array_equal(built, again)
         assert np.array_equal(resampled.score, resample_within_groups(fresh, 3, 2).score)
         assert test == independence_test(fresh)
 
@@ -212,7 +199,6 @@ class TestPointSumMemo:
             decision=np.array([1, 0, 1, 0]),
         )
         assert group_metric(ds, "a", MetricId.TPR) == 1.0
-        group_metrics(ds, "a")
         for _ in range(2):
             with pytest.raises(InputError, match="records without scores"):
                 group_metric(ds, "a", MetricId.BRIER_SCORE)
@@ -251,9 +237,9 @@ class TestPointSumMemo:
         for data in (ds, stratum):
             assert ("metrics",) in data._memo
             for label in data.groups:
-                summary = group_metrics(data, label)
-                assert set(summary.values) == set(MetricId)
-                assert summary.values == {m: group_metric(data, label, m) for m in MetricId}
+                row = metrics._metric_table(data)[label]
+                assert not np.isnan(row).any()
+                assert [group_metric(data, label, m) for m in MetricId] == row.tolist()
 
 
 class TestCalibrationCurve:
