@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from itertools import chain, compress
+from operator import itemgetter
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -135,11 +136,12 @@ class AuditDataset:
     Derived datasets go through the same constructor, so they are
     validated and indexed the same way, and start with an empty memo.
     The memo keeps what an audit derives from the dataset more than once,
-    under four kinds of key: ``("stratum", predicate)``, a condition's
+    under five kinds of key: ``("stratum", predicate)``, a condition's
     stratum; ``("cells", label)``, a group's records laid out by confusion
     cell; ``("metrics",)``, every group's point estimates (see
-    :mod:`fairaudit.metrics`); and ``("replicates", label, seed,
-    iterations, terms)``, a group's bootstrap replicate sums. Only
+    :mod:`fairaudit.metrics`); ``("replicates", label, seed, iterations,
+    terms)``, a group's bootstrap replicate sums; and ``("calibration",
+    label, bins, min_bin_count)``, a group's calibration curve. Only
     successful results are kept, so errors recur on every call. Datasets
     compare and hash by identity.
     """
@@ -296,21 +298,34 @@ def _binary_code(cell: str) -> int:
     return {0.0: 0, 1.0: 1}.get(_float_or_nan(cell), _BAD)
 
 
-def _encoded(cells: list[str], code, dtype) -> np.ndarray:
-    """A column's codes: ``code(cell)`` once per distinct cell, then one lookup."""
-    table = {cell: code(cell) for cell in set(cells)}
-    return np.fromiter(map(table.__getitem__, cells), dtype, len(cells))
+def _encoded(cells: list[str], table: dict[str, int], code, dtype) -> np.ndarray:
+    """A column's codes through its raw cell -> code ``table``, where ``code`` fills in new cells."""
+    try:
+        codes = itemgetter(*cells)(table) if len(cells) > 1 else [table[c] for c in cells]
+    except KeyError:
+        table.update({cell: code(cell) for cell in set(cells).difference(table)})
+        return _encoded(cells, table, code, dtype)
+    return np.fromiter(codes, dtype, len(cells))
 
 
-def _block_codes(cells: list[str], code_of: dict[str, int]) -> np.ndarray:
-    """Label codes of a block's label cells, -1 where a cell is blank; a label
-    not yet in ``code_of`` gets the next free code there."""
+def _block_codes(cells: list[str], table: dict[str, int], labels: list[str]) -> np.ndarray:
+    """Label codes of a block's label cells, -1 where blank; a new label joins ``labels``."""
 
     def code(cell: str) -> int:
         label = cell.strip()
-        return code_of.setdefault(label, len(code_of)) if label else -1
+        if label and label not in table:  # the bare label is a cell with its code too
+            table[label] = len(labels)
+            labels.append(label)
+        return table[label] if label else -1
 
-    return _encoded(cells, code, np.intp)
+    return _encoded(cells, table, code, np.intp)
+
+
+def _append(pieces: list[np.ndarray], piece: np.ndarray) -> None:
+    """Keep a block's piece of a column; every 64 pieces are joined into one."""
+    pieces.append(piece)
+    if len(pieces) == 64:
+        pieces[:] = [np.concatenate(pieces)]
 
 
 def _scores(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -459,9 +474,10 @@ def load_csv(
     line ends made "\\n" and is split on commas; any other is cut into lines
     as the file iterator cuts them and goes through csv.reader, so quoting,
     NUL and the field limit work, and fail with the messages, as in csv.
-    Each block is parsed one column at a time: memory holds one block's
-    text and cells, plus the kept rows' values, each covariate's as integer
-    codes into its distinct labels.
+    Each block is parsed one column at a time; each encoded column (outcome,
+    decision, group, covariate) has one raw cell -> code table for the whole
+    file. Memory holds one block's text and cells, plus the kept rows'
+    values, each covariate's as integer codes into its distinct labels.
     """
     if score is None and decision is None:
         raise InputError("bind a score column, a decision column, or both")
@@ -504,12 +520,13 @@ def load_csv(
         width = len(header)
         position = {name: header.index(name) for name in bound + covariate_names}
 
+        # each column's raw cell -> code table, and a label column's labels in code order
+        tables: dict[str, dict[str, int]] = {name: {} for name in bound + covariate_names}
+        labels_of: dict[str, list[str]] = {name: [] for name in [group, *covariate_names]}
         outcomes: list[np.ndarray] = []
-        code_of: dict[str, int] = {}  # group label -> code, numbered as first met
         group_codes: list[np.ndarray] = []
         scores: list[np.ndarray] = []
         decisions: list[np.ndarray] = []
-        covariate_code_of: dict[str, dict[str, int]] = {name: {} for name in covariate_names}
         covariate_codes: dict[str, list[np.ndarray]] = {name: [] for name in covariate_names}
         dropped_by_reason = dict.fromkeys(_DROP_REASONS, 0)
 
@@ -538,8 +555,8 @@ def load_csv(
             n = len(extra)
 
             column = {name: cells[k::width] for name, k in position.items()}
-            y = _encoded(column[outcome], _binary_code, np.int8)
-            g = _block_codes(column[group], code_of)
+            y = _encoded(column[outcome], tables[outcome], _binary_code, np.int8)
+            g = _block_codes(column[group], tables[group], labels_of[group])
             rejected = [(outcome, y == _BAD)]  # each bound column's rejected cells, in order
             has_value = np.zeros(n, dtype=bool)
             if score is not None:
@@ -547,7 +564,7 @@ def load_csv(
                 rejected.append((score, bad_score))
                 has_value |= ~np.isnan(s)
             if decision is not None:
-                d = _encoded(column[decision], _binary_code, np.int8)
+                d = _encoded(column[decision], tables[decision], _binary_code, np.int8)
                 rejected.append((decision, d == _BAD))
                 has_value |= d >= 0
             bad = np.logical_or.reduce([extra] + [mask for _, mask in rejected])
@@ -575,16 +592,16 @@ def load_csv(
                 dropped_by_reason[reason] += int(np.count_nonzero(mask))
 
             keep = has_outcome & named & has_value
-            outcomes.append(y[keep])
-            group_codes.append(g[keep])
+            _append(outcomes, y[keep])
+            _append(group_codes, g[keep])
             if score is not None:
-                scores.append(s[keep])
+                _append(scores, s[keep])
             if decision is not None:
-                decisions.append(d[keep])
+                _append(decisions, d[keep])
             keep = None if keep.all() else keep.tolist()
             for name, codes in covariate_codes.items():
                 kept = column[name] if keep is None else list(compress(column[name], keep))
-                codes.append(_block_codes(kept, covariate_code_of[name]))
+                _append(codes, _block_codes(kept, tables[name], labels_of[name]))
             return n
 
         first = line + 1  # the file line of the block's first row
@@ -600,7 +617,7 @@ def load_csv(
     columns: dict[str, np.ndarray] = {}
     dropped: dict[str, float] = {}
     for name in covariate_names:
-        labels = list(covariate_code_of[name])  # in code order; code -1 reads the last value
+        labels = labels_of[name]  # in code order; code -1 reads the last value
         if not labels:
             dropped[name] = 1.0
             del covariate_codes[name]
@@ -612,9 +629,9 @@ def load_csv(
         # popped, so no covariate's block codes outlive its column's decoding
         columns[name] = values[np.concatenate(covariate_codes.pop(name))]
 
-    labels = sorted(code_of)
+    labels = sorted(labels_of[group])
     renumber = np.empty(len(labels), dtype=np.intp)
-    renumber[[code_of[label] for label in labels]] = np.arange(len(labels))
+    renumber[[tables[group][label] for label in labels]] = np.arange(len(labels))
     return AuditDataset(
         outcome=np.concatenate(outcomes),
         group=GroupCodes(tuple(labels), renumber[np.concatenate(group_codes)]),

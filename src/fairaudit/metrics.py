@@ -338,9 +338,13 @@ def calibration_curve(
     """Bin one group's scores into equal-width bins over [0, 1].
 
     A score equal to an interior edge lands in the lower bin; 0 lands in
-    the first bin. Bin counts always sum to the group size.
+    the first bin. Bin counts always sum to the group size. Each curve is
+    built once per dataset and kept, with read-only arrays, in its memo.
     """
     checked_bins(bins, min_bin_count)
+    key = ("calibration", group, bins, min_bin_count)
+    if key in dataset._memo:
+        return dataset._memo[key]
     rows = dataset.group_positions(group)
     if dataset.score is None:
         raise InputError("calibration needs risk scores, none loaded")
@@ -350,17 +354,16 @@ def calibration_curve(
     outcome = dataset.outcome[rows]
 
     edges = np.linspace(0.0, 1.0, bins + 1)
-    index = np.searchsorted(edges, score, side="left") - 1
-    index = np.clip(index, 0, bins - 1)
+    # score * bins, rounded up, is at most one bin off; each edge test moves it back
+    index = np.clip(np.ceil(score * bins).astype(np.intp) - 1, 0, bins - 1)
+    index -= (score <= edges[index]) & (index > 0)
+    index += score > edges[index + 1]
     counts = np.bincount(index, minlength=bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean_score = np.bincount(index, weights=score, minlength=bins) / counts
         observed = np.bincount(index, weights=outcome.astype(np.float64), minlength=bins) / counts
-    return CalibrationCurve(
-        group=group,
-        edges=edges,
-        counts=counts,
-        mean_score=mean_score,
-        observed_rate=observed,
-        sparse=counts < min_bin_count,
-    )
+    sparse = counts < min_bin_count
+    for array in (edges, counts, mean_score, observed, sparse):
+        array.setflags(write=False)
+    curve = dataset._memo[key] = CalibrationCurve(group, edges, counts, mean_score, observed, sparse)
+    return curve

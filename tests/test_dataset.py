@@ -919,6 +919,43 @@ class TestBlockLoaderMatchesRowLoader:
             assert want.covariates["note"].tolist() == ["x", None, "y", "w", "v", "u"]
 
 
+class TestTablesAcrossBlocks:
+    """Each encoded column's cell table lives for the whole file: a cell first
+    met in a later block is coded as if the file were one block."""
+
+    @pytest.mark.parametrize("chars", [1, 17, dataset_module._BLOCK_CHARS])
+    @pytest.mark.parametrize("cells", [("c", " c "), (" c ", "c")])
+    def test_a_padded_label_shares_its_code_and_label(self, tmp_path, monkeypatch, chars, cells):
+        monkeypatch.setattr(dataset_module, "_BLOCK_CHARS", chars)
+        first, later = cells
+        rows = [f"1,0.5,{first},{first}", "0,0.25,d,d"] * 3 + [f"1,0.75,{later},{later}"]
+        path = write(tmp_path, "y,s,g,ward\n" + "\n".join(rows) + "\n")
+        ds = load_csv(path, outcome="y", score="s", group="g")
+        assert ds.groups == ("c", "d")
+        assert ds._group.codes.tolist() == [0, 1] * 3 + [0]
+        assert ds.covariates["ward"].tolist() == ["c", "d"] * 3 + ["c"]
+
+    @pytest.mark.parametrize("chars", [1, 17])
+    def test_an_outcome_first_met_late_is_rejected_on_its_own_line(
+        self, tmp_path, monkeypatch, chars
+    ):
+        monkeypatch.setattr(dataset_module, "_BLOCK_CHARS", chars)
+        path = write(tmp_path, "y,s,g\n" + "1,0.5,a\n0,0.25,b\n" * 20 + "2,0.5,a\n")
+        with pytest.raises(InputError) as caught:
+            load_csv(path, outcome="y", score="s", group="g")
+        assert str(caught.value) == f"line 42 of {path!r}: y value outside {{0, 1}}: '2'"
+
+    @pytest.mark.parametrize("chars", [1, 17])
+    def test_one_categorical_cell_in_the_last_block_makes_the_covariate_categorical(
+        self, tmp_path, monkeypatch, chars
+    ):
+        monkeypatch.setattr(dataset_module, "_BLOCK_CHARS", chars)
+        rows = "1,0.5,a,40\n0,0.25,b,61.5\n" * 20 + "1,0.5,a,unknown\n"
+        ds = load_csv(write(tmp_path, "y,s,g,age\n" + rows), outcome="y", score="s", group="g")
+        assert ds.covariates["age"].dtype == object
+        assert ds.covariates["age"].tolist() == ["40", "61.5"] * 20 + ["unknown"]
+
+
 # Cells that float() reads in its own way, or that no bound column accepts.
 ROW_CELLS = ["", " ", " 1", "1e0", "-0", "nan", "inf", "1_0", "abc", "2", "0.5", "0", "\t0.25 "]
 
@@ -1108,6 +1145,27 @@ def test_memory_holds_one_block_of_rows(tmp_path):
 
     peak("n")  # the first load in a process also allocates what later loads reuse
     assert peak("n" * width) - peak("n") < 3.5 * block
+
+
+def test_many_small_blocks_peak_no_higher_than_one_block(tmp_path, monkeypatch):
+    """A column's per-block arrays are joined as they pile up: a file read in
+    thousands of tiny blocks holds a few arrays per column, not one per block."""
+    path = tmp_path / "rows.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("y,s,g\n")
+        handle.write("1,0.5,a\n0,0.25,b\n" * 4000)
+
+    def peak(chars):
+        monkeypatch.setattr(dataset_module, "_BLOCK_CHARS", chars)
+        tracemalloc.start()
+        try:
+            load_csv(str(path), outcome="y", score="s", group="g")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(16)  # the first load in a process also allocates what later loads reuse
+    assert peak(16) <= peak(path.stat().st_size)  # ~4,000 blocks against one
 
 
 def test_kept_covariate_costs_codes_not_strings(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from fairaudit import (
 )
 from fairaudit import metrics
 from fairaudit.cli import _meta_for_metrics
+from fairaudit.cli import main as cli_main
 from fairaudit.inference import _group_replicates
 from fairaudit.metrics import _cells
 
@@ -281,6 +284,26 @@ class TestCalibrationCurve:
         assert curve.counts[1] == 1  # 0.2 in (0.1, 0.2]
         assert curve.counts[4] == 1  # 0.5 in (0.4, 0.5]
 
+    @pytest.mark.parametrize("bins", [2, 3, 7, 10, 20, 33, 1000])
+    def test_bins_match_a_binary_search_over_the_edges(self, bins):
+        """Scores on, just below and just above every edge land where a binary
+        search over the edges puts them."""
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        near = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -1.0)])
+        score = np.clip(np.concatenate([near, np.random.default_rng(bins).random(4000)]), 0.0, 1.0)
+        ds = AuditDataset(
+            outcome=np.zeros(score.size + 1, dtype=int),
+            group=np.array(["a"] * score.size + ["b"], dtype=object),
+            score=np.append(score, 0.5),
+        )
+        curve = calibration_curve(ds, "a", bins, min_bin_count=1)
+        want = np.clip(np.searchsorted(edges, score, side="left") - 1, 0, bins - 1)
+        counts = np.bincount(want, minlength=bins)
+        assert curve.counts.tolist() == counts.tolist()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean_score = np.bincount(want, weights=score, minlength=bins) / counts
+        np.testing.assert_array_equal(curve.mean_score, mean_score)
+
     def test_counts_partition_group(self, toy):
         curve = calibration_curve(toy, "F", bins=7)
         assert curve.n == 8
@@ -307,3 +330,72 @@ class TestCalibrationCurve:
         )
         with pytest.raises(InputError, match="group 'a' has records without scores"):
             calibration_curve(ds, "a")
+
+
+class TestCalibrationMemo:
+    """A group's curve is built once per dataset, bins and min_bin_count."""
+
+    def test_a_second_call_returns_the_memoized_read_only_curve(self, toy):
+        curve = calibration_curve(toy, "F", bins=4, min_bin_count=2)
+        assert calibration_curve(toy, "F", bins=4, min_bin_count=2) is curve
+        for array in (curve.edges, curve.counts, curve.mean_score, curve.observed_rate):
+            assert not array.flags.writeable
+        assert not curve.sparse.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            curve.counts[0] = 0
+
+    def test_other_bins_or_min_bin_count_build_a_new_curve(self, toy):
+        curve = calibration_curve(toy, "F", bins=4, min_bin_count=2)
+        wider = calibration_curve(toy, "F", bins=5, min_bin_count=2)
+        stricter = calibration_curve(toy, "F", bins=4, min_bin_count=3)
+        assert wider is not curve and wider.bins == 5
+        assert stricter is not curve and stricter.sparse.tolist() == (curve.counts < 3).tolist()
+        assert calibration_curve(toy, "M", bins=4, min_bin_count=2) is not curve
+
+    def test_an_unscored_group_raises_on_every_call(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0, 1]),
+            group=np.array(["a", "a", "b"], dtype=object),
+            score=np.array([0.2, np.nan, 0.7]),
+            decision=np.array([1, 0, 1]),
+        )
+        for _ in range(2):
+            with pytest.raises(InputError, match="group 'a' has records without scores"):
+                calibration_curve(ds, "a")
+        assert not [key for key in ds._memo if key[0] == "calibration"]
+
+    def test_an_audit_builds_each_groups_curve_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, labels = 2400, [f"g{i:02d}" for i in range(12)]
+        group = np.arange(n) % 12
+        outcome = (rng.random(n) < 0.4).astype(int)
+        score = np.clip(0.3 * outcome + 0.7 * rng.random(n), 0.0, 1.0)
+        path = tmp_path / "twelve.csv"
+        rows = (f"{y},{s:.4f},{labels[g]}" for y, s, g in zip(outcome, score, group))
+        path.write_text("y,s,g\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+        builds = []
+
+        class CountingNumpy:
+            """numpy, as fairaudit.metrics sees it, counting each group score
+            column that a calibration curve bins."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def ceil(self, scaled):
+                builds.append(len(scaled))
+                return np.ceil(scaled)
+
+        monkeypatch.setattr(metrics, "np", CountingNumpy())
+        code = cli_main(
+            [
+                "audit", "--input", str(path), "--outcome", "y", "--group", "g",
+                "--score", "s", "--threshold", "0.5", "--criteria", "all",
+                "--bins", "5", "--min-bin-count", "1", "--output", os.devnull,
+            ]
+        )
+        assert code == 0
+        # the 11 pairs with the reference group need every group's curve: 12
+        # builds of a 200-record group each, not two per pair (22)
+        assert sorted(builds) == [n // 12] * 12
