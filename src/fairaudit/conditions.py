@@ -25,17 +25,16 @@ from .errors import InputError
 if TYPE_CHECKING:
     from .dataset import AuditDataset
 
-_TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<op>>=|<=|==|!=|>|<)
-      | (?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)
-      | (?P<string>"[^"]*"|'[^']*')
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    )""",
+_CLAUSE = re.compile(
+    r"""\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)
+        \s*(?P<op>>=|<=|==|!=|>|<)
+        \s*(?:(?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)|(?P<string>"[^"]*"|'[^']*'))
+        \s*""",
     re.VERBOSE,
 )
+_AND = re.compile(r"AND\b", re.IGNORECASE)
 
-_NUMERIC_OPS = {
+_OPS = {
     ">": np.greater,
     ">=": np.greater_equal,
     "<": np.less,
@@ -43,22 +42,6 @@ _NUMERIC_OPS = {
     "==": np.equal,
     "!=": np.not_equal,
 }
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            remainder = text[pos:].strip()
-            if not remainder:
-                break
-            raise InputError(f"cannot parse condition near {remainder[:20]!r}")
-        pos = match.end()
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind)))
-    return tokens
 
 
 @dataclass(frozen=True)
@@ -82,44 +65,28 @@ class ConditionPredicate:
 
     @classmethod
     def parse(cls, text: str) -> "ConditionPredicate":
-        tokens = _tokenize(text)
-        if not tokens:
+        if not text.strip():
             raise InputError("empty condition expression")
         clauses = []
         pos = 0
         while True:
-            if pos >= len(tokens) or tokens[pos][0] != "name":
-                raise InputError(f"expected a covariate name in condition {text!r}")
-            name = tokens[pos][1]
-            if name.upper() == "AND":
-                raise InputError(f"misplaced AND in condition {text!r}")
-            pos += 1
-            if pos >= len(tokens) or tokens[pos][0] != "op":
-                raise InputError(f"expected a comparison operator after {name!r}")
-            op = tokens[pos][1]
-            pos += 1
-            if pos >= len(tokens):
-                raise InputError(f"missing literal after {name} {op}")
-            kind, raw = tokens[pos]
-            if kind == "number":
-                value: float | str = float(raw)
-            elif kind == "string":
-                value = raw[1:-1]
-            else:
-                raise InputError(
-                    f"expected a number or quoted string after {name} {op}, got {raw!r}"
-                )
-            if isinstance(value, str) and op not in ("==", "!="):
-                raise InputError(f"operator {op!r} needs a numeric literal")
-            clauses.append(Clause(name, op, value))
-            pos += 1
-            if pos == len(tokens):
+            match = _CLAUSE.match(text, pos)
+            if match is None or match["name"].upper() == "AND":
                 break
-            kind, raw = tokens[pos]
-            if kind != "name" or raw.upper() != "AND":
-                raise InputError(f"expected AND between clauses in condition {text!r}")
-            pos += 1
-        return cls(clauses=tuple(clauses), source=text.strip())
+            name, op, number, string = match.group("name", "op", "number", "string")
+            if string is not None and op not in ("==", "!="):
+                raise InputError(f"operator {op!r} needs a numeric literal")
+            clauses.append(Clause(name, op, float(number) if string is None else string[1:-1]))
+            pos = match.end()
+            if pos == len(text):
+                return cls(clauses=tuple(clauses), source=text.strip())
+            match = _AND.match(text, pos)
+            if match is None:
+                break
+            pos = match.end()
+        rest = text[pos:].strip()
+        near = repr(rest[:20]) if rest else "its end"
+        raise InputError(f"cannot parse condition {text!r} near {near}")
 
     def mask(self, dataset: "AuditDataset") -> np.ndarray:
         """Boolean row mask over the dataset; missing values never match."""
@@ -143,7 +110,7 @@ def _clause_mask(clause: Clause, column: np.ndarray) -> np.ndarray:
             )
         valid = ~np.isnan(column)
         with np.errstate(invalid="ignore"):
-            hit = _NUMERIC_OPS[clause.op](column, clause.value)
+            hit = _OPS[clause.op](column, clause.value)
         return hit & valid
     # categorical column: equality tests only
     if clause.op not in ("==", "!="):
@@ -155,6 +122,4 @@ def _clause_mask(clause: Clause, column: np.ndarray) -> np.ndarray:
             f"condition on {clause.name!r} compares a number against a categorical column"
         )
     valid = column != None  # noqa: E711 -- elementwise over the object array
-    eq = column == clause.value
-    hit = eq if clause.op == "==" else ~eq
-    return hit & valid
+    return _OPS[clause.op](column, clause.value) & valid

@@ -88,6 +88,18 @@ def _checked_group(group, n: int) -> tuple[GroupCodes, np.ndarray]:
     return GroupCodes(labels, _read_only(codes, narrow)), counts
 
 
+def _all_in(values: np.ndarray, allowed: tuple[int, ...]) -> bool:
+    """Whether every value equals one of ``allowed``. Text never does, and is
+    rejected before comparing: numpy 1.24 answers ``str_array == 0`` with a
+    warning and a scalar."""
+    if values.dtype.kind in "US":
+        return False
+    hit = values == allowed[0]
+    for value in allowed[1:]:
+        hit |= values == value
+    return bool(hit.all())
+
+
 class _GroupColumn:
     """The ``group`` field: assigned labels or :class:`GroupCodes`, read as
     a read-only object array of labels gathered from the encoded column
@@ -136,9 +148,9 @@ class AuditDataset:
     Derived datasets go through the same constructor, so they are
     validated and indexed the same way, and start with an empty memo.
     The memo keeps what an audit derives from the dataset more than once,
-    under five kinds of key: ``("stratum", predicate)``, a condition's
-    stratum; ``("cells", label)``, a group's records laid out by confusion
-    cell; ``("metrics",)``, every group's point estimates (see
+    under five kinds of key: ``("stratum", clauses)``, the stratum of a
+    condition's clauses; ``("cells", label)``, a group's records laid out
+    by confusion cell; ``("metrics",)``, every group's point estimates (see
     :mod:`fairaudit.metrics`); ``("replicates", label, seed, iterations,
     terms)``, a group's bootstrap replicate sums; and ``("calibration",
     label, bins, min_bin_count)``, a group's calibration curve. Only
@@ -166,7 +178,7 @@ class AuditDataset:
         outcome = np.asarray(self.outcome)
         if outcome.ndim != 1 or outcome.size == 0:
             raise InputError("outcome column must be a non-empty 1-d array")
-        if not np.isin(outcome, (0, 1)).all():
+        if not _all_in(outcome, (0, 1)):
             raise InputError("outcome values outside {0, 1}")
         n = outcome.shape[0]
 
@@ -188,7 +200,7 @@ class AuditDataset:
             decision = np.asarray(decision)
             if decision.shape != (n,):
                 raise InputError("decision column length does not match outcome")
-            if not np.isin(decision, (-1, 0, 1)).all():
+            if not _all_in(decision, (-1, 0, 1)):
                 raise InputError("decision values outside {0, 1}")
             has_decision = decision >= 0
 
@@ -727,12 +739,13 @@ def filter_condition(
 
     Errors if the result is empty or if any group present before the
     filter loses all of its records, since downstream comparisons expect
-    every group to survive. A predicate's stratum is built once per
-    dataset and returned again on later calls.
+    every group to survive. A stratum is built once per dataset for each
+    tuple of clauses, however the condition was spaced, and returned again
+    on later calls.
     """
     if isinstance(predicate, str):
         predicate = ConditionPredicate.parse(predicate)
-    key = ("stratum", predicate)
+    key = ("stratum", predicate.clauses)
     if key in dataset._memo:
         return dataset._memo[key]
     keep = predicate.mask(dataset)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import AuditDataset, ConditionPredicate, InputError
 from fairaudit.conditions import Clause
@@ -67,6 +69,10 @@ class TestParse:
             "AND age >= 60",
             "age >= sixty",
             "ward > ''",
+            "and >= 3",
+            "age >= 60 ANDward == 'x'",
+            "age > - 1",
+            "x == 1.2.3",
         ],
     )
     def test_malformed(self, text):
@@ -77,9 +83,69 @@ class TestParse:
         with pytest.raises(InputError, match="numeric literal"):
             ConditionPredicate.parse("ward > 'icu'")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("age >=", "cannot parse condition 'age >=' near 'age >='"),
+            ("age >= 60 AND", "cannot parse condition 'age >= 60 AND' near its end"),
+            (
+                "age >= 60 or age < 2 or age > 90",
+                "cannot parse condition 'age >= 60 or age < 2 or age > 90'"
+                " near 'or age < 2 or age > '",
+            ),
+        ],
+    )
+    def test_message_quotes_the_text_where_parsing_stopped(self, text, message):
+        with pytest.raises(InputError) as raised:
+            ConditionPredicate.parse(text)
+        assert str(raised.value) == message
+
     def test_unparseable_characters(self):
         with pytest.raises(InputError, match="cannot parse"):
             ConditionPredicate.parse("age >= 60 && ward == 'icu'")
+
+
+SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+GAP = st.sampled_from([" ", "  ", "\t", "\n"])
+AND = st.tuples(*(st.sampled_from([c, c.upper()]) for c in "and")).map("".join)
+NUMBER = st.from_regex(
+    r"-?([0-9]{1,3}(\.[0-9]{0,3})?|\.[0-9]{1,3})([eE][-+]?[0-9]{1,2})?", fullmatch=True
+)
+STRING_CHARS = "ab1 .-=<>!\t\"'ANDé"
+
+
+@st.composite
+def clauses(draw) -> tuple[str, Clause]:
+    """One clause's text, spaced at random, and the Clause it parses to."""
+    name = draw(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True))
+    if name.upper() == "AND":
+        name += "_"
+    op = draw(st.sampled_from([">", ">=", "<", "<=", "==", "!="]))
+    if op in ("==", "!=") and draw(st.booleans()):
+        quote = draw(st.sampled_from(["'", '"']))
+        value = draw(st.text(STRING_CHARS.replace(quote, ""), max_size=8))
+        literal = quote + value + quote
+    else:
+        literal = draw(NUMBER)
+        value = float(literal)
+    text = draw(SPACE) + name + draw(SPACE) + op + draw(SPACE) + literal
+    return text, Clause(name, op, value)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(clauses(), min_size=1, max_size=3),
+    st.lists(st.tuples(SPACE, AND, GAP), min_size=2, max_size=2),
+    SPACE,
+)
+def test_parse_round_trips_generated_clauses(parts, joins, tail):
+    text = parts[0][0]
+    for (clause_text, _), (before, keyword, after) in zip(parts[1:], joins):
+        text += before + keyword + after + clause_text
+    text += tail
+    pred = ConditionPredicate.parse(text)
+    assert pred.clauses == tuple(clause for _, clause in parts)
+    assert pred.source == text.strip()
 
 
 class TestMask:

@@ -387,6 +387,7 @@ class TestFilterCondition:
         ds = self.make()
         first = filter_condition(ds, "age >= 60")
         assert filter_condition(ds, ConditionPredicate.parse("age >= 60")) is first
+        assert filter_condition(ds, "age>=60") is first
         assert filter_condition(self.make(), "age >= 60") is not first
 
     def test_errors_recur_on_every_call(self):
@@ -488,6 +489,9 @@ class TestAuditDataset:
             ({"decision": np.array([1])}, "decision column length does not match outcome"),
             ({"covariates": {"age": np.array([1.0])}}, "covariate 'age' length does not match"),
             ({"group": np.array(["a", "b", "a"], dtype=object)}, "group column length does not"),
+            ({"outcome": np.array(["1", "0"])}, "outcome values outside"),
+            ({"outcome": np.array([2, 0], dtype=object)}, "outcome values outside"),
+            ({"decision": np.array(["1", "0"])}, "decision values outside"),
         ],
     )
     def test_bad_columns_rejected(self, columns, message):
@@ -499,6 +503,16 @@ class TestAuditDataset:
         }
         with pytest.raises(InputError, match=message):
             AuditDataset(**kwargs)
+
+    def test_object_array_of_binary_ints_accepted(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0], dtype=object),
+            group=np.array(["a", "b"], dtype=object),
+            decision=np.array([-1, 1], dtype=object),
+            score=np.array([0.1, 0.5]),
+        )
+        assert ds.outcome.tolist() == [1, 0] and ds.outcome.dtype == np.int8
+        assert ds.decision.tolist() == [-1, 1]
 
     @pytest.mark.parametrize(
         "labels",
