@@ -179,8 +179,12 @@ def run_audit(request: AuditRequest) -> dict:
     criteria, conditions, config = request.validate()
     dataset = _prepare_dataset(request, request.impute_max_missing)
     if not dataset.has_decisions:
+        if request.decision is None:
+            raise InputError("no decisions available: bind a decision column or pass --threshold")
+        missing = int((dataset.decision < 0).sum())
         raise InputError(
-            "no decisions available: bind a decision column or pass --threshold"
+            f"{missing} of {dataset.n} kept records have no decision in column "
+            f"{request.decision!r}; --threshold derives decisions from the scores"
         )
     groups = dataset.groups
     reference = groups[0] if request.reference is None else request.reference
@@ -268,8 +272,8 @@ def _meta_for_metrics(dataset, metrics, kinds, exponent) -> list:
 
 
 def run_meta(args: argparse.Namespace) -> dict:
-    metrics = [coerce_metric(m) for m in (args.metric or ["positive_rate"])]
-    kinds = [coerce_kind(k) for k in (args.kind or [k.value for k in MetaMetricKind])]
+    metrics = list(dict.fromkeys(map(coerce_metric, args.metric or ["positive_rate"])))
+    kinds = list(dict.fromkeys(map(coerce_kind, args.kind or MetaMetricKind)))
     # only the entropy kind is given --exponent; without it, the first kind refuses one
     entropy = MetaMetricKind.GENERALIZED_ENTROPY
     checked_exponent(entropy if entropy in kinds else kinds[0], args.exponent)

@@ -535,11 +535,8 @@ def load_csv(
         # each column's raw cell -> code table, and a label column's labels in code order
         tables: dict[str, dict[str, int]] = {name: {} for name in bound + covariate_names}
         labels_of: dict[str, list[str]] = {name: [] for name in [group, *covariate_names]}
-        outcomes: list[np.ndarray] = []
-        group_codes: list[np.ndarray] = []
-        scores: list[np.ndarray] = []
-        decisions: list[np.ndarray] = []
-        covariate_codes: dict[str, list[np.ndarray]] = {name: [] for name in covariate_names}
+        # each column's kept values, as per-block pieces; a label column's as codes
+        kept: dict[str, list[np.ndarray]] = {name: [] for name in bound + covariate_names}
         dropped_by_reason = dict.fromkeys(_DROP_REASONS, 0)
 
         def load_block(first: int) -> int:
@@ -569,14 +566,16 @@ def load_csv(
             column = {name: cells[k::width] for name, k in position.items()}
             y = _encoded(column[outcome], tables[outcome], _binary_code, np.int8)
             g = _block_codes(column[group], tables[group], labels_of[group])
+            parsed = {outcome: y, group: g}
             rejected = [(outcome, y == _BAD)]  # each bound column's rejected cells, in order
             has_value = np.zeros(n, dtype=bool)
             if score is not None:
-                s, bad_score = _scores(column[score])
+                parsed[score], bad_score = _scores(column[score])
                 rejected.append((score, bad_score))
-                has_value |= ~np.isnan(s)
+                has_value |= ~np.isnan(parsed[score])
             if decision is not None:
                 d = _encoded(column[decision], tables[decision], _binary_code, np.int8)
+                parsed[decision] = d
                 rejected.append((decision, d == _BAD))
                 has_value |= d >= 0
             bad = np.logical_or.reduce([extra] + [mask for _, mask in rejected])
@@ -604,16 +603,12 @@ def load_csv(
                 dropped_by_reason[reason] += int(np.count_nonzero(mask))
 
             keep = has_outcome & named & has_value
-            _append(outcomes, y[keep])
-            _append(group_codes, g[keep])
-            if score is not None:
-                _append(scores, s[keep])
-            if decision is not None:
-                _append(decisions, d[keep])
+            for name, values in parsed.items():
+                _append(kept[name], values[keep])
             keep = None if keep.all() else keep.tolist()
-            for name, codes in covariate_codes.items():
-                kept = column[name] if keep is None else list(compress(column[name], keep))
-                _append(codes, _block_codes(kept, tables[name], labels_of[name]))
+            for name in covariate_names:
+                picked = column[name] if keep is None else list(compress(column[name], keep))
+                _append(kept[name], _block_codes(picked, tables[name], labels_of[name]))
             return n
 
         first = line + 1  # the file line of the block's first row
@@ -623,7 +618,7 @@ def load_csv(
         except UnicodeDecodeError:
             raise InputError(f"cannot read {path!r}: not UTF-8 text") from None
 
-    if not sum(map(len, group_codes)):
+    if not sum(map(len, kept[group])):
         raise InputError(f"no usable records in {path!r}")
 
     columns: dict[str, np.ndarray] = {}
@@ -632,23 +627,23 @@ def load_csv(
         labels = labels_of[name]  # in code order; code -1 reads the last value
         if not labels:
             dropped[name] = 1.0
-            del covariate_codes[name]
+            del kept[name]
             continue
         try:
             values = np.array([*map(float, labels), math.nan])
         except ValueError:
             values = np.array([*labels, None], dtype=object)
         # popped, so no covariate's block codes outlive its column's decoding
-        columns[name] = values[np.concatenate(covariate_codes.pop(name))]
+        columns[name] = values[np.concatenate(kept.pop(name))]
 
     labels = sorted(labels_of[group])
     renumber = np.empty(len(labels), dtype=np.intp)
     renumber[[tables[group][label] for label in labels]] = np.arange(len(labels))
     return AuditDataset(
-        outcome=np.concatenate(outcomes),
-        group=GroupCodes(tuple(labels), renumber[np.concatenate(group_codes)]),
-        score=np.concatenate(scores) if score is not None else None,
-        decision=np.concatenate(decisions) if decision is not None else None,
+        outcome=np.concatenate(kept[outcome]),
+        group=GroupCodes(tuple(labels), renumber[np.concatenate(kept[group])]),
+        score=np.concatenate(kept[score]) if score is not None else None,
+        decision=np.concatenate(kept[decision]) if decision is not None else None,
         covariates=columns,
         n_dropped=sum(dropped_by_reason.values()),
         dropped_covariates=dropped,

@@ -19,16 +19,19 @@ addresses that block's random substream, and a block always draws all
 its resamples. Replicates are therefore a pure function of the data
 order, the seed, the iteration and the group: reruns reproduce bit for
 bit, the first B replicates do not depend on how many follow, and a
-group's replicates are the same in every pair it joins. A group's draws
-are planned once per replicate build (non-empty cells, multinomial
-probabilities, cell record ranges, the label's substream key), and every
-block draws through that plan. A block only records: its cell counts
-and, for each float term the metrics read (``metrics._SCORE_TERMS``),
-the sum of every (cell, resample) segment of its drawn records; one
-pass per group then builds the replicate sums the way the point sums
-are built. A dataset keeps each group's replicate sums under the memo
-key ``("replicates", label, seed, iterations, terms)``, ``terms`` naming
-the float terms gathered, so the pairs of an audit share them.
+group's replicates are the same in every pair it joins. A block's
+substream gives, in this order, one multinomial draw of all its
+resamples' cell counts and then, only when the metrics read float terms,
+one uniform integer draw per non-empty cell, in cell order, of that
+cell's records for every resample in turn. :func:`_replicate_sums` is
+the only code that draws (the tests' reference resampler restates the
+stream). A block only records: its cell counts and, for each float term
+the metrics read (``metrics._SCORE_TERMS``), the sum of every (cell,
+resample) segment of its drawn records; one pass per group then builds
+the replicate sums the way the point sums are built. A dataset keeps
+each group's replicate sums under the memo key ``("replicates", label,
+seed, iterations, terms)``, ``terms`` naming the float terms gathered,
+so the pairs of an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences, and the ratio interval
@@ -45,7 +48,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import NormalDist
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -151,54 +153,6 @@ def _block_rows(size: int) -> int:
     return max(1, 2**15 // size, min(128, _BLOCK_CELLS // size))
 
 
-class _DrawPlan(NamedTuple):
-    """What every block of one group's resamples draws from, worked out once."""
-
-    key: int  # the label's sha256 key, which addresses the group's substreams
-    size: int  # n, the group's record count
-    rows: int  # resamples per block
-    cells: np.ndarray  # the non-empty cells, in cell order
-    pvals: np.ndarray  # their sizes / n
-    low: np.ndarray  # their first position among the cell-sorted records
-    high: np.ndarray  # one past their last position
-
-
-def _draw_plan(label: str, cells: _Cells) -> _DrawPlan:
-    sizes = cells.sizes
-    n = int(sizes.sum())
-    nonempty = np.flatnonzero(sizes)
-    ends = np.cumsum(sizes)
-    return _DrawPlan(
-        _group_key(label),
-        n,
-        _block_rows(n),
-        nonempty,
-        sizes[nonempty] / n,
-        (ends - sizes)[nonempty],
-        ends[nonempty],
-    )
-
-
-def _draw(plan: _DrawPlan, seed: int, start: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """The resamples of the block starting at iteration ``start``.
-
-    Returns their (rows, 4) cell counts, one Multinomial(n, sizes / n) row
-    per resample, and the records drawn within cells: one array per
-    non-empty cell, in cell order, of positions among the group's records
-    sorted by cell, resample by resample. The positions are drawn lazily,
-    after every count, so a caller that only counts draws none and a
-    score metric never changes the counts, and only one cell's positions
-    need be held at a time. A block always draws all ``plan.rows``
-    resamples, so its draws never depend on the iteration count.
-    """
-    rng = _substream(seed, start, plan.key)
-    counts = np.zeros((plan.rows, _CELLS), dtype=np.int64)
-    counts[:, plan.cells] = rng.multinomial(plan.size, plan.pvals, size=plan.rows)
-    totals = counts.sum(axis=0)
-    cells = zip(plan.cells, plan.low, plan.high)
-    return counts, (rng.integers(low, high, totals[c]) for c, low, high in cells)
-
-
 def _group_replicates(
     dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...], config: BootstrapConfig
 ) -> np.ndarray:
@@ -227,29 +181,43 @@ def _replicate_sums(
 ) -> np.ndarray:
     """One group's (B, k) replicate sums rows.
 
-    Blocks only record: each writes its cell counts and, per term, the
-    sum of every (cell, resample) segment of its drawn records into
-    arrays held for the whole group. One pass over those arrays then
-    builds the rows, the same way the point sums are built.
+    The group's non-empty cells, their probabilities and record ranges,
+    its substream key and its block size are worked out once. Each block
+    draws in the stream order the module docstring gives, holding one
+    cell's drawn records at a time, and only records: its cell counts
+    and, per term, the sum of every (cell, resample) segment of its drawn
+    records, into arrays held for the whole group. One pass over those
+    arrays then builds the rows, the way the point sums are built.
     """
     B = config.iterations
-    plan = _draw_plan(label, cells)
-    blocks = range(0, B, plan.rows)
-    counts = np.empty((len(blocks) * plan.rows, _CELLS), dtype=np.int64)
+    sizes = cells.sizes
+    n = int(sizes.sum())
+    nonempty = np.flatnonzero(sizes)
+    pvals = sizes[nonempty] / n
+    ends = np.cumsum(sizes)
+    ranges = list(zip(nonempty, (ends - sizes)[nonempty], ends[nonempty]))
+    key = _group_key(label)
+    block_rows = _block_rows(n)
+    blocks = range(0, B, block_rows)
+    counts = np.zeros((len(blocks) * block_rows, _CELLS), dtype=np.int64)
     cell_sums = np.zeros((len(terms), _CELLS, counts.shape[0]))
     floats = _floats(dataset, cells, terms) if terms else None
     for start in blocks:
-        rows = slice(start, start + plan.rows)
-        counts[rows], draws = _draw(plan, config.seed, start)
-        if terms:
-            block = counts[rows]
-            drawn = block > 0
-            starts = np.cumsum(block, axis=0) - block
-            for c, picks in zip(plan.cells, draws):
-                segments = starts[drawn[:, c], c]
-                # one term at a time keeps each gathered array small
-                for term_sums, values in zip(cell_sums[:, c, rows], floats):
-                    term_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
+        rng = _substream(config.seed, start, key)
+        rows = slice(start, start + block_rows)
+        block = counts[rows]
+        block[:, nonempty] = rng.multinomial(n, pvals, size=block_rows)
+        if not terms:
+            continue
+        drawn = block > 0
+        starts = np.cumsum(block, axis=0) - block
+        totals = block.sum(axis=0)
+        for c, low, high in ranges:
+            picks = rng.integers(low, high, totals[c])
+            segments = starts[drawn[:, c], c]
+            # one term at a time keeps each gathered array small
+            for term_sums, values in zip(cell_sums[:, c, rows], floats):
+                term_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
     return _sums_rows(cells, counts[:B], cell_sums[:, :, :B], terms)
 
 

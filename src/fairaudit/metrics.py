@@ -11,8 +11,8 @@ resamples, and the chi-square table all read it. Every point estimate is
 a lookup in the dataset's metric table (:func:`_metric_table`, memo key
 ``("metrics",)``). The float terms s, (s−y)² and |s−y| are rebuilt from
 the sorted rows whenever score sums are formed, never kept: the point
-sums build all three, a bootstrap replicate build only those its metrics
-read, and the replicate memo key names them. Which term each score metric
+sums build all three, a group's bootstrap replicates only those their
+metrics read, and the replicate memo key names them. Which term each score metric
 reads is one table, ``_SCORE_TERMS``: ``SCORE_METRICS``,
 ``DECISION_METRICS`` and the terms a request reads are derived from it, so
 a score metric is added there. A resample is a count of records per cell
@@ -91,10 +91,6 @@ _SCORE_TERMS = {
 }
 SCORE_METRICS = frozenset(_SCORE_TERMS)
 DECISION_METRICS = frozenset(set(MetricId) - SCORE_METRICS - {MetricId.PREVALENCE})
-
-# Metrics rendered as percentages in human-readable output; the count
-# ratio keeps its natural scale.
-PERCENT_METRICS = frozenset(set(MetricId) - {MetricId.FN_FP_RATIO})
 
 
 def coerce_metric(metric: MetricId | str) -> MetricId:

@@ -20,7 +20,7 @@ from .diagnostics import EpsilonAssessment, IncompatibilityVerdict
 from .errors import InputError
 from .fairness import CRITERION_LABELS, Comparison, FairnessReport, criterion_components
 from .inference import Interval
-from .metrics import PERCENT_METRICS, MetricId, is_defined
+from .metrics import MetricId, is_defined
 from .multigroup import MetaMetricResult
 
 TOOL_NAME = "fairaudit"
@@ -243,12 +243,6 @@ def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _is_percent_metric(metric_name: str | None) -> bool:
-    if metric_name is None:
-        return True
-    return MetricId(metric_name) in PERCENT_METRICS
-
-
 def _format_value(value: Any, percent: bool) -> str:
     return format_percent(value) if percent else format_plain(value)
 
@@ -303,7 +297,8 @@ def _pair_section(pair: Mapping, interval: str) -> list[str]:
     body = []
     notes = []
     for row in pair.get("rows", []):
-        percent = _is_percent_metric(row.get("metric"))
+        # every metric reads as a percentage but the count ratio
+        percent = row.get("metric") != MetricId.FN_FP_RATIO.value
         body.append(
             [
                 _row_title(row),

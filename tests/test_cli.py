@@ -572,6 +572,21 @@ class TestErrors:
         assert code == 1
         assert "--threshold" in err
 
+    def test_blank_decisions_are_counted(self, capsys, tmp_path):
+        # records with a score but a blank decision are kept, so the bound
+        # decision column does not cover every record
+        path = tmp_path / "blank.csv"
+        path.write_text("y,g,s,d\n1,a,0.9,1\n0,a,0.2,\n1,b,0.7,0\n0,b,0.4,\n0,b,0.1,0\n")
+        code, out, err = run(
+            capsys, "audit", "--input", str(path), "--outcome", "y", "--group", "g",
+            "--score", "s", "--decision", "d",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "fairaudit: 2 of 5 kept records have no decision in column 'd'; "
+            "--threshold derives decisions from the scores\n"
+        )
+
     def test_unknown_reference_group(self, capsys, clinical_csv):
         code, _, err = run(capsys, *audit_args(clinical_csv, "--reference", "X"))
         assert code == 1
@@ -999,6 +1014,15 @@ class TestMetaSubcommand:
         (entry,) = json.loads(out)["meta_metrics"]
         assert entry["metric"] == "accuracy"
         assert entry["kind"] == "variance"
+
+    def test_repeated_metric_and_kind_give_one_row(self, capsys, three_group_csv):
+        io = ("--input", three_group_csv, "--outcome", "y", "--group", "g", "--decision", "d")
+        repeated = ("--metric", "fpr", "--metric", "fpr", "--kind", "variance", "--kind", "variance")
+        code, out, _ = run(capsys, "meta", *io, *repeated, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["request"]["metrics"], doc["request"]["kinds"]) == (["fpr"], ["variance"])
+        assert [(e["metric"], e["kind"]) for e in doc["meta_metrics"]] == [("fpr", "variance")]
 
     def test_undefined_metric_becomes_note(self, capsys, three_group_csv):
         code, out, _ = run(

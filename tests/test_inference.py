@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import statistics
 import tracemalloc
@@ -288,6 +289,30 @@ class TestBootstrapReplicates:
         for label in sizes:
             short, long = replicates(200, label), replicates(1000, label)
             assert np.array_equal(short, long[:200], equal_nan=True)
+
+    def test_random_stream_is_pinned(self):
+        # 218 and 128 resamples per block, so 300 iterations span two and
+        # three blocks; scores in eighths keep every sum exact in any order,
+        # so the digests change only when the drawn resamples do
+        sizes = {"a": 150, "b": 300}
+        assert [inference._block_rows(n) for n in sizes.values()] == [218, 128]
+        i = np.arange(sum(sizes.values()))
+        ds = AuditDataset(
+            outcome=(i * 7 % 5 < 2).astype(np.int8),
+            group=np.array([g for g, n in sizes.items() for _ in range(n)], dtype=object),
+            score=(i * 5 % 9) / 8.0,
+            decision=(i * 3 % 4 == 0).astype(np.int8),
+        )
+        config = BootstrapConfig(iterations=300, seed=11)
+        digests = {}
+        for label in sizes:
+            values = _group_replicates(ds, label, tuple(MetricId), config)
+            assert not np.isnan(values).any()
+            digests[label] = hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+        assert digests == {
+            "a": "be5a28d9a042212f247330c8cc2cfe26dfb5437ec07ccc2a6bf931cc1778bf67",
+            "b": "2d2fc194f87f2aa56f0a331b7c7271bd1e69dee0f979cc501b1fd16fb0643b87",
+        }
 
     def test_replicate_build_memory_stays_near_one_block(self):
         ds = random_dataset({"a": 8_000, "b": 30}, seed=3)

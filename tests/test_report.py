@@ -450,6 +450,14 @@ class TestMarkdown:
         assert cells(next(l for l in lines if l.startswith("| Custom")))[0] == "Custom"
         assert "- Custom: fnr undefined for group 'M'" in lines
 
+    def test_row_of_an_unknown_metric_reads_as_a_percentage(self):
+        doc = handmade_document()
+        row = {**FNR_ROW, "metric": "custom_metric", "value_b": 0.25, "diff": 0.25}
+        doc["fairness"][0]["rows"] = [row]
+        jsonschema.validate(doc, load_report_schema())
+        line = next(l for l in emit_markdown(doc).splitlines() if l.startswith("| Equalized"))
+        assert cells(line)[2:5] == ["50%", "25%", "25%"]
+
     def test_notes_are_listed(self):
         md = emit_markdown(handmade_document())
         assert "- Equalized Odds (fnr): fnr undefined for group 'M'" in md.splitlines()
