@@ -174,18 +174,24 @@ def _prepare_dataset(
     return dataset
 
 
+def _check_decisions(dataset: AuditDataset, column: str | None) -> None:
+    """Refuse a dataset with a kept record that has no decision, saying how to get one."""
+    if dataset.has_decisions:
+        return
+    if column is None:
+        raise InputError("no decisions available: bind a decision column or pass --threshold")
+    missing = int((dataset.decision < 0).sum())
+    raise InputError(
+        f"{missing} of {dataset.n} kept records have no decision in column "
+        f"{column!r}; --threshold derives decisions from the scores"
+    )
+
+
 def run_audit(request: AuditRequest) -> dict:
     """Execute an audit request and return the report document."""
     criteria, conditions, config = request.validate()
     dataset = _prepare_dataset(request, request.impute_max_missing)
-    if not dataset.has_decisions:
-        if request.decision is None:
-            raise InputError("no decisions available: bind a decision column or pass --threshold")
-        missing = int((dataset.decision < 0).sum())
-        raise InputError(
-            f"{missing} of {dataset.n} kept records have no decision in column "
-            f"{request.decision!r}; --threshold derives decisions from the scores"
-        )
+    _check_decisions(dataset, request.decision)
     groups = dataset.groups
     reference = groups[0] if request.reference is None else request.reference
     if reference not in groups:
@@ -295,6 +301,7 @@ def run_meta(args: argparse.Namespace) -> dict:
 def run_diagnose(args: argparse.Namespace) -> dict:
     checked_test_level(args.level)
     dataset = _prepare_dataset(args)
+    _check_decisions(dataset, args.decision)
     verdict = incompatibility_verdict(dataset, args.level)
     request = {
         "command": "diagnose",

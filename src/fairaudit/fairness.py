@@ -28,6 +28,7 @@ from .metrics import (
     MetricId,
     MetricValue,
     UNDEFINED,
+    _check_pair,
     calibration_curve,
     group_metric,
     is_defined,
@@ -228,13 +229,6 @@ def make_comparison(
 def _row(criterion, metric, dataset, a, b, condition=None, intervals=_NO_INTERVALS) -> Comparison:
     value_a, value_b = group_metric(dataset, a, metric), group_metric(dataset, b, metric)
     return make_comparison(criterion, metric, a, b, value_a, value_b, condition, intervals=intervals)
-
-
-def _check_pair(dataset: AuditDataset, group_a: str, group_b: str) -> None:
-    for label in (group_a, group_b):
-        dataset.group_positions(label)  # raises on an unknown label
-    if group_a == group_b:
-        raise InputError("comparison needs two distinct groups")
 
 
 def compare(

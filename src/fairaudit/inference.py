@@ -57,6 +57,7 @@ from .metrics import (
     _CELLS,
     MetricId,
     _Cells,
+    _check_pair,
     _checked_cells,
     _floats,
     _metric_values,
@@ -201,7 +202,7 @@ def _replicate_sums(
     blocks = range(0, B, block_rows)
     counts = np.zeros((len(blocks) * block_rows, _CELLS), dtype=np.int64)
     cell_sums = np.zeros((len(terms), _CELLS, counts.shape[0]))
-    floats = _floats(dataset, cells, terms) if terms else None
+    floats = _floats(dataset, cells.rows, terms) if terms else None
     for start in blocks:
         rng = _substream(config.seed, start, key)
         rows = slice(start, start + block_rows)
@@ -218,7 +219,7 @@ def _replicate_sums(
             # one term at a time keeps each gathered array small
             for term_sums, values in zip(cell_sums[:, c, rows], floats):
                 term_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
-    return _sums_rows(cells, counts[:B], cell_sums[:, :, :B], terms)
+    return _sums_rows(counts[:B], cell_sums[:, :, :B], terms, cells.decided, cells.scored)
 
 
 def _check_discarded(kept: np.ndarray, config: BootstrapConfig, what: str) -> int:
@@ -257,6 +258,7 @@ def _wald(va, vb, point_a: float, point_b: float, config: BootstrapConfig, log: 
 
 
 def _single_interval(dataset, metric, group_a, group_b, config, log: bool) -> Interval:
+    _check_pair(dataset, group_a, group_b)
     config = config or BootstrapConfig()
     metric = coerce_metric(metric)
     point_a = group_metric(dataset, group_a, metric)
@@ -267,8 +269,6 @@ def _single_interval(dataset, metric, group_a, group_b, config, log: bool) -> In
         raise InputError(
             f"ratio interval for {metric.value} needs strictly positive point estimates"
         )
-    if group_a == group_b:
-        raise InputError("group pair must name two distinct groups")
     va = _group_replicates(dataset, group_a, (metric,), config)[:, 0]
     vb = _group_replicates(dataset, group_b, (metric,), config)[:, 0]
     return _wald(va, vb, point_a, point_b, config, log)
@@ -329,8 +329,7 @@ def bootstrap_intervals(
     metrics = tuple(dict.fromkeys(coerce_metric(m) for m in metrics))
     if not metrics:
         raise InputError("no metrics requested")
-    if group_a == group_b:
-        raise InputError("group pair must name two distinct groups")
+    _check_pair(dataset, group_a, group_b)
     values_a = _group_replicates(dataset, group_a, metrics, config)
     values_b = _group_replicates(dataset, group_b, metrics, config)
     out: dict[MetricId, PairIntervals] = {}

@@ -6,21 +6,19 @@ point estimates and bootstrap replicates alike. A group is laid out once
 per dataset as its four cells (cell code 2y + d: TN, FP, FN, TP): the
 record :func:`_cells` keeps under the memo key ``("cells", label)`` holds
 the group's rows sorted by cell, the cell sizes, and whether every record
-has a decision and a score. The point sums, bootstrap replicates and
+has a decision and a score. The metric table, bootstrap replicates and
 resamples, and the chi-square table all read it. Every point estimate is
 a lookup in the dataset's metric table (:func:`_metric_table`, memo key
-``("metrics",)``). The float terms s, (s−y)² and |s−y| are rebuilt from
-the sorted rows whenever score sums are formed, never kept: the point
-sums build all three, a group's bootstrap replicates only those their
-metrics read, and the replicate memo key names them. Which term each score metric
-reads is one table, ``_SCORE_TERMS``: ``SCORE_METRICS``,
-``DECISION_METRICS`` and the terms a request reads are derived from it, so
-a score metric is added there. A resample is a count of records per cell
-plus, for the score sums, which records of each cell it drew; the point
-estimate counts every record once. Both become sums rows through one
-:func:`_sums_rows`, which adds the cells by outcome. A zero denominator
-gives the UNDEFINED sentinel, never an exception; callers decide how to
-surface that.
+``("metrics",)``), whose sums every group gets in one pass. The float
+terms s, (s−y)² and |s−y| are rebuilt from the sorted rows whenever score
+sums are formed, never kept: the table sums all three, a group's bootstrap
+replicates only those their metrics read, and the replicate memo key names
+them. Which term each score metric reads is one table, ``_SCORE_TERMS``;
+``SCORE_METRICS``, ``DECISION_METRICS`` and the terms a request reads are
+derived from it. A sums row, one group's records counted once or one
+resample, comes from its cell counts and each term's sum over each cell's
+records, through one :func:`_sums_rows`. A zero denominator gives the
+UNDEFINED sentinel, never an exception; callers decide how to surface that.
 """
 
 from __future__ import annotations
@@ -182,6 +180,14 @@ def _checked_cells(dataset: AuditDataset, label: str, metrics: tuple[MetricId, .
     return cells
 
 
+def _check_pair(dataset: AuditDataset, group_a: str, group_b: str) -> None:
+    """Refuse a group pair that names an unknown group, or one group twice."""
+    for label in (group_a, group_b):
+        dataset.group_positions(label)  # raises on an unknown label
+    if group_a == group_b:
+        raise InputError("group pair must name two distinct groups")
+
+
 # The float terms score sums are built from.
 _TERMS = tuple(dict.fromkeys(_SCORE_TERMS.values()))
 
@@ -192,63 +198,39 @@ def _terms(metrics: tuple[MetricId, ...]) -> tuple[str, ...]:
     return tuple(term for term in _TERMS if term in read)
 
 
-def _floats(dataset: AuditDataset, cells: _Cells, terms: tuple[str, ...]) -> np.ndarray:
-    """The (len(terms), n) float rows of a scored group's cell-sorted records, one per term."""
-    s = dataset.score[cells.rows]
-    err = s - dataset.outcome[cells.rows]
-    rows = {"s": s, "sq_err": err * err, "abs_err": np.abs(err)}
-    return np.array([rows[term] for term in terms])
+def _floats(dataset: AuditDataset, rows: np.ndarray, terms: tuple[str, ...]) -> np.ndarray:
+    """The (len(terms), len(rows)) float rows of scored records, one per term."""
+    s = dataset.score[rows]
+    err = s - dataset.outcome[rows]
+    floats = {"s": s, "sq_err": err * err, "abs_err": np.abs(err)}
+    return np.array([floats[term] for term in terms])
 
 
-def _sums_rows(
-    cells: _Cells, counts: np.ndarray, cell_sums: np.ndarray, terms: tuple[str, ...]
-) -> np.ndarray:
-    """Sums rows (b, k) from b resamples' (b, 4) cell counts and ``cell_sums``.
+def _sums_rows(counts, cell_sums, terms: tuple[str, ...], decided, scored) -> np.ndarray:
+    """Sums rows (b, k) from b rows of (b, 4) cell counts and ``cell_sums``.
 
-    ``cell_sums`` (len(terms), 4, b) holds the sum of each term over each
-    cell's records in each resample. Cells are added by outcome in one
-    fixed order, so the point sums and every replicate are built alike.
-    Counts are exact; the columns of an unrequested term or a missing
-    decision are NaN.
+    A row is a group's records counted once, or one resample. ``cell_sums``
+    (len(terms), 4, b) holds the sum of each term over each cell's records
+    in each row. Cells are added by outcome in one fixed order, so the
+    point sums and every replicate are built alike. Counts are exact.
+    ``decided`` and ``scored`` are one flag, or one per row: the decision
+    columns where ``decided`` is False, the score columns where ``scored``
+    is False, and the columns of an unrequested term are NaN.
     """
     sums = np.full((counts.shape[0], _SUM_COLUMNS), np.nan)
-    sums[:, _N] = cells.rows.shape[0]
+    sums[:, _N] = counts.sum(axis=1)
     sums[:, _Y] = counts[:, 2] + counts[:, 3]
-    if cells.decided:
-        sums[:, _D] = counts[:, 1] + counts[:, 3]
-        sums[:, _YD] = counts[:, 3]
+    sums[:, _D] = np.where(decided, counts[:, 1] + counts[:, 3], np.nan)
+    sums[:, _YD] = np.where(decided, counts[:, 3], np.nan)
     # cells 0 and 1 hold y = 0, cells 2 and 3 hold y = 1
-    negative = cell_sums[:, 0] + cell_sums[:, 1]
-    positive = cell_sums[:, 2] + cell_sums[:, 3]
+    negative = np.where(scored, cell_sums[:, 0] + cell_sums[:, 1], np.nan)
+    positive = np.where(scored, cell_sums[:, 2] + cell_sums[:, 3], np.nan)
     for term, neg, pos in zip(terms, negative, positive):
         if term == "s":
             sums[:, _S_POS], sums[:, _S_NEG] = pos, neg
         else:
             sums[:, _SQ_ERR if term == "sq_err" else _ABS_ERR] = neg + pos
     return sums
-
-
-def _term_sums(dataset: AuditDataset, cells: _Cells) -> np.ndarray:
-    """The (k,) point sums row of one group, every record counted once.
-
-    All three float terms (s, (s−y)², |s−y|) are summed when the group is
-    scored. Each cell's records lie together among the cell-sorted rows,
-    so each cell is one segment, summed on its own by ``np.add.reduceat``,
-    whose sum depends only on the segment's values. A bootstrap replicate
-    sums each (cell, resample) segment of its drawn records the same way,
-    gathering only the terms its metrics read (the replicate memo key
-    names them), and goes through the same :func:`_sums_rows`, so it
-    equals the point sums of its resampled records.
-    """
-    terms = _TERMS if cells.scored else ()
-    cell_sums = np.zeros((len(terms), _CELLS, 1))
-    if terms:
-        sizes = cells.sizes
-        nonempty = np.flatnonzero(sizes)
-        starts = (np.cumsum(sizes) - sizes)[nonempty]
-        floats = _floats(dataset, cells, terms)
-        cell_sums[:, nonempty, 0] = np.add.reduceat(floats, starts, axis=1)
-    return _sums_rows(cells, cells.sizes[np.newaxis], cell_sums, terms)[0]
 
 
 def _metric_values(sums: np.ndarray, metrics: tuple[MetricId, ...]) -> np.ndarray:
@@ -291,13 +273,24 @@ def _metric_table(dataset: AuditDataset) -> dict[str, np.ndarray]:
     """Every metric of every group from one evaluation of the stacked point sums.
 
     One read-only row per sorted label, built once per dataset; NaN where
-    a denominator is zero or a group's cells lack the metric's column.
+    a denominator is zero or a group's cells lack the metric's column. The
+    groups' cell-sorted rows, laid end to end, make each (group, cell) one
+    segment, summed on its own by one ``np.add.reduceat``.
     """
     table = dataset._memo.get(("metrics",))
     if table is None:
         cells = [_cells(dataset, label) for label in dataset.groups]
-        sums = [_term_sums(dataset, c) for c in cells]
-        values = _metric_values(np.array(sums), tuple(MetricId))
+        counts = np.array([c.sizes for c in cells])
+        terms = _TERMS if dataset.score is not None else ()
+        cell_sums = np.zeros((len(terms), len(cells), _CELLS))
+        if terms:
+            nonempty = np.flatnonzero(counts)
+            starts = (np.cumsum(counts) - counts.ravel())[nonempty]
+            floats = _floats(dataset, np.concatenate([c.rows for c in cells]), terms)
+            cell_sums.reshape(len(terms), -1)[:, nonempty] = np.add.reduceat(floats, starts, axis=1)
+        decided, scored = [c.decided for c in cells], [c.scored for c in cells]
+        sums = _sums_rows(counts, cell_sums.transpose(0, 2, 1), terms, decided, scored)
+        values = _metric_values(sums, tuple(MetricId))
         values.setflags(write=False)
         table = dataset._memo[("metrics",)] = dict(zip(dataset.groups, values))
     return table

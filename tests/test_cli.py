@@ -550,6 +550,11 @@ class TestErrors:
         assert out == ""
         assert err == f"fairaudit: {message}\n"
 
+    def test_the_largest_allowed_request_is_accepted(self):
+        request = AuditRequest(input="in.csv", outcome="y", group="g", bins=10**4, bootstrap=10**6)
+        _, _, config = request.validate()
+        assert config.iterations == 10**6
+
     def test_zero_workers_rejected(self, capsys, clinical_csv):
         code, out, err = run(capsys, *audit_args(clinical_csv, "--workers", "0"))
         assert code == 1
@@ -1169,6 +1174,22 @@ class TestDiagnoseSubcommand:
         )
         assert code == 1
         assert "decisions" in err
+
+    def test_blank_decisions_are_counted(self, capsys, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("y,g,s,d\n1,a,0.9,1\n0,a,0.2,\n1,b,0.7,0\n0,b,0.4,\n0,b,0.1,0\n")
+        argv = ["diagnose", "--input", str(path), "--outcome", "y", "--group", "g", "--score", "s"]
+        code, out, err = run(capsys, *argv, "--decision", "d")
+        assert (code, out) == (1, "")
+        assert err == (
+            "fairaudit: 2 of 5 kept records have no decision in column 'd'; "
+            "--threshold derives decisions from the scores\n"
+        )
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "fairaudit: no decisions available: bind a decision column or pass --threshold\n"
+        )
 
     @pytest.mark.parametrize("command", ["audit", "diagnose"])
     def test_small_counts_become_a_note(self, capsys, tmp_path, command):

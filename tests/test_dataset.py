@@ -298,6 +298,12 @@ class TestImputeMedians:
         with pytest.raises(InputError, match="max_missing"):
             impute_medians(ds, max_missing=1.5)
 
+    def test_max_missing_takes_both_ends_of_its_range(self, tmp_path):
+        ds = self.make(tmp_path, ["10", "", "30", ""])
+        for max_missing in (0.5, 1.0):  # half the cells are missing; at the limit they are filled
+            assert impute_medians(ds, max_missing=max_missing).imputation_log == {"age": 20.0}
+        assert "age" not in impute_medians(ds, max_missing=0.0).covariates
+
 
 class TestApplyThreshold:
     def test_strictly_greater(self):
@@ -310,6 +316,15 @@ class TestApplyThreshold:
         # a score equal to the cutoff is a negative decision
         assert list(out.decision) == [0, 1, 0, 1]
         assert out.threshold == 0.41
+
+    def test_cutoffs_at_both_ends_of_the_range(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0]),
+            group=np.array(["a", "b"], dtype=object),
+            score=np.array([0.0, 1.0]),
+        )
+        assert list(apply_threshold(ds, 0.0).decision) == [0, 1]
+        assert list(apply_threshold(ds, 1.0).decision) == [0, 0]
 
     def test_idempotent(self):
         ds = AuditDataset(
@@ -567,6 +582,12 @@ class TestEncodedGroup:
         many = self.from_group(GroupCodes(labels, np.arange(k)), n=k)
         assert many._group.codes.dtype == np.intp
         assert many.groups == labels
+
+    def test_int16_codes_number_up_to_their_largest_value(self):
+        k = 2**15 - 1  # codes 0 .. 32766 all fit in int16
+        labels = tuple(f"g{i:05d}" for i in range(k))
+        ds = self.from_group(GroupCodes(labels, np.arange(k)), n=k)
+        assert ds._group.codes.dtype == np.int16
 
     @pytest.mark.parametrize(
         "labels,codes,message",

@@ -106,6 +106,11 @@ class TestIndependenceTest:
             "count is 1.5, below 5",
         )
 
+    def test_an_expected_count_of_exactly_five_needs_no_note(self):
+        ds = two_group_dataset(5, 10, 5, 10)
+        assert independence_test(ds).min_expected == 5.0
+        assert incompatibility_verdict(ds).notes == ()
+
     def test_needs_both_outcome_values(self):
         ds = two_group_dataset(0, 10, 0, 10)
         with pytest.raises(InputError, match="both outcome values"):
@@ -121,6 +126,12 @@ class TestIndependenceTest:
         ds = two_group_dataset(95, 500, 70, 500)
         assert independence_test(ds, 0.05).reject is True
         assert independence_test(ds, 0.01).reject is False
+
+    def test_a_p_value_equal_to_the_level_does_not_reject(self):
+        ds = two_group_dataset(95, 500, 70, 500)
+        p = independence_test(ds).p_value
+        assert independence_test(ds, p).reject is False
+        assert independence_test(ds, math.nextafter(p, 1.0)).reject is True
 
 
 class TestChi2Survival:
@@ -221,6 +232,17 @@ class TestIncompatibilityVerdict:
             IncompatiblePair.INDEPENDENCE_SUFFICIENCY,
             IncompatiblePair.SEPARATION_SUFFICIENCY,
         )
+
+    def test_varying_predictor_with_equal_pooled_rates_is_not_informative(self):
+        # pooled TP = FN = FP = TN = 2, so the pooled TPR and FPR are both 1/2
+        ds = AuditDataset(
+            outcome=np.array([0, 0, 1, 1] * 2, dtype=np.int8),
+            group=np.array(["a"] * 4 + ["b"] * 4, dtype=object),
+            decision=np.array([0, 1, 0, 1] * 2, dtype=np.int8),
+        )
+        verdict = incompatibility_verdict(ds)
+        assert verdict.informative is False
+        assert verdict.imperfect is True
 
     def test_needs_decisions(self):
         ds = two_group_dataset(95, 500, 70, 500)

@@ -94,6 +94,14 @@ class TestBootstrapConfig:
         with pytest.raises(InputError):
             BootstrapConfig(**kwargs)
 
+    def test_alpha_and_tolerance_boundaries(self):
+        # 1 - 2**-53 is the float just below 1, while 1 - 2**-54 rounds to 1
+        assert math.isfinite(BootstrapConfig(alpha=2.0**-52).z)
+        with pytest.raises(InputError, match="alpha too small"):
+            BootstrapConfig(alpha=2.0**-53)
+        for tolerance in (0.0, 1.0):
+            assert BootstrapConfig(degenerate_tolerance=tolerance).degenerate_tolerance == tolerance
+
 
 class TestInterval:
     def test_contains_is_inclusive(self):
@@ -767,6 +775,19 @@ class TestDiffInterval:
         assert interval.discarded > 0
         assert interval.lower <= 1.0 <= interval.upper
 
+    def test_discards_at_the_tolerance_are_kept(self):
+        # the default tolerance is 1%, so 1 discard in 100 passes and 2 do not
+        config = BootstrapConfig(iterations=100)
+        kept = np.arange(100) > 0
+        assert inference._check_discarded(kept, config, "difference") == 1
+        with pytest.raises(ComputationError, match="discarded 2 of 100 iterations"):
+            inference._check_discarded(np.arange(100) > 1, config, "difference")
+
+    def test_two_kept_iterations_suffice(self):
+        config = BootstrapConfig(iterations=10, degenerate_tolerance=1.0)
+        kept = np.array([True, True] + [False] * 8)
+        assert inference._check_discarded(kept, config, "difference") == 8
+
     def test_fewer_than_two_kept_iterations_rejected(self):
         config = BootstrapConfig(iterations=10, degenerate_tolerance=1.0)
         kept = np.array([True] + [False] * 9)
@@ -808,6 +829,15 @@ class TestRatioInterval:
             outcome=np.array([0, 0, 1, 0, 0, 1]),
             group=np.array(["a"] * 3 + ["b"] * 3, dtype=object),
             decision=np.array([1, 0, 1, 0, 0, 1]),
+        )
+        with pytest.raises(InputError, match="strictly positive"):
+            ci_ratio(ds, MetricId.FPR, "a", "b", BootstrapConfig(iterations=10))
+
+    def test_zero_point_estimate_of_the_first_group_rejected(self):
+        ds = AuditDataset(
+            outcome=np.array([0, 0, 1, 0, 0, 1]),
+            group=np.array(["a"] * 3 + ["b"] * 3, dtype=object),
+            decision=np.array([0, 0, 1, 1, 0, 1]),
         )
         with pytest.raises(InputError, match="strictly positive"):
             ci_ratio(ds, MetricId.FPR, "a", "b", BootstrapConfig(iterations=10))
@@ -858,3 +888,13 @@ class TestBatchedIntervals:
         assert tpr.notes == ("intervals skipped: point estimate undefined",)
         parity = results[MetricId.POSITIVE_RATE]
         assert parity.diff is not None and parity.ratio is not None
+
+    def test_a_zero_point_estimate_of_the_first_group_becomes_a_note(self):
+        ds = random_dataset({"a": 40, "b": 40}, seed=4)
+        ds = dataclasses.replace(ds, decision=np.repeat([0, 1], 40) * ds.decision)
+        assert group_metric(ds, "a", MetricId.POSITIVE_RATE) == 0.0
+        (intervals,) = bootstrap_intervals(
+            ds, (MetricId.POSITIVE_RATE,), "a", "b", BootstrapConfig(iterations=50)
+        ).values()
+        assert intervals.diff is not None and intervals.ratio is None
+        assert intervals.notes == ("ratio interval skipped: needs strictly positive values",)

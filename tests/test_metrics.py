@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
     AuditDataset,
@@ -243,6 +245,78 @@ class TestPointSumMemo:
                 row = metrics._metric_table(data)[label]
                 assert not np.isnan(row).any()
                 assert [group_metric(data, label, m) for m in MetricId] == row.tolist()
+
+
+@st.composite
+def table_datasets(draw) -> AuditDataset:
+    """2-40 groups with small cells, some empty, and scores in {k/8}, whose
+    sums are exact in any order. A record may lack its score or its
+    decision (not both); a dataset may have no score or no decision column."""
+    k = draw(st.integers(2, 40))
+    labels = [f"g{i:02d}" for i in range(k)]
+    group = labels + draw(st.lists(st.sampled_from(labels), max_size=3 * k))
+    n = len(group)
+
+    def column(high: int) -> np.ndarray:
+        return np.array(draw(st.lists(st.integers(0, high), min_size=n, max_size=n)))
+
+    columns = draw(st.sampled_from(["both", "score", "decision"]))
+    outcome, score, decision = column(1), column(8) / 8.0, column(1)
+    if columns == "both":
+        blank = column(6)  # 0 blanks the score, 1 the decision
+        score[blank == 0] = np.nan
+        decision[blank == 1] = -1
+    return AuditDataset(
+        outcome=outcome,
+        group=np.array(group, dtype=object),
+        score=None if columns == "decision" else score,
+        decision=None if columns == "score" else decision,
+    )
+
+
+def brute_force_row(dataset: AuditDataset, label: str) -> list[float]:
+    """Every metric of one group straight from its records, in MetricId order."""
+    rows = dataset.group == label
+    y = dataset.outcome[rows].astype(bool)
+    if dataset.decision is not None and (dataset.decision[rows] >= 0).all():
+        d = dataset.decision[rows] == 1
+        tp, fn, fp, tn = (y & d).sum(), (y & ~d).sum(), (~y & d).sum(), (~y & ~d).sum()
+    else:
+        tp = fn = fp = tn = np.nan
+    s = np.full(len(y), np.nan) if dataset.score is None else dataset.score[rows]
+    if np.isnan(s).any():
+        s = np.full(len(y), np.nan)
+
+    def ratio(num, den):
+        return num / den if den != 0 and not np.isnan(num) else np.nan
+
+    n, positives = len(y), y.sum()
+    values = {
+        MetricId.TPR: ratio(tp, tp + fn),
+        MetricId.TNR: ratio(tn, tn + fp),
+        MetricId.FPR: ratio(fp, tn + fp),
+        MetricId.FNR: ratio(fn, tp + fn),
+        MetricId.PPV: ratio(tp, tp + fp),
+        MetricId.NPV: ratio(tn, tn + fn),
+        MetricId.ACCURACY: ratio(tp + tn, n),
+        MetricId.BRIER_SCORE: ratio(((s - y) ** 2).sum(), n),
+        MetricId.MEAN_ABSOLUTE_ERROR: ratio(np.abs(s - y).sum(), n),
+        MetricId.POSITIVE_RATE: ratio(tp + fp, n),
+        MetricId.PREVALENCE: ratio(positives, n),
+        MetricId.MEAN_SCORE_POS: ratio(s[y].sum(), positives),
+        MetricId.MEAN_SCORE_NEG: ratio(s[~y].sum(), n - positives),
+        MetricId.FN_FP_RATIO: ratio(fn, fp),
+    }
+    return [values[m] for m in MetricId]
+
+
+@settings(max_examples=150)
+@given(ds=table_datasets())
+def test_metric_table_matches_a_brute_force_over_each_group(ds: AuditDataset):
+    table = metrics._metric_table(ds)
+    assert list(table) == list(ds.groups)
+    for label in ds.groups:
+        np.testing.assert_array_equal(table[label], brute_force_row(ds, label))
 
 
 class TestCalibrationCurve:

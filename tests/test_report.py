@@ -25,7 +25,13 @@ from fairaudit import (
     meta,
     render_json,
 )
-from fairaudit.report import format_general, format_percent, format_plain, to_jsonable
+from fairaudit.report import (
+    _format_level,
+    format_general,
+    format_percent,
+    format_plain,
+    to_jsonable,
+)
 
 from conftest import toy_dataset
 
@@ -81,6 +87,12 @@ class TestFormatters:
     def test_booleans_are_not_numbers(self):
         assert format_percent(True) == "-"
         assert format_plain(False) == "-"
+
+    def test_a_level_of_exactly_100_reads_100(self):
+        # an audit's alpha never gets here (BootstrapConfig rejects it), but
+        # a hand-built document's can, and a level of 100 must end the search
+        assert _format_level(1e-17) == "100"
+        assert _format_level(1e-7) == "99.99999"
 
 
 class TestToJsonable:
