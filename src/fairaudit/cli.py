@@ -58,10 +58,11 @@ from .report import build_document, emit_markdown, render_json
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 
-# Upper bounds that stop a mistyped --bootstrap or --bins before it
-# allocates; no meaningful audit comes near either.
+# Upper bounds that stop a mistyped --bootstrap, --bins or --workers before
+# it allocates or starts threads; no meaningful audit comes near any.
 MAX_BOOTSTRAP = 10**6
 MAX_BINS = 10**4
+MAX_WORKERS = 64
 
 # The --criteria token that names DEFAULT_CRITERIA, and the report formats.
 CRITERIA_DEFAULT = "default"
@@ -94,6 +95,7 @@ class AuditRequest:
     output: str | None = None
     meta: bool = False
     impute_max_missing: float = MAX_MISSING_DEFAULT
+    workers: int = 1
 
     def validate(self) -> tuple[
         tuple[FairnessCriterion, ...], dict[str, ConditionPredicate], BootstrapConfig | None
@@ -106,6 +108,8 @@ class AuditRequest:
             raise InputError(f"bins must be at most {MAX_BINS}")
         if self.bootstrap is not None and self.bootstrap > MAX_BOOTSTRAP:
             raise InputError(f"bootstrap must be at most {MAX_BOOTSTRAP}")
+        if self.workers > MAX_WORKERS:
+            raise InputError(f"workers must be at most {MAX_WORKERS}")
         for value in self.epsilon:
             checked_epsilon(value)
         tokens = [t.strip() for t in self.criteria.split(",") if t.strip()]
@@ -129,9 +133,10 @@ class AuditRequest:
             name: ConditionPredicate.parse(expr) for name, expr in self.conditions.items()
         }
         config = None
+        checks = {"alpha": self.alpha, "seed": self.seed, "workers": self.workers}
         if self.bootstrap is not None:
-            config = BootstrapConfig(iterations=self.bootstrap, alpha=self.alpha, seed=self.seed)
-        BootstrapConfig(alpha=self.alpha, seed=self.seed)  # checked without --bootstrap too
+            config = BootstrapConfig(iterations=self.bootstrap, **checks)
+        BootstrapConfig(**checks)  # checked without --bootstrap too
         checked_max_missing(self.impute_max_missing)
         return criteria, conditions, config
 
@@ -326,8 +331,6 @@ def _audit_handler(args: argparse.Namespace) -> dict:
         if name in conditions:
             raise InputError(f"duplicate condition name: {name!r}")
         conditions[name] = expr.strip()
-    if args.workers < 1:
-        raise InputError("workers must be at least 1")
     given = {"conditions": conditions, "epsilon": tuple(args.epsilon or [])}
     flags = {f.name: getattr(args, f.name) for f in fields(AuditRequest) if f.name not in given}
     return run_audit(AuditRequest(**given, **flags))
@@ -408,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="accepted for compatibility but has no effect; the bootstrap runs in one thread",
+        help="threads that draw each group's bootstrap blocks; the report is the same "
+        "for any count, and more workers than CPUs gains nothing",
     )
     audit.add_argument(
         "--meta", action="store_true", help="include meta-metrics even with two groups"

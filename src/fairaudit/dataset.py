@@ -709,6 +709,17 @@ def checked_threshold(cutoff: float) -> float:
     return float(cutoff)
 
 
+def _require_decisions(dataset: AuditDataset) -> None:
+    """Refuse a dataset with a record that has no decision, counting them."""
+    if dataset.has_decisions:
+        return
+    missing = dataset.n if dataset.decision is None else int((dataset.decision < 0).sum())
+    raise InputError(
+        f"decisions missing for {missing} of {dataset.n} records; "
+        "apply a threshold or bind a decision column"
+    )
+
+
 def apply_threshold(dataset: AuditDataset, cutoff: float) -> AuditDataset:
     """Derive decisions from scores: positive iff the score exceeds ``cutoff``.
 

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .dataset import AuditDataset
+from .dataset import AuditDataset, _require_decisions
 from .errors import InputError
 from .fairness import FairnessReport, RowStatus
 from .metrics import MetricId, _cells, group_metric, is_defined
@@ -134,8 +134,7 @@ def incompatibility_verdict(
     dataset: AuditDataset, level: float = DEFAULT_TEST_LEVEL
 ) -> IncompatibilityVerdict:
     """Flag criterion pairs that cannot both hold on this dataset."""
-    if not dataset.has_decisions:
-        raise InputError("incompatibility diagnostics need decisions; apply a threshold first")
+    _require_decisions(dataset)
     test = independence_test(dataset, level)
     tn, fp, fn, tp = sum(_cells(dataset, label).sizes for label in dataset.groups).tolist()
     informative = tp * (fp + tn) != fp * (tp + fn)  # pooled TPR != FPR

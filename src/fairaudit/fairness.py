@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .conditions import ConditionPredicate
-from .dataset import AuditDataset, filter_condition
+from .dataset import AuditDataset, _require_decisions, filter_condition
 from .errors import ComputationError, InputError
 from .inference import BootstrapConfig, Interval, PairIntervals, bootstrap_intervals
 from .metrics import (
@@ -351,8 +351,7 @@ def evaluate_all(
     ``CALIBRATION_SKIPPED`` pair note.
     """
     _check_pair(dataset, group_a, group_b)
-    if not dataset.has_decisions:
-        raise InputError("dataset has no decisions; apply a threshold first")
+    _require_decisions(dataset)
     conditions = dict(conditions or {})
     selected = selected_criteria(criteria, bool(conditions))
     if dataset.has_scores:

@@ -16,22 +16,28 @@ them for a group of 256 records or fewer, otherwise at most 128 and at
 most 2**17 records drawn within cells (one resample above 2**17
 records). Each (seed, first iteration of the block, group label) triple
 addresses that block's random substream, and a block always draws all
-its resamples. Replicates are therefore a pure function of the data
-order, the seed, the iteration and the group: reruns reproduce bit for
-bit, the first B replicates do not depend on how many follow, and a
-group's replicates are the same in every pair it joins. A block's
-substream gives, in this order, one multinomial draw of all its
-resamples' cell counts and then, only when the metrics read float terms,
-one uniform integer draw per non-empty cell, in cell order, of that
-cell's records for every resample in turn. :func:`_replicate_sums` is
+its resamples into its own rows. Replicates are therefore a pure
+function of the data order, the seed, the iteration and the group:
+reruns reproduce bit for bit, the first B replicates do not depend on
+how many follow, and a group's replicates are the same in every pair it
+joins. So a group's blocks may be drawn in any order and, with
+``BootstrapConfig.workers`` above 1, on up to that many threads (numpy
+releases the interpreter lock while it draws and gathers); the
+replicates do not depend on how many. A group whose metrics read only
+confusion cells draws one multinomial per block, and stays on one
+thread. A block's substream gives, in this order, one multinomial draw
+of all its resamples' cell counts and then, only when the metrics read
+float terms, one uniform integer draw per non-empty cell, in cell order,
+of that cell's records for every resample in turn. :func:`_replicate_sums` is
 the only code that draws (the tests' reference resampler restates the
 stream). A block only records: its cell counts and, for each float term
 the metrics read (``metrics._SCORE_TERMS``), the sum of every (cell,
 resample) segment of its drawn records; one pass per group then builds
 the replicate sums the way the point sums are built. A dataset keeps
 each group's replicate sums under the memo key ``("replicates", label,
-seed, iterations, terms)``, ``terms`` naming the float terms gathered,
-so the pairs of an audit share them.
+seed, iterations, terms)``, ``terms`` naming the float terms gathered
+(the worker count changes no replicate, so it is not in the key), so
+the pairs of an audit share them.
 
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences, and the ratio interval
@@ -80,12 +86,15 @@ class BootstrapConfig:
 
     ``degenerate_tolerance`` caps the fraction of iterations an interval
     may discard for undefined statistics before the computation fails.
+    ``workers`` is how many threads draw one group's blocks; it changes
+    no replicate.
     """
 
     iterations: int = 1000
     alpha: float = ALPHA_DEFAULT
     seed: int = SEED_DEFAULT
     degenerate_tolerance: float = 0.01
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.iterations < 2:
@@ -98,6 +107,8 @@ class BootstrapConfig:
             raise InputError("seed must be non-negative")
         if not 0.0 <= self.degenerate_tolerance <= 1.0:
             raise InputError("degenerate_tolerance outside [0, 1]")
+        if self.workers < 1:
+            raise InputError("workers must be at least 1")
 
     @property
     def z(self) -> float:
@@ -187,8 +198,10 @@ def _replicate_sums(
     draws in the stream order the module docstring gives, holding one
     cell's drawn records at a time, and only records: its cell counts
     and, per term, the sum of every (cell, resample) segment of its drawn
-    records, into arrays held for the whole group. One pass over those
-    arrays then builds the rows, the way the point sums are built.
+    records, into arrays held for the whole group. With float terms, up
+    to ``config.workers`` threads draw interleaved shares of the blocks,
+    the calling thread the first. One pass over those arrays then builds
+    the rows, the way the point sums are built.
     """
     B = config.iterations
     sizes = cells.sizes
@@ -203,22 +216,39 @@ def _replicate_sums(
     counts = np.zeros((len(blocks) * block_rows, _CELLS), dtype=np.int64)
     cell_sums = np.zeros((len(terms), _CELLS, counts.shape[0]))
     floats = _floats(dataset, cells.rows, terms) if terms else None
-    for start in blocks:
-        rng = _substream(config.seed, start, key)
-        rows = slice(start, start + block_rows)
-        block = counts[rows]
-        block[:, nonempty] = rng.multinomial(n, pvals, size=block_rows)
-        if not terms:
-            continue
-        drawn = block > 0
-        starts = np.cumsum(block, axis=0) - block
-        totals = block.sum(axis=0)
-        for c, low, high in ranges:
-            picks = rng.integers(low, high, totals[c])
-            segments = starts[drawn[:, c], c]
-            # one term at a time keeps each gathered array small
-            for term_sums, values in zip(cell_sums[:, c, rows], floats):
-                term_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
+
+    def draw(share: range) -> None:
+        for start in share:
+            rng = _substream(config.seed, start, key)
+            rows = slice(start, start + block_rows)
+            block = counts[rows]
+            block[:, nonempty] = rng.multinomial(n, pvals, size=block_rows)
+            if not terms:
+                continue
+            drawn = block > 0
+            starts = np.cumsum(block, axis=0) - block
+            totals = block.sum(axis=0)
+            for c, low, high in ranges:
+                picks = rng.integers(low, high, totals[c])
+                segments = starts[drawn[:, c], c]
+                # one term at a time keeps each gathered array small
+                for term_sums, values in zip(cell_sums[:, c, rows], floats):
+                    term_sums[drawn[:, c]] = np.add.reduceat(values.take(picks), segments)
+
+    workers = min(config.workers, len(blocks))
+    if terms and workers > 1:
+        # imported here: concurrent.futures loads logging, which a serial run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
+        # each block has its own substream and rows, so shares need no lock
+        shares = [blocks[i::workers] for i in range(workers)]
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(draw, share) for share in shares[1:]]
+            draw(shares[0])
+            for helper in helpers:
+                helper.result()
+    else:
+        draw(blocks)
     return _sums_rows(counts[:B], cell_sums[:, :, :B], terms, cells.decided, cells.scored)
 
 

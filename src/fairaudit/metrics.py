@@ -343,8 +343,9 @@ def calibration_curve(
     outcome = dataset.outcome[rows]
 
     edges = np.linspace(0.0, 1.0, bins + 1)
-    # score * bins, rounded up, is at most one bin off; each edge test moves it back
-    index = np.clip(np.ceil(score * bins).astype(np.intp) - 1, 0, bins - 1)
+    # score * bins, rounded up, is at most one bin off, and never past the last bin
+    # for a score in [0, 1]; each edge test moves it back
+    index = np.maximum(np.ceil(score * bins).astype(np.intp) - 1, 0)
     index -= (score <= edges[index]) & (index > 0)
     index += score > edges[index + 1]
     counts = np.bincount(index, minlength=bins)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from concurrent import futures
 import re
 import subprocess
 import sys
@@ -18,6 +19,8 @@ from fairaudit import InputError, __version__, cli, load_report_schema
 from fairaudit.cli import AuditRequest, build_parser, main
 from fairaudit.conditions import ConditionPredicate
 from fairaudit.fairness import DEFAULT_CRITERIA, FairnessCriterion
+
+from conftest import write_clinical_csv
 
 
 def test_import_loads_no_scipy():
@@ -378,6 +381,30 @@ class TestOutputFile:
             reports.append(target.read_bytes())
         assert reports[0] == reports[1]
 
+    def test_worker_count_never_changes_bytes_when_threads_draw(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # 3,000 rows put each group's 200 resamples in two or three blocks,
+        # so a count above 1 draws them on helper threads
+        path = str(tmp_path / "clinical-3000.csv")
+        write_clinical_csv(path, n=3_000)
+        helpers = []
+
+        class Pool(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                helpers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Pool)
+        reports = []
+        for workers in ("1", "2", "4"):
+            args = audit_args(path, "--format", "json", "--bootstrap", "200", "--workers", workers)
+            code, out, err = run(capsys, *args)
+            assert (code, err) == (0, "")
+            reports.append(out)
+        assert reports[1:] == reports[:1] * 2
+        assert 1 in helpers and 2 in helpers
+
 
 class TestErrors:
     def test_missing_required_flag(self, capsys):
@@ -542,6 +569,7 @@ class TestErrors:
         [
             ("--bootstrap", "1000001", "bootstrap must be at most 1000000"),
             ("--bins", "10001", "bins must be at most 10000"),
+            ("--workers", "65", "workers must be at most 64"),
         ],
     )
     def test_oversized_request_rejected(self, capsys, clinical_csv, flag, value, message):
@@ -551,9 +579,11 @@ class TestErrors:
         assert err == f"fairaudit: {message}\n"
 
     def test_the_largest_allowed_request_is_accepted(self):
-        request = AuditRequest(input="in.csv", outcome="y", group="g", bins=10**4, bootstrap=10**6)
+        request = AuditRequest(
+            input="in.csv", outcome="y", group="g", bins=10**4, bootstrap=10**6, workers=64
+        )
         _, _, config = request.validate()
-        assert config.iterations == 10**6
+        assert (config.iterations, config.workers) == (10**6, 64)
 
     def test_zero_workers_rejected(self, capsys, clinical_csv):
         code, out, err = run(capsys, *audit_args(clinical_csv, "--workers", "0"))
@@ -865,6 +895,7 @@ class TestAuditRequestFromFlags:
             output=output,
             meta=True,
             impute_max_missing=0.5,
+            workers=2,
         )
         for f in fields(AuditRequest):
             if f.default is not MISSING:

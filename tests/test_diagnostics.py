@@ -252,6 +252,22 @@ class TestIncompatibilityVerdict:
         with pytest.raises(InputError, match="decisions"):
             incompatibility_verdict(scores_only)
 
+    def test_missing_decisions_are_counted(self):
+        ds = two_group_dataset(95, 500, 70, 500)
+        decision = ds.decision.copy()
+        decision[[0, 7, 600]] = -1
+        partial = AuditDataset(
+            outcome=ds.outcome, group=ds.group, score=np.full(ds.n, 0.5), decision=decision
+        )
+        scores_only = AuditDataset(outcome=ds.outcome, group=ds.group, score=partial.score)
+        for dataset, missing in ((partial, 3), (scores_only, 1000)):
+            with pytest.raises(InputError) as raised:
+                incompatibility_verdict(dataset)
+            assert str(raised.value) == (
+                f"decisions missing for {missing} of 1000 records; "
+                "apply a threshold or bind a decision column"
+            )
+
 
 def mk_row(
     criterion: str,

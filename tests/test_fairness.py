@@ -405,6 +405,16 @@ class TestEvaluateAll:
         with pytest.raises(InputError, match="decisions"):
             evaluate_all(ds, "F", "M")
 
+    def test_missing_decisions_are_counted(self, toy):
+        decision = toy.decision.copy()
+        decision[[1, 9]] = -1
+        ds = AuditDataset(outcome=toy.outcome, group=toy.group, score=toy.score, decision=decision)
+        with pytest.raises(InputError) as raised:
+            evaluate_all(ds, "F", "M")
+        assert str(raised.value) == (
+            "decisions missing for 2 of 12 records; apply a threshold or bind a decision column"
+        )
+
     def test_calibration_block_attached_when_requested(self, toy):
         report = evaluate_all(
             toy,

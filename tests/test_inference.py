@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import statistics
+import sys
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,7 @@ class TestBootstrapConfig:
         assert config.alpha == 0.05
         assert config.seed == 0
         assert config.degenerate_tolerance == 0.01
+        assert config.workers == 1
 
     def test_z_quantile(self):
         assert BootstrapConfig().z == pytest.approx(Z_975, rel=1e-15)
@@ -88,6 +90,7 @@ class TestBootstrapConfig:
             {"degenerate_tolerance": -0.1},
             {"degenerate_tolerance": 1.5},
             {"alpha": 1e-17},  # 1 - alpha/2 rounds to 1: no normal quantile
+            {"workers": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -172,10 +175,11 @@ class TestResampleWithinGroups:
 
 class TestBootstrapReplicates:
     @staticmethod
-    def assert_matches_resampler(ds, labels, metrics, config) -> dict:
-        """Each group's replicates equal the reference resamples' metrics, bit for bit."""
+    def assert_matches_resampler(ds, labels, metrics, config, iterations=None) -> dict:
+        """Each group's replicates equal the reference resamples' metrics, bit for bit,
+        at the given iterations (default: all of them)."""
         replicates = {label: _group_replicates(ds, label, metrics, config) for label in labels}
-        for iteration in range(config.iterations):
+        for iteration in range(config.iterations) if iterations is None else iterations:
             resampled = resample_within_groups(ds, seed=config.seed, iteration=iteration)
             for label, values in replicates.items():
                 for j, metric in enumerate(metrics):
@@ -233,6 +237,53 @@ class TestBootstrapReplicates:
         config = BootstrapConfig(iterations=6, seed=2)
         replicates = self.assert_matches_resampler(ds, "a", metrics, config)
         assert (replicates["a"][:, 0] == 0.0).any()
+
+    @staticmethod
+    def threaded_dataset() -> AuditDataset:
+        """Group a: 3,000 records in blocks of 43, one false positive and no false
+        negative. Group b: 40 records."""
+        n = 3_000
+        rng = np.random.Generator(np.random.PCG64(13))
+        outcome = rng.integers(0, 2, n + 40).astype(np.int8)
+        decision = outcome.copy()
+        decision[np.flatnonzero(outcome == 0)[0]] = 1
+        return AuditDataset(
+            outcome=outcome,
+            group=np.array(["a"] * n + ["b"] * 40, dtype=object),
+            score=rng.random(n + 40),
+            decision=decision,
+        )
+
+    @pytest.mark.parametrize(
+        "metrics",
+        [tuple(MetricId), (MetricId.POSITIVE_RATE, MetricId.FPR)],
+        ids=["all", "confusion"],
+    )
+    def test_worker_count_never_changes_replicates(self, metrics):
+        # 400 iterations fill nine blocks of 43 and end in a partial tenth
+        assert inference._block_rows(3_000) == 43
+        builds = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads swap often, so a lost write would show
+        try:
+            for workers in range(1, 5):
+                config = BootstrapConfig(iterations=400, seed=4, workers=workers)
+                values = _group_replicates(self.threaded_dataset(), "a", metrics, config)
+                builds.append(values.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds[1:] == builds[:1] * 3
+        # resamples that miss the one false positive have a false positive rate of 0
+        assert (values[:, metrics.index(MetricId.FPR)] == 0.0).any()
+
+    def test_threaded_shares_match_public_resampler_at_their_boundaries(self):
+        # three workers draw blocks 0, 3, 6, 9 / 1, 4, 7 / 2, 5, 8: check the
+        # first and last iteration of every block
+        config = BootstrapConfig(iterations=400, seed=4, workers=3)
+        edges = {i for start in range(0, 400, 43) for i in (start, min(start + 42, 399))}
+        self.assert_matches_resampler(
+            self.threaded_dataset(), "a", tuple(MetricId), config, sorted(edges)
+        )
 
     @staticmethod
     def record_blocks(monkeypatch) -> list:
@@ -336,6 +387,23 @@ class TestBootstrapReplicates:
         # blocks of 16 resamples (2**17 records within cells), drawn a cell
         # at a time, peak near 0.7 MB; blocks of 2**18 records peak above 1.2 MB
         assert peak < 2**20
+
+    def test_threaded_replicate_build_memory_stays_near_two_blocks(self):
+        # a first threaded build imports concurrent.futures; import it before tracing
+        import concurrent.futures  # noqa: F401
+
+        ds = random_dataset({"a": 8_000, "b": 30}, seed=3)
+        metrics = (MetricId.MEAN_SCORE_POS, MetricId.BRIER_SCORE)
+        config = BootstrapConfig(iterations=200, seed=1, workers=2)
+        _cells(ds, "a")
+        tracemalloc.start()
+        try:
+            inference._group_replicates(ds, "a", metrics, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two blocks of 16 resamples in flight, one per thread
+        assert peak < 2 * 2**20
 
     def test_confusion_only_request_draws_no_records(self, monkeypatch):
         blocks = self.record_blocks(monkeypatch)
