@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import re
 import sys
@@ -21,6 +20,7 @@ from .conditions import ConditionPredicate
 from .dataset import (
     MAX_MISSING_DEFAULT,
     AuditDataset,
+    _missing_decisions,
     apply_threshold,
     checked_max_missing,
     checked_threshold,
@@ -57,12 +57,6 @@ from .multigroup import MetaMetricKind, checked_exponent, coerce_kind, meta
 from .report import build_document, emit_markdown, render_json
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-
-# Upper bounds that stop a mistyped --bootstrap, --bins or --workers before
-# it allocates or starts threads; no meaningful audit comes near any.
-MAX_BOOTSTRAP = 10**6
-MAX_BINS = 10**4
-MAX_WORKERS = 64
 
 # The --criteria token that names DEFAULT_CRITERIA, and the report formats.
 CRITERIA_DEFAULT = "default"
@@ -104,12 +98,7 @@ class AuditRequest:
             raise InputError(f"unknown format: {self.format!r}")
         if self.threshold is not None:
             checked_threshold(self.threshold)
-        if checked_bins(self.bins, self.min_bin_count) > MAX_BINS:
-            raise InputError(f"bins must be at most {MAX_BINS}")
-        if self.bootstrap is not None and self.bootstrap > MAX_BOOTSTRAP:
-            raise InputError(f"bootstrap must be at most {MAX_BOOTSTRAP}")
-        if self.workers > MAX_WORKERS:
-            raise InputError(f"workers must be at most {MAX_WORKERS}")
+        checked_bins(self.bins, self.min_bin_count)
         for value in self.epsilon:
             checked_epsilon(value)
         tokens = [t.strip() for t in self.criteria.split(",") if t.strip()]
@@ -185,9 +174,8 @@ def _check_decisions(dataset: AuditDataset, column: str | None) -> None:
         return
     if column is None:
         raise InputError("no decisions available: bind a decision column or pass --threshold")
-    missing = int((dataset.decision < 0).sum())
     raise InputError(
-        f"{missing} of {dataset.n} kept records have no decision in column "
+        f"{_missing_decisions(dataset)} of {dataset.n} kept records have no decision in column "
         f"{column!r}; --threshold derives decisions from the scores"
     )
 
@@ -336,16 +324,6 @@ def _audit_handler(args: argparse.Namespace) -> dict:
     return run_audit(AuditRequest(**given, **flags))
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises instead of exiting so all errors share one reporting path."""
 
@@ -404,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument(
         "--epsilon",
         action="append",
-        type=_finite_float,
+        type=float,
         help="tolerance for approximate-fairness verdicts (repeatable)",
     )
     audit.add_argument(
@@ -436,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", action="append", help="meta-metric kind (repeatable; default all)"
     )
     meta_cmd.add_argument(
-        "--exponent", type=_finite_float, default=None, help="generalized entropy exponent (default 2)"
+        "--exponent", type=float, default=None, help="generalized entropy exponent (default 2)"
     )
     meta_cmd.set_defaults(handler=run_meta)
 
@@ -459,8 +437,15 @@ def _write_output(text: str, path: str | None) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     temp_path = None
     try:
+        try:  # a replaced report keeps its mode, a new one gets what open() would give
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".fairaudit-")
         with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            os.fchmod(descriptor, mode)  # mkstemp makes the file 0600
             handle.write(text)
         os.replace(temp_path, path)
     except OSError as exc:

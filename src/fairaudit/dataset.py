@@ -709,13 +709,17 @@ def checked_threshold(cutoff: float) -> float:
     return float(cutoff)
 
 
+def _missing_decisions(dataset: AuditDataset) -> int:
+    """How many records have no decision."""
+    return dataset.n if dataset.decision is None else int((dataset.decision < 0).sum())
+
+
 def _require_decisions(dataset: AuditDataset) -> None:
     """Refuse a dataset with a record that has no decision, counting them."""
     if dataset.has_decisions:
         return
-    missing = dataset.n if dataset.decision is None else int((dataset.decision < 0).sum())
     raise InputError(
-        f"decisions missing for {missing} of {dataset.n} records; "
+        f"decisions missing for {_missing_decisions(dataset)} of {dataset.n} records; "
         "apply a threshold or bind a decision column"
     )
 

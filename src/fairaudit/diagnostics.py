@@ -197,9 +197,9 @@ def _row_key(criterion_value: str, condition: str | None) -> str:
 
 
 def checked_epsilon(epsilon: float) -> float:
-    """An approximate-fairness tolerance on |diff|; it must be positive."""
-    if not epsilon > 0.0:
-        raise InputError("epsilon must be positive")
+    """An approximate-fairness tolerance on |diff|; it must be positive and finite."""
+    if not 0.0 < epsilon < math.inf:
+        raise InputError("epsilon must be positive and finite")
     return epsilon
 
 

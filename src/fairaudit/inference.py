@@ -84,6 +84,8 @@ SEED_DEFAULT = 0
 class BootstrapConfig:
     """Resampling parameters.
 
+    ``iterations`` lies in [2, 10**6] and ``workers`` in [1, 64]: the caps
+    stop a mistyped value before it allocates or starts threads.
     ``degenerate_tolerance`` caps the fraction of iterations an interval
     may discard for undefined statistics before the computation fails.
     ``workers`` is how many threads draw one group's blocks; it changes
@@ -99,6 +101,8 @@ class BootstrapConfig:
     def __post_init__(self) -> None:
         if self.iterations < 2:
             raise InputError("bootstrap needs at least 2 iterations")
+        if self.iterations > 10**6:
+            raise InputError("bootstrap must be at most 1000000")
         if not 0.0 < self.alpha < 1.0:
             raise InputError("alpha outside (0, 1)")
         if 1.0 - self.alpha / 2.0 == 1.0:
@@ -109,6 +113,8 @@ class BootstrapConfig:
             raise InputError("degenerate_tolerance outside [0, 1]")
         if self.workers < 1:
             raise InputError("workers must be at least 1")
+        if self.workers > 64:
+            raise InputError("workers must be at most 64")
 
     @property
     def z(self) -> float:

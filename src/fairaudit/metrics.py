@@ -309,9 +309,11 @@ MIN_BIN_COUNT_DEFAULT = 10
 
 
 def checked_bins(bins: int, min_bin_count: int) -> int:
-    """The calibration bin count; it must be at least 2, and ``min_bin_count`` at least 1."""
+    """The calibration bin count; it must lie in [2, 10**4], and ``min_bin_count`` be at least 1."""
     if bins < 2:
         raise InputError("bins must be at least 2")
+    if bins > 10**4:
+        raise InputError("bins must be at most 10000")
     if min_bin_count < 1:
         raise InputError("min_bin_count must be at least 1")
     return bins

@@ -331,6 +331,26 @@ class TestOutputFile:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".fairaudit-")]
         assert leftovers == []
 
+    def test_file_gets_the_mode_open_would_give(self, capsys, clinical_csv, tmp_path):
+        # a new report gets 0666 less the umask; a replaced one keeps its mode
+        cases = [
+            ("new-022.md", 0o022, None, 0o644),
+            ("new-077.md", 0o077, None, 0o600),
+            ("old-0640.md", 0o022, 0o640, 0o640),
+        ]
+        for name, umask, existing, expected in cases:
+            target = tmp_path / name
+            if existing is not None:
+                target.write_text("old report\n", encoding="utf-8")
+                target.chmod(existing)
+            previous = os.umask(umask)
+            try:
+                code, _, _ = run(capsys, *audit_args(clinical_csv, "--output", str(target)))
+            finally:
+                os.umask(previous)
+            assert code == 0
+            assert target.stat().st_mode & 0o777 == expected, name
+
     def test_missing_directory_exits_one_and_leaves_nothing(
         self, capsys, clinical_csv, tmp_path
     ):

@@ -356,8 +356,8 @@ class TestEpsilonAssessment:
 
     def test_epsilon_must_be_positive(self):
         report = mk_report(mk_row("statistical_parity", 0.01))
-        for epsilon in (0.0, -0.1):
-            with pytest.raises(InputError, match="positive"):
+        for epsilon in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(InputError, match="positive and finite"):
                 epsilon_assessment(report, epsilon)
 
     def test_context_recorded(self):

@@ -91,6 +91,8 @@ class TestBootstrapConfig:
             {"degenerate_tolerance": 1.5},
             {"alpha": 1e-17},  # 1 - alpha/2 rounds to 1: no normal quantile
             {"workers": 0},
+            {"iterations": 10**6 + 1},
+            {"workers": 65},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -104,6 +106,10 @@ class TestBootstrapConfig:
             BootstrapConfig(alpha=2.0**-53)
         for tolerance in (0.0, 1.0):
             assert BootstrapConfig(degenerate_tolerance=tolerance).degenerate_tolerance == tolerance
+
+    def test_largest_iterations_and_workers_accepted(self):
+        config = BootstrapConfig(iterations=10**6, workers=64)
+        assert (config.iterations, config.workers) == (10**6, 64)
 
 
 class TestInterval:

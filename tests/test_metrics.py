@@ -386,6 +386,11 @@ class TestCalibrationCurve:
         with pytest.raises(InputError, match="at least 2"):
             calibration_curve(toy, "F", bins=1)
 
+    def test_at_most_ten_thousand_bins(self, toy):
+        assert calibration_curve(toy, "F", bins=10**4).counts.size == 10**4
+        with pytest.raises(InputError, match="bins must be at most 10000"):
+            calibration_curve(toy, "F", bins=10**4 + 1)
+
     def test_needs_scores(self):
         ds = AuditDataset(
             outcome=np.array([1, 0]),
