@@ -51,7 +51,6 @@ from .metrics import (
     checked_bins,
     coerce_metric,
     group_metric,
-    is_defined,
 )
 from .multigroup import MetaMetricKind, checked_exponent, coerce_kind, meta
 from .report import build_document, emit_markdown, render_json
@@ -251,22 +250,16 @@ def _meta_for_metrics(dataset, metrics, kinds, exponent) -> list:
         try:
             values = {label: group_metric(dataset, label, metric) for label in labels}
         except InputError as exc:
-            broken = str(exc)
-        else:
-            undefined = [repr(label) for label, v in values.items() if not is_defined(v)]
-            broken = f"undefined for group(s) {', '.join(undefined)}" if undefined else None
+            results.extend({"kind": k.value, "metric": metric.value, "note": str(exc)} for k in kinds)
+            continue
         for kind in kinds:
-            note = broken
-            if note is None:
-                entropy = kind is MetaMetricKind.GENERALIZED_ENTROPY
-                try:
-                    results.append(
-                        meta(values, kind, exponent=exponent if entropy else None, metric=metric)
-                    )
-                    continue
-                except InputError as exc:
-                    note = str(exc)
-            results.append({"kind": kind.value, "metric": metric.value, "note": note})
+            entropy = kind is MetaMetricKind.GENERALIZED_ENTROPY
+            try:
+                results.append(
+                    meta(values, kind, exponent=exponent if entropy else None, metric=metric)
+                )
+            except InputError as exc:
+                results.append({"kind": kind.value, "metric": metric.value, "note": str(exc)})
     return results
 
 

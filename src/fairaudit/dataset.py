@@ -461,12 +461,13 @@ def load_csv(
 ) -> AuditDataset:
     """Load a CSV file into an AuditDataset.
 
-    Column bindings are by header name. Unbound columns become covariates
-    when ``covariates`` is None; otherwise only the listed columns are
-    kept. Records missing the outcome, the group label, or both score and
-    decision are dropped, counted in ``n_dropped`` and, by the first of
-    those reasons, in ``dropped_by_reason``; blank lines are skipped and
-    not counted. The header is the first line with a non-blank cell; the
+    Column bindings are by header name. Unbound columns whose name is
+    neither blank nor repeated become covariates when ``covariates`` is
+    None; otherwise only the listed columns are kept. Records missing
+    the outcome, the group label, or both score and decision are
+    dropped, counted in ``n_dropped`` and, by the first of those reasons,
+    in ``dropped_by_reason``; blank lines are skipped and not counted.
+    The header is the first line with a non-blank cell; the
     blank lines before it are skipped too, but still counted in line
     numbers. Covariate columns whose non-missing cells all parse as
     numbers become float columns (NaN for missing); anything else stays
@@ -518,7 +519,9 @@ def load_csv(
             raise InputError(f"line {line} of {path!r}: {exc}") from None
         header = [name.strip() for name in header]
         if covariates is None:
-            covariate_names = [name for name in header if name and name not in bound]
+            covariate_names = [
+                name for name in header if name and name not in bound and header.count(name) == 1
+            ]
         else:
             covariate_names = list(covariates)
             for name in covariate_names:

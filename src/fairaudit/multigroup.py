@@ -80,27 +80,25 @@ def meta(
     """Collapse per-group metric values into one spread summary.
 
     Accepts a sequence of values or a mapping from group label to value.
-    All values must be defined; ratio and entropy kinds additionally need
-    them strictly positive. The generalized entropy exponent must be
-    finite and avoid 0 and 1, where the formula degenerates; it defaults
-    to 2. A summary that overflows to a value that is not finite is
-    refused.
+    A None, UNDEFINED or NaN value refuses a mapping with ``undefined for
+    group(s) 'b', 'c'``, naming each such label in mapping order, and a
+    sequence with ``meta-metrics need every group value defined``. Ratio
+    and entropy kinds need every value strictly positive. The generalized
+    entropy exponent must be finite and avoid 0 and 1, where the formula
+    degenerates; it defaults to 2. A summary that overflows to a value
+    that is not finite is refused.
 
     Identical inputs yield exactly 0 (exactly 1 for the ratio kind).
     """
     kind = coerce_kind(kind)
-    groups: tuple[str, ...] | None = None
-    if isinstance(values, Mapping):
-        groups = tuple(values.keys())
-        values = list(values.values())
-    cleaned = []
-    for value in values:
-        if not is_defined(value) or value is None:
-            raise InputError("meta-metrics need every group value defined")
-        value = float(value)
-        if np.isnan(value):
-            raise InputError("meta-metrics need every group value defined")
-        cleaned.append(value)
+    groups = tuple(values) if isinstance(values, Mapping) else None
+    values = values.values() if groups is not None else values
+    cleaned = [np.nan if v is None or not is_defined(v) else float(v) for v in values]
+    undefined = [j for j, value in enumerate(cleaned) if np.isnan(value)]
+    if undefined and groups is None:
+        raise InputError("meta-metrics need every group value defined")
+    if undefined:
+        raise InputError(f"undefined for group(s) {', '.join(repr(groups[j]) for j in undefined)}")
     if len(cleaned) < 2:
         raise InputError("meta-metrics need at least 2 group values")
     array = np.array(cleaned, dtype=np.float64)

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import itertools
+import json
 import math
 import os
 import tempfile
@@ -101,6 +102,30 @@ class TestLoadCsv:
         text = "y,y,s,g\n1,1,0.5,a\n0,0,0.5,b\n"
         with pytest.raises(InputError, match="duplicate column"):
             load_csv(write(tmp_path, text), outcome="y", score="s", group="g")
+
+    def test_repeated_unbound_column_is_left_out(self, tmp_path, capsys):
+        text = "y,g,s,age,notes,notes\n1,a,0.5,55,x,y\n0,b,0.25,50,,z\n1,b,0.75,60,w,\n"
+        path = write(tmp_path, text)
+        ds = load_csv(path, outcome="y", score="s", group="g")
+        assert list(ds.covariates) == ["age"]
+        # a repeated name still refuses to bind, as a listed covariate too
+        with pytest.raises(InputError, match="^duplicate column name: 'notes'$"):
+            load_csv(path, outcome="y", score="s", group="g", covariates=["notes"])
+        with pytest.raises(InputError, match="^duplicate column name: 'notes'$"):
+            load_csv(path, outcome="notes", score="s", group="g")
+        code = cli_main(
+            [
+                "audit", "--input", path, "--outcome", "y", "--group", "g", "--score", "s",
+                "--threshold", "0.5", "--criteria", "statistical_parity", "--format", "json",
+                "--condition", "n=notes == 'x'", "--condition", "old=age >= 50",
+            ]
+        )
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["fairness"][0]["rows"]
+        conditional = {row["condition"]: row for row in rows if row["condition"]}
+        assert conditional["n"]["status"] == "error"
+        assert conditional["n"]["notes"] == ["unknown covariate in condition: 'notes'"]
+        assert conditional["old"]["status"] == "evaluated"
 
     def test_outcome_outside_binary(self, tmp_path):
         text = "y,s,g\n2,0.5,a\n0,0.5,b\n"

@@ -113,6 +113,20 @@ class TestValidation:
         with pytest.raises(InputError, match="defined"):
             meta([0.2, None], "variance")
 
+    @pytest.mark.parametrize(
+        "values, kind, named",
+        [
+            ({"a": 0.2, "b": UNDEFINED, "c": math.nan}, "variance", "'b', 'c'"),
+            ({"a": None, "b": 0.4, "c": 0.5}, "variance", "'a'"),
+            # undefined values are named before a kind's own refusal
+            ({"a": 0.0, "b": UNDEFINED}, "max_min_ratio", "'b'"),
+        ],
+    )
+    def test_mapping_names_every_undefined_group(self, values, kind, named):
+        with pytest.raises(InputError) as caught:
+            meta(values, kind)
+        assert str(caught.value) == f"undefined for group(s) {named}"
+
     @pytest.mark.parametrize("kind", ["max_min_ratio", "generalized_entropy"])
     def test_positive_only_kinds(self, kind):
         with pytest.raises(InputError, match="strictly positive"):
