@@ -233,7 +233,6 @@ def run_audit(request: AuditRequest) -> dict:
     ]
 
     return build_document(
-        version=__version__,
         request=request.echo(criteria),
         dataset=dataset,
         reports=reports,
@@ -279,9 +278,7 @@ def run_meta(args: argparse.Namespace) -> dict:
         "exponent": args.exponent,
         "threshold": args.threshold,
     }
-    return build_document(
-        version=__version__, request=request, dataset=dataset, meta_results=results
-    )
+    return build_document(request=request, dataset=dataset, meta_results=results)
 
 
 def run_diagnose(args: argparse.Namespace) -> dict:
@@ -295,16 +292,14 @@ def run_diagnose(args: argparse.Namespace) -> dict:
         "threshold": args.threshold,
         "level": args.level,
     }
-    return build_document(
-        version=__version__, request=request, dataset=dataset, diagnostics=verdict
-    )
+    return build_document(request=request, dataset=dataset, diagnostics=verdict)
 
 
 def _audit_handler(args: argparse.Namespace) -> dict:
     conditions: dict[str, str] = {}
     for item in args.condition or []:
         name, sep, expr = item.partition("=")
-        if not sep or not expr.strip():
+        if not sep:
             raise InputError(f"expected NAME=EXPR for --condition, got {item!r}")
         name = name.strip()
         if not _NAME_RE.match(name):

@@ -15,6 +15,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
 from .dataset import AuditDataset
 from .diagnostics import EpsilonAssessment, IncompatibilityVerdict
 from .errors import InputError
@@ -38,17 +39,12 @@ _DROP_REASON_TEXT = {
 
 def to_jsonable(value: Any) -> Any:
     """Coerce one leaf value into something json.dumps accepts."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None or isinstance(value, (str, bool, int)):
         return value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isnan(value) or math.isinf(value):
-            return UNDEFINED_TOKEN
-        return value
+    if isinstance(value, float):
+        return value if math.isfinite(value) else UNDEFINED_TOKEN
     if not is_defined(value):
         return UNDEFINED_TOKEN
     raise TypeError(f"cannot serialize {value!r}")
@@ -92,14 +88,14 @@ def _calibration_block(report: FairnessReport) -> dict | None:
     curves = {}
     for curve in (comparison.curve_a, comparison.curve_b):
         curves[curve.group] = {
-            "counts": [int(c) for c in curve.counts],
-            "mean_score": [to_jsonable(v) for v in curve.mean_score],
-            "observed_rate": [to_jsonable(v) for v in curve.observed_rate],
-            "sparse": [bool(v) for v in curve.sparse],
+            "counts": curve.counts.tolist(),
+            "mean_score": [to_jsonable(v) for v in curve.mean_score.tolist()],
+            "observed_rate": [to_jsonable(v) for v in curve.observed_rate.tolist()],
+            "sparse": curve.sparse.tolist(),
         }
     return {
         "bins": comparison.curve_a.bins,
-        "edges": [float(e) for e in comparison.curve_a.edges],
+        "edges": comparison.curve_a.edges.tolist(),
         "curves": curves,
         "within_gap": {
             comparison.curve_a.group: to_jsonable(comparison.gap_a),
@@ -161,7 +157,6 @@ def _assessment_block(assessment: EpsilonAssessment) -> dict:
 
 def build_document(
     *,
-    version: str,
     request: Mapping | None = None,
     dataset: AuditDataset | None = None,
     reports: Sequence[FairnessReport] = (),
@@ -169,7 +164,8 @@ def build_document(
     diagnostics: IncompatibilityVerdict | Mapping | None = None,
     assessments: Sequence[EpsilonAssessment] = (),
 ) -> dict:
-    """Assemble the canonical audit document with a stable key order."""
+    """Assemble the canonical audit document with a stable key order;
+    ``tool.version`` is the installed ``fairaudit.__version__``."""
     dataset_block = None
     if dataset is not None:
         dataset_block = {
@@ -177,14 +173,14 @@ def build_document(
             "n_dropped": dataset.n_dropped,
             "dropped_by_reason": dict(dataset.dropped_by_reason),
             "threshold": to_jsonable(dataset.threshold),
-            "groups": {label: count for label, count in dataset.group_sizes().items()},
+            "groups": dataset.group_sizes(),
             "imputed_medians": {k: to_jsonable(v) for k, v in dataset.imputation_log.items()},
             "dropped_covariates": {
                 k: to_jsonable(v) for k, v in dataset.dropped_covariates.items()
             },
         }
     return {
-        "tool": {"name": TOOL_NAME, "version": version},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "request": dict(request) if request is not None else None,
         "dataset": dataset_block,
         "fairness": [_pair_block(report) for report in reports],
@@ -218,9 +214,7 @@ def format_plain(value: Any) -> str:
         return DASH
     text = f"{float(value):.2f}"
     text = text.rstrip("0").rstrip(".")
-    if text in ("-0", ""):
-        return "0"
-    return text
+    return "0" if text == "-0" else text
 
 
 def format_general(value: Any) -> str:

@@ -563,6 +563,12 @@ class TestErrors:
         assert code == 1
         assert "duplicate" in err
 
+    @pytest.mark.parametrize("flag", ["senior=", "senior=   "])
+    def test_empty_condition_expression(self, capsys, clinical_csv, flag):
+        code, _, err = run(capsys, *audit_args(clinical_csv, "--condition", flag))
+        assert code == 1
+        assert err == "fairaudit: empty condition expression\n"
+
     def test_unparseable_condition_expression(self, capsys, clinical_csv):
         code, _, err = run(
             capsys, *audit_args(clinical_csv, "--condition", "senior=age >> 60")

@@ -744,7 +744,9 @@ def reference_load(path, *, outcome, group, score=None, decision=None):
         if reader.line_num != 1 or (header and header[-1].endswith(("\n", "\r"))):
             raise line_break(1)
         header = [name.strip() for name in header]
-        covariate_names = [name for name in header if name and name not in bound]
+        covariate_names = [
+            name for name in header if name and name not in bound and header.count(name) == 1
+        ]
         position = {name: header.index(name) for name in bound + covariate_names}
         kept = {"outcome": [], "group": [], "score": [], "decision": []}
         raw = {name: [] for name in covariate_names}
@@ -860,8 +862,9 @@ def csv_files(draw):
     """A small CSV with blank, whitespace-only and ragged rows, quoted and NUL
     cells, lines ending in \\n, \\r\\n, \\r or a mix, and maybe a byte-order
     mark; some files also hold bad cells, non-blank extra cells or an
-    unclosed quote."""
-    lines = [",".join(HEADER)]
+    unclosed quote; some repeat the unbound note column."""
+    header = HEADER + draw(st.sampled_from([(), (), ("note",)]))
+    lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
         if kind == "blank":
@@ -870,21 +873,21 @@ def csv_files(draw):
         if kind == "spaces":
             lines.append(draw(st.sampled_from([" ", " , ,\t", ",,,,,", " ,  , , , , , "])))
             continue
-        cells = [draw(st.sampled_from(CELLS[name])) for name in HEADER]
+        cells = [draw(st.sampled_from(CELLS[name])) for name in header]
         if kind == "short":
-            cells = cells[: draw(st.integers(1, len(HEADER) - 1))]
+            cells = cells[: draw(st.integers(1, len(header) - 1))]
         elif kind == "long":
             cells += draw(st.lists(st.sampled_from(["", " "]), min_size=1, max_size=3))
         lines.append(",".join(cells))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if len(lines) > 1 else 0):
         i = draw(st.integers(1, len(lines) - 1))
         cells = lines[i].split(",") if lines[i] else [""]
-        j = draw(st.integers(0, len(HEADER)))
-        if j == len(HEADER):
+        j = draw(st.integers(0, len(header)))
+        if j == len(header):
             cells += ["", "z"]  # a non-blank cell beyond the header
         else:
             cells += [""] * (j + 1 - len(cells))
-            cells[j] = draw(st.sampled_from(BAD_CELLS.get(HEADER[j], ["x"])))
+            cells[j] = draw(st.sampled_from(BAD_CELLS.get(header[j], ["x"])))
         lines[i] = ",".join(cells)
     ending = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
     if ending == "mixed":

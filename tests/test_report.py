@@ -16,6 +16,7 @@ from fairaudit import (
     AuditDataset,
     BootstrapConfig,
     UNDEFINED,
+    __version__,
     build_document,
     emit_markdown,
     epsilon_assessment,
@@ -101,6 +102,7 @@ class TestToJsonable:
         assert to_jsonable(math.nan) == "UNDEFINED"
         assert to_jsonable(math.inf) == "UNDEFINED"
         assert to_jsonable(np.float64("nan")) == "UNDEFINED"
+        assert to_jsonable(np.float32(np.inf)) == "UNDEFINED"
 
     def test_numpy_scalars_become_python(self):
         assert to_jsonable(np.float64(0.5)) == 0.5
@@ -108,6 +110,7 @@ class TestToJsonable:
         assert to_jsonable(np.int64(3)) == 3
         assert type(to_jsonable(np.int64(3))) is int
         assert to_jsonable(np.bool_(True)) is True
+        assert type(to_jsonable(np.str_("a"))) is str
 
     def test_passthrough(self):
         assert to_jsonable(None) is None
@@ -130,7 +133,6 @@ def full_document():
     values = {"F": 3 / 8, "M": 2 / 4}
     verdict = incompatibility_verdict(ds)
     return build_document(
-        version="0.1.0",
         request={"input": "toy.csv", "reference": "F"},
         dataset=ds,
         reports=[report],
@@ -152,7 +154,7 @@ class TestBuildDocument:
             "diagnostics",
             "epsilon_assessments",
         ]
-        assert doc["tool"] == {"name": "fairaudit", "version": "0.1.0"}
+        assert doc["tool"] == {"name": "fairaudit", "version": __version__}
 
     def test_dataset_block(self):
         doc = full_document()
@@ -164,7 +166,7 @@ class TestBuildDocument:
     def test_dataset_block_counts_drops_by_reason(self):
         reasons = {"outcome": 2, "group": 0, "score_and_decision": 1}
         ds = dataclasses.replace(toy_dataset(), n_dropped=3, dropped_by_reason=reasons)
-        doc = json.loads(render_json(build_document(version="0.1.0", dataset=ds)))
+        doc = json.loads(render_json(build_document(dataset=ds)))
         assert list(doc["dataset"])[:3] == ["n", "n_dropped", "dropped_by_reason"]
         assert doc["dataset"]["dropped_by_reason"] == reasons
         jsonschema.validate(doc, load_report_schema())
@@ -199,7 +201,7 @@ class TestBuildDocument:
             decision=np.array([1, 0, 1, 0, 0, 1]),
         )
         report = evaluate_all(ds, "a", "b", criteria=["predictive_equality"])
-        doc = build_document(version="0.1.0", reports=[report])
+        doc = build_document(reports=[report])
         text = render_json(doc)
         assert "NaN" not in text and "Infinity" not in text
         row = json.loads(text)["fairness"][0]["rows"][0]
@@ -212,7 +214,7 @@ class TestBuildDocument:
         jsonschema.validate(doc, schema)
 
     def test_minimal_document_validates_too(self):
-        doc = json.loads(render_json(build_document(version="0.1.0")))
+        doc = json.loads(render_json(build_document()))
         jsonschema.validate(doc, load_report_schema())
 
 
@@ -523,7 +525,6 @@ class TestMarkdown:
         report = evaluate_all(ds, "a|b", "c")
         md = emit_markdown(
             build_document(
-                version="0.1.0",
                 dataset=ds,
                 reports=[report],
                 meta_results=[meta({"a|b": 3 / 8, "c": 2 / 4}, "max_min_diff")],
@@ -571,7 +572,7 @@ class TestMarkdownMatchesJson:
         # format the JSON row with local one-liners and require the
         # Markdown cells to agree with them
         report = evaluate_all(toy, "F", "M")
-        doc = build_document(version="0.1.0", dataset=toy, reports=[report])
+        doc = build_document(dataset=toy, reports=[report])
         md_lines = emit_markdown(doc).splitlines()
 
         def pct(value):

@@ -1,10 +1,12 @@
 """Whole-report oracle: an audit's JSON report against a brute-force count.
 
 Small random CSVs go through ``fairaudit audit --format json --meta`` with
-one condition, and every row value, difference, ratio, row status and
-meta-metric entry is recomputed from the generated columns with plain
-Python counting. Scores are multiples of 1/8, so every sum is exact and
-each value must match to the last bit.
+one condition and two tolerances, and every row value, difference, ratio,
+row status, meta-metric entry, tolerance verdict and diagnostics field is
+recomputed from the generated columns with plain Python counting. Scores
+are multiples of 1/8, so every sum is exact and each value must match to
+the last bit; only the chi-square statistic and its p-value, which take a
+sum of quotients and scipy's tail, are compared to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -12,11 +14,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from fairaudit.cli import main
 
@@ -43,6 +49,12 @@ KINDS = (
 )
 POSITIVE_ONLY = {"max_min_ratio", "generalized_entropy"}
 UNDEFINED = "UNDEFINED"
+# 0.25 is a difference that eighths can reach exactly, so a row may sit on
+# the tolerance, where |diff| < epsilon fails
+EPSILONS = (0.05, 0.25)
+# The incompatible criterion pairs in report order; the audit tests at 0.05.
+PAIRS = ("independence_sufficiency", "independence_separation", "separation_sufficiency")
+LEVEL = 0.05
 
 
 @st.composite
@@ -53,7 +65,19 @@ def audits(draw):
     labels = "abcde"[:k]
     group = list(labels) + draw(st.lists(st.sampled_from(labels), min_size=n - k, max_size=n - k))
     outcome = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    decision = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # every record of group a positive, so outcome rates differ
+        outcome = [1 if g == "a" else y for g, y in zip(group, outcome)]
+    # random decisions; a perfect predictor, or one wrong on a single record;
+    # or a constant predictor, which is not informative
+    predictor = draw(st.sampled_from(["random", "random", "perfect", "one_wrong", "constant"]))
+    if predictor == "random":
+        decision = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    elif predictor == "constant":
+        decision = [draw(st.integers(0, 1))] * n
+    else:
+        decision = list(outcome)
+        if predictor == "one_wrong":
+            decision[0] = 1 - decision[0]
     eighths = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
     blank = draw(st.sets(st.integers(0, n - 1), max_size=3)) if draw(st.booleans()) else set()
     score = [None if i in blank else e / 8 for i, e in enumerate(eighths)]
@@ -104,13 +128,74 @@ def run(records, cut) -> dict:
                     "audit", "--input", path, "--outcome", "y", "--group", "g",
                     "--decision", "d", "--score", "s", "--format", "json", "--meta",
                     "--criteria", ",".join(CRITERIA), "--condition", f"c=x >= {cut}",
+                    *(arg for eps in EPSILONS for arg in ("--epsilon", str(eps))),
                 ]
             )
     assert code == 0
     return json.loads(out.getvalue())
 
 
-@settings(max_examples=60)
+def expected_verdicts(rows, epsilon) -> dict:
+    """Each criterion's verdict from its rows: PASS when every row is evaluated
+    with a defined |diff| < epsilon, UNDEFINED when any row is not evaluated or
+    has no diff, FAIL otherwise."""
+    keyed: dict[str, list] = {}
+    for row in rows:
+        key = row["criterion"] + (f"[{row['condition']}]" if row["condition"] else "")
+        keyed.setdefault(key, []).append(row)
+    verdicts = {}
+    for key, group in keyed.items():
+        if any(r["status"] != "evaluated" or r["diff"] == UNDEFINED for r in group):
+            verdicts[key] = "UNDEFINED"
+        else:
+            verdicts[key] = "PASS" if all(abs(r["diff"]) < epsilon for r in group) else "FAIL"
+    return verdicts
+
+
+def check_diagnostics(diagnostics, records, labels) -> None:
+    """The outcome/group chi-square test and the flags built on it."""
+    positives = [sum(y for y, g, _, _, _ in records if g == label) for label in labels]
+    sizes = [sum(1 for r in records if r[1] == label) for label in labels]
+    n, total = len(records), sum(positives)
+    if total in (0, n):
+        assert diagnostics == {"error": "independence test needs both outcome values present"}
+        return
+    observed = [(pos, size - pos) for pos, size in zip(positives, sizes)]
+    expected = [(size * total / n, size * (n - total) / n) for size in sizes]
+    statistic = sum(
+        (o - e) ** 2 / e for obs, exp in zip(observed, expected) for o, e in zip(obs, exp)
+    )
+    p_value = float(chi2.sf(statistic, len(labels) - 1))
+    assert diagnostics["prevalence"] == {
+        label: pos / size for label, pos, size in zip(labels, positives, sizes)
+    }
+    assert list(diagnostics["prevalence"]) == labels
+    assert math.isclose(diagnostics["statistic"], statistic, rel_tol=1e-12)
+    assert math.isclose(diagnostics["p_value"], p_value, rel_tol=1e-9)
+    assert diagnostics["level"] == LEVEL
+
+    tp = sum(1 for y, _, d, _, _ in records if y == 1 and d == 1)
+    fp = sum(1 for y, _, d, _, _ in records if y == 0 and d == 1)
+    reject = p_value < LEVEL
+    informative = Fraction(tp, total) != Fraction(fp, n - total)  # pooled TPR != FPR
+    imperfect = any(y != d for y, _, d, _, _ in records)
+    assert diagnostics["reject_independence"] is reject
+    assert diagnostics["informative"] is informative
+    assert diagnostics["imperfect"] is imperfect
+    flags = (reject, reject and informative, reject and imperfect)
+    assert diagnostics["flagged"] == [pair for pair, flag in zip(PAIRS, flags) if flag]
+    smallest = min(min(exp) for exp in expected)
+    assert diagnostics["notes"] == (
+        [
+            "chi-square approximation is unreliable: the smallest expected cell "
+            f"count is {smallest:.3g}, below 5"
+        ]
+        if smallest < 5
+        else []
+    )
+
+
+@settings(max_examples=100)
 @given(audits())
 def test_report_matches_brute_force(audit):
     records, cut = audit
@@ -181,3 +266,13 @@ def test_report_matches_brute_force(audit):
         else:
             assert entry["groups"] == labels
             assert entry["group_values"] == values
+
+    # rows are checked against brute force above, so each verdict is judged from them
+    assessments = report["epsilon_assessments"]
+    cases = list(product(EPSILONS, report["fairness"]))
+    assert len(assessments) == len(cases)
+    for assessment, (epsilon, pair) in zip(assessments, cases):
+        assert assessment["epsilon"] == epsilon
+        assert (assessment["group_a"], assessment["group_b"]) == (pair["group_a"], pair["group_b"])
+        assert assessment["verdicts"] == expected_verdicts(pair["rows"], epsilon)
+    check_diagnostics(report["diagnostics"], records, labels)
