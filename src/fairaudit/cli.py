@@ -1,7 +1,8 @@
 """Command-line interface: audit, meta, and diagnose subcommands.
 
 Audit flags reach :class:`AuditRequest` by argparse dest name, one field
-each; all three subcommands load their CSV through ``_prepare_dataset``.
+per flag the audit reads, while ``--format`` and ``--output`` stay with
+``main``; all three subcommands load their CSV through ``_prepare_dataset``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .conditions import ConditionPredicate
 from .dataset import (
     MAX_MISSING_DEFAULT,
     AuditDataset,
-    _missing_decisions,
     apply_threshold,
     checked_max_missing,
     checked_threshold,
@@ -65,9 +65,10 @@ FORMAT_DEFAULT = "markdown"
 
 @dataclass(frozen=True)
 class AuditRequest:
-    """Parameters for one audit run, one field per audit flag. ``validate``
-    checks them all and returns what it builds: the criteria, the parsed
-    conditions and the bootstrap config (None without ``--bootstrap``)."""
+    """Parameters for one audit run, one field per flag the audit reads, while
+    ``--format`` and ``--output`` stay with ``main``. ``validate`` checks them
+    all and returns what it builds: the criteria, the parsed conditions and
+    the bootstrap config (None without ``--bootstrap``)."""
 
     input: str
     outcome: str
@@ -84,8 +85,6 @@ class AuditRequest:
     bins: int = BINS_DEFAULT
     min_bin_count: int = MIN_BIN_COUNT_DEFAULT
     epsilon: tuple[float, ...] = ()
-    format: str = FORMAT_DEFAULT
-    output: str | None = None
     meta: bool = False
     impute_max_missing: float = MAX_MISSING_DEFAULT
     workers: int = 1
@@ -93,8 +92,6 @@ class AuditRequest:
     def validate(self) -> tuple[
         tuple[FairnessCriterion, ...], dict[str, ConditionPredicate], BootstrapConfig | None
     ]:
-        if self.format not in FORMATS:
-            raise InputError(f"unknown format: {self.format!r}")
         if self.threshold is not None:
             checked_threshold(self.threshold)
         checked_bins(self.bins, self.min_bin_count)
@@ -167,27 +164,12 @@ def _prepare_dataset(
     return dataset
 
 
-def _check_decisions(dataset: AuditDataset, column: str | None) -> None:
-    """Refuse a dataset with a kept record that has no decision, saying how to get one."""
-    if dataset.has_decisions:
-        return
-    if column is None:
-        raise InputError("no decisions available: bind a decision column or pass --threshold")
-    raise InputError(
-        f"{_missing_decisions(dataset)} of {dataset.n} kept records have no decision in column "
-        f"{column!r}; --threshold derives decisions from the scores"
-    )
-
-
 def run_audit(request: AuditRequest) -> dict:
     """Execute an audit request and return the report document."""
     criteria, conditions, config = request.validate()
     dataset = _prepare_dataset(request, request.impute_max_missing)
-    _check_decisions(dataset, request.decision)
     groups = dataset.groups
     reference = groups[0] if request.reference is None else request.reference
-    if reference not in groups:
-        raise InputError(f"unknown reference group: {reference!r}")
     pairs = [(reference, other) for other in groups if other != reference]
 
     reports = [
@@ -284,7 +266,6 @@ def run_meta(args: argparse.Namespace) -> dict:
 def run_diagnose(args: argparse.Namespace) -> dict:
     checked_test_level(args.level)
     dataset = _prepare_dataset(args)
-    _check_decisions(dataset, args.decision)
     verdict = incompatibility_verdict(dataset, args.level)
     request = {
         "command": "diagnose",

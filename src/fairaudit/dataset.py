@@ -712,18 +712,16 @@ def checked_threshold(cutoff: float) -> float:
     return float(cutoff)
 
 
-def _missing_decisions(dataset: AuditDataset) -> int:
-    """How many records have no decision."""
-    return dataset.n if dataset.decision is None else int((dataset.decision < 0).sum())
-
-
 def _require_decisions(dataset: AuditDataset) -> None:
-    """Refuse a dataset with a record that has no decision, counting them."""
+    """Refuse a dataset with a record that has no decision, saying how to get one."""
     if dataset.has_decisions:
         return
+    if dataset.decision is None:
+        raise InputError("no decisions: bind a decision column or apply a threshold")
+    missing = int((dataset.decision < 0).sum())
     raise InputError(
-        f"decisions missing for {_missing_decisions(dataset)} of {dataset.n} records; "
-        "apply a threshold or bind a decision column"
+        f"{missing} of {dataset.n} records have no decision; "
+        "a threshold derives decisions from the scores"
     )
 
 

@@ -9,8 +9,11 @@ f-string), in source order; ``--lines`` keeps those on the given lines.
 Each mutant is written into a temporary copy of the repository, never
 into the checkout. The module's own tests (``tests/test_<module>.py``)
 run first; a mutant they miss runs the whole suite, and a mutant that
-passes that too survives. Prints one line per mutant and the score;
-exits 1 when any survives.
+passes that too survives. Both runs are first timed once unmutated, and a
+mutant's run that takes longer than ``TIMEOUT_FACTOR`` times its unmutated
+time plus ``TIMEOUT_FLOOR`` seconds (say, one that loops forever) counts
+as killed. Prints one line per mutant and the score; exits 1 when any
+survives, and 2, scoring none, when an unmutated run fails.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
@@ -32,7 +36,7 @@ SWAPS = {
     ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
     ast.Mult: ("*", "/"), ast.Div: ("/", "*"),
 }
-TIMEOUT = 300  # seconds; a mutant whose tests run longer (say, loop forever) counts as killed
+TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5, 30  # a mutant's run may take 5x the unmutated run, plus 30 s
 
 
 def sites(source: str) -> list[tuple[tuple[int, int], str, str]]:
@@ -72,11 +76,11 @@ def mutate(source: str, site: tuple[tuple[int, int], str, str]) -> str:
     return "".join(lines)
 
 
-def passes(copy: Path, *tests: str) -> bool:
+def passes(copy: Path, tests: tuple[str, ...], timeout: float | None) -> bool:
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        result = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT)
+        result = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return False
     return result.returncode == 0
@@ -94,20 +98,32 @@ def main(argv: list[str] | None = None) -> int:
         wanted = {int(line) for line in args.lines.split(",")}
         chosen = [site for site in chosen if site[0][0] in wanted]
     own_tests = f"tests/test_{module.stem}.py"
+    # the module's own tests, when it has them, then the whole suite
+    runs = {own_tests: (own_tests,)} if (ROOT / own_tests).exists() else {}
+    runs["the suite"] = ()
     survivors = []
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "repo"
         ignore = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis")
         shutil.copytree(ROOT, copy, ignore=ignore)
+        timeouts = {}
+        for name, tests in runs.items():
+            start = time.monotonic()
+            if not passes(copy, tests, None):
+                print(f"{name} fails unmutated; no mutant scored")
+                return 2
+            timeouts[name] = TIMEOUT_FACTOR * (time.monotonic() - start) + TIMEOUT_FLOOR
         for site in chosen:
             (copy / module).write_text(mutate(source, site), encoding="utf-8")
-            if (copy / own_tests).exists() and not passes(copy, own_tests):
-                verdict = f"killed by {own_tests}"
-            elif not passes(copy):
-                verdict = "killed by the suite"
-            else:
+            killer = next(
+                (name for name, tests in runs.items() if not passes(copy, tests, timeouts[name])),
+                None,
+            )
+            if killer is None:
                 verdict = "SURVIVED"
                 survivors.append(site)
+            else:
+                verdict = f"killed by {killer}"
             (line, column), old, new = site
             print(f"{module}:{line}:{column + 1}: {old} -> {new}: {verdict}", flush=True)
     print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")

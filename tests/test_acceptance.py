@@ -169,7 +169,6 @@ def test_3_bootstrap_determinism(clinical_csv, tmp_path):
             conditions={"senior": "age >= 60"},
             bootstrap=1000,
             seed=42,
-            format="json",
         )
         texts = [render_json(run_audit(request)) for _ in range(3)]
         assert texts[0] == texts[1] == texts[2]

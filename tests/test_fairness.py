@@ -412,7 +412,7 @@ class TestEvaluateAll:
         with pytest.raises(InputError) as raised:
             evaluate_all(ds, "F", "M")
         assert str(raised.value) == (
-            "decisions missing for 2 of 12 records; apply a threshold or bind a decision column"
+            "2 of 12 records have no decision; a threshold derives decisions from the scores"
         )
 
     def test_calibration_block_attached_when_requested(self, toy):

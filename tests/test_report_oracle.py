@@ -3,8 +3,11 @@
 Small random CSVs go through ``fairaudit audit --format json --meta`` with
 one condition and two tolerances, and every row value, difference, ratio,
 row status, meta-metric entry, tolerance verdict and diagnostics field is
-recomputed from the generated columns with plain Python counting. Scores
-are multiples of 1/8, so every sum is exact and each value must match to
+recomputed from the generated columns with plain Python counting. A
+second audit of the same CSV asks for the two calibration criteria, with
+2, 4 or 8 bins, and each pair's calibration block (or the note or exit-2
+message that stands for it) is rebuilt the same way. Scores are multiples
+of 1/8, so every sum and bin edge is exact and each value must match to
 the last bit; only the chi-square statistic and its p-value, which take a
 sum of quotients and scipy's tail, are compared to a relative tolerance.
 """
@@ -27,7 +30,7 @@ from scipy.stats import chi2
 from fairaudit.cli import main
 
 # Each criterion the audit runs, in report row order, with the metrics it
-# compares; the two calibration criteria are left out.
+# compares; the two calibration criteria have a run of their own.
 CRITERIA = {
     "statistical_parity": ("positive_rate",),
     "conditional_statistical_parity": ("positive_rate",),
@@ -114,25 +117,78 @@ def brute_force(records) -> dict:
     return values
 
 
-def run(records, cut) -> dict:
+def audit(records, *flags) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a JSON audit of these records."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "audit.csv")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("y,g,d,s,x\n")
             for y, g, d, s, x in records:
                 handle.write(f"{y},{g},{d},{'' if s is None else s},{x}\n")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(
                 [
                     "audit", "--input", path, "--outcome", "y", "--group", "g",
-                    "--decision", "d", "--score", "s", "--format", "json", "--meta",
-                    "--criteria", ",".join(CRITERIA), "--condition", f"c=x >= {cut}",
-                    *(arg for eps in EPSILONS for arg in ("--epsilon", str(eps))),
+                    "--decision", "d", "--score", "s", "--format", "json", *flags,
                 ]
             )
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(records, cut) -> dict:
+    code, out, _ = audit(
+        records, "--meta", "--criteria", ",".join(CRITERIA), "--condition", f"c=x >= {cut}",
+        *(arg for eps in EPSILONS for arg in ("--epsilon", str(eps))),
+    )
     assert code == 0
-    return json.loads(out.getvalue())
+    return json.loads(out)
+
+
+def curve(records, bins, min_bin_count) -> dict:
+    """One group's calibration curve block, binned by plain counting."""
+    members = [[] for _ in range(bins)]
+    for y, _, _, s, _ in records:
+        # a score on an interior edge lands in the lower bin, and 0 in the first
+        members[max(math.ceil(Fraction(s) * bins) - 1, 0)].append((y, s))
+    return {
+        "counts": [len(m) for m in members],
+        "mean_score": [sum(s for _, s in m) / len(m) if m else UNDEFINED for m in members],
+        "observed_rate": [sum(y for y, _ in m) / len(m) if m else UNDEFINED for m in members],
+        "sparse": [len(m) < min_bin_count for m in members],
+    }
+
+
+def calibration(curves, a, b, bins, min_bin_count) -> dict | str:
+    """The calibration block of pair (a, b), or the reason it forms none."""
+    within = {}
+    for label in (a, b):
+        c = curves[label]
+        gaps = [
+            abs(rate - mean)
+            for rate, mean, sparse in zip(c["observed_rate"], c["mean_score"], c["sparse"])
+            if not sparse
+        ]
+        if not gaps:
+            return f"group {label!r} has no score bin with at least {min_bin_count} records"
+        within[label] = max(gaps)
+    shared = [
+        abs(rate_a - rate_b)
+        for rate_a, rate_b, sparse_a, sparse_b in zip(
+            curves[a]["observed_rate"], curves[b]["observed_rate"],
+            curves[a]["sparse"], curves[b]["sparse"],
+        )
+        if not (sparse_a or sparse_b)
+    ]
+    if not shared:
+        return "no score bin is populated in both groups; use fewer bins or a lower min_bin_count"
+    return {
+        "bins": bins,
+        "edges": [i / bins for i in range(bins + 1)],
+        "curves": {a: curves[a], b: curves[b]},
+        "within_gap": within,
+        "between_gap": max(shared),
+    }
 
 
 def expected_verdicts(rows, epsilon) -> dict:
@@ -276,3 +332,40 @@ def test_report_matches_brute_force(audit):
         assert (assessment["group_a"], assessment["group_b"]) == (pair["group_a"], pair["group_b"])
         assert assessment["verdicts"] == expected_verdicts(pair["rows"], epsilon)
     check_diagnostics(report["diagnostics"], records, labels)
+
+
+# Eighths put every bin edge of 2, 4 or 8 bins exactly on a score.
+@settings(max_examples=100)
+@given(audits(), st.sampled_from([2, 4, 8]), st.integers(1, 4))
+def test_calibration_matches_brute_force(audit_case, bins, min_bin_count):
+    records, _ = audit_case
+    code, out, err = audit(
+        records, "--criteria", "well_calibration,test_fairness",
+        "--bins", str(bins), "--min-bin-count", str(min_bin_count),
+    )
+    labels = sorted({g for _, g, _, _, _ in records})
+    reference, others = labels[0], labels[1:]
+    if any(s is None for _, _, _, s, _ in records):
+        expected = dict.fromkeys(others, "risk scores missing for some records")
+    else:
+        curves = {
+            label: curve([r for r in records if r[1] == label], bins, min_bin_count)
+            for label in labels
+        }
+        expected = {
+            other: calibration(curves, reference, other, bins, min_bin_count) for other in others
+        }
+        if all(isinstance(block, str) for block in expected.values()):
+            # scores are loaded, yet no pair forms a comparison: the first pair's reason ends the run
+            assert (code, out, err) == (2, "", f"fairaudit: {expected[others[0]]}\n")
+            return
+    assert (code, err) == (0, "")
+    pairs = json.loads(out)["fairness"]
+    assert [(p["group_a"], p["group_b"]) for p in pairs] == [(reference, o) for o in others]
+    for pair, block in zip(pairs, expected.values()):
+        if isinstance(block, str):
+            assert (pair["calibration"], pair["notes"]) == (
+                None, [f"calibration criteria skipped: {block}"]
+            )
+        else:
+            assert (pair["calibration"], pair["notes"]) == (block, [])
