@@ -129,8 +129,8 @@ class AuditDataset:
     decision, or both; ``has_scores`` and ``has_decisions`` are True when
     every record carries one. A boolean, integer or float covariate is kept
     as a numeric float64 column, any other as a categorical object column.
-    ``n_dropped`` counts the records the loader dropped, and
-    ``dropped_by_reason`` splits that count by why (see :func:`load_csv`).
+    ``dropped_by_reason`` counts the records the loader dropped by why (see
+    :func:`load_csv`), and ``n_dropped``, a property, is their sum.
 
     The group column is dictionary-encoded: the dataset keeps its sorted
     distinct labels and one integer code per record (int16 below 2**15
@@ -164,7 +164,6 @@ class AuditDataset:
     decision: np.ndarray | None = None
     covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
     threshold: float | None = None
-    n_dropped: int = 0
     imputation_log: Mapping[str, float] = field(default_factory=dict)
     dropped_covariates: Mapping[str, float] = field(default_factory=dict)
     dropped_by_reason: Mapping[str, int] = field(default_factory=dict)
@@ -209,6 +208,11 @@ class AuditDataset:
 
         if self.threshold is not None:
             checked_threshold(self.threshold)
+        reasons = dict(self.dropped_by_reason)
+        if not set(reasons) <= set(_DROP_REASONS):
+            raise InputError(f"drop reasons must be among {', '.join(_DROP_REASONS)}")
+        if not all(type(count) is int and count >= 0 for count in reasons.values()):
+            raise InputError("drop counts must be non-negative integers")
 
         covariates = {}
         for name, column in dict(self.covariates).items():
@@ -231,9 +235,7 @@ class AuditDataset:
         object.__setattr__(
             self, "dropped_covariates", MappingProxyType(dict(self.dropped_covariates))
         )
-        object.__setattr__(
-            self, "dropped_by_reason", MappingProxyType(dict(self.dropped_by_reason))
-        )
+        object.__setattr__(self, "dropped_by_reason", MappingProxyType(reasons))
         index = MappingProxyType(dict(zip(group.labels, map(_read_only, rows))))
         object.__setattr__(self, "_group_index", index)
         object.__setattr__(self, "_memo", {})
@@ -241,6 +243,10 @@ class AuditDataset:
     @property
     def n(self) -> int:
         return int(self.outcome.shape[0])
+
+    @property
+    def n_dropped(self) -> int:
+        return sum(self.dropped_by_reason.values())
 
     def __len__(self) -> int:
         return self.n
@@ -465,8 +471,8 @@ def load_csv(
     neither blank nor repeated become covariates when ``covariates`` is
     None; otherwise only the listed columns are kept. Records missing
     the outcome, the group label, or both score and decision are
-    dropped, counted in ``n_dropped`` and, by the first of those reasons,
-    in ``dropped_by_reason``; blank lines are skipped and not counted.
+    dropped and counted in ``dropped_by_reason`` under the first of those
+    reasons; blank lines are skipped and not counted.
     The header is the first line with a non-blank cell; the
     blank lines before it are skipped too, but still counted in line
     numbers. Covariate columns whose non-missing cells all parse as
@@ -648,7 +654,6 @@ def load_csv(
         score=np.concatenate(kept[score]) if score is not None else None,
         decision=np.concatenate(kept[decision]) if decision is not None else None,
         covariates=columns,
-        n_dropped=sum(dropped_by_reason.values()),
         dropped_covariates=dropped,
         dropped_by_reason=dropped_by_reason,
     )
@@ -712,6 +717,13 @@ def checked_threshold(cutoff: float) -> float:
     return float(cutoff)
 
 
+def _missing_scores(dataset: AuditDataset) -> str:
+    """Why some record has no score (no score column, or blank cells); "" when none lacks one."""
+    if dataset.score is None:
+        return "risk scores not loaded"
+    return "" if dataset.has_scores else "risk scores missing for some records"
+
+
 def _require_decisions(dataset: AuditDataset) -> None:
     """Refuse a dataset with a record that has no decision, saying how to get one."""
     if dataset.has_decisions:
@@ -733,8 +745,8 @@ def apply_threshold(dataset: AuditDataset, cutoff: float) -> AuditDataset:
     and applying the same cutoff twice is the identity.
     """
     cutoff = checked_threshold(cutoff)
-    if not dataset.has_scores:
-        raise InputError("cannot apply a threshold: some records have no score")
+    if missing := _missing_scores(dataset):
+        raise InputError(f"cannot apply a threshold: {missing}")
     return replace(
         dataset,
         group=dataset._group,

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .conditions import ConditionPredicate
-from .dataset import AuditDataset, _require_decisions, filter_condition
+from .dataset import AuditDataset, _missing_scores, _require_decisions, filter_condition
 from .errors import ComputationError, InputError
 from .inference import BootstrapConfig, Interval, PairIntervals, bootstrap_intervals
 from .metrics import (
@@ -354,12 +354,8 @@ def evaluate_all(
     _require_decisions(dataset)
     conditions = dict(conditions or {})
     selected = selected_criteria(criteria, bool(conditions))
-    if dataset.has_scores:
-        unscored, scores_note = frozenset(), ""
-    elif dataset.score is None:
-        unscored, scores_note = SCORE_METRICS, "risk scores not loaded"
-    else:
-        unscored, scores_note = SCORE_METRICS, "risk scores missing for some records"
+    scores_note = _missing_scores(dataset)
+    unscored = SCORE_METRICS if scores_note else frozenset()
 
     # None names the whole dataset; a condition names its stratum, or the
     # InputError that kept the stratum from forming.

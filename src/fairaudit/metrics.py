@@ -26,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .dataset import AuditDataset
+from .dataset import AuditDataset, _missing_scores, _require_decisions
 from .errors import InputError
 
 
@@ -162,20 +162,16 @@ def _cells(dataset: AuditDataset, label: str) -> _Cells:
     return cells
 
 
-def _checked_cells(dataset: AuditDataset, label: str, metrics: tuple[MetricId, ...]) -> _Cells:
+def _checked_cells(dataset: AuditDataset, label: str, metrics: Iterable[MetricId]) -> _Cells:
     """A group's cells, once the columns these metrics need are bound and set in the group."""
     cells = _cells(dataset, label)
-    needs_score = [m for m in metrics if m in SCORE_METRICS]
-    if needs_score and not cells.scored:
+    if not (cells.scored or SCORE_METRICS.isdisjoint(metrics)):
         if dataset.score is None:
-            raise InputError(f"metric {needs_score[0].value} needs risk scores, none loaded")
+            raise InputError(_missing_scores(dataset))
         raise InputError(f"group {label!r} has records without scores")
-    needs_decision = [m for m in metrics if m in DECISION_METRICS]
-    if needs_decision and not cells.decided:
+    if not (cells.decided or DECISION_METRICS.isdisjoint(metrics)):
         if dataset.decision is None:
-            raise InputError(
-                f"metric {needs_decision[0].value} needs decisions; apply a threshold or bind a decision column"
-            )
+            _require_decisions(dataset)  # raises, saying no decision column is bound
         raise InputError(f"group {label!r} has records without decisions")
     return cells
 
@@ -328,21 +324,17 @@ def calibration_curve(
 ) -> CalibrationCurve:
     """Bin one group's scores into equal-width bins over [0, 1].
 
-    A score equal to an interior edge lands in the lower bin; 0 lands in
-    the first bin. Bin counts always sum to the group size. Each curve is
-    built once per dataset and kept, with read-only arrays, in its memo.
+    Every record of the group needs a score, checked as for a score metric.
+    A score on an interior edge lands in the lower bin and 0 in the first;
+    counts sum to the group size. Curves are kept, read-only, in the dataset's memo.
     """
     checked_bins(bins, min_bin_count)
     key = ("calibration", group, bins, min_bin_count)
     if key in dataset._memo:
         return dataset._memo[key]
+    _checked_cells(dataset, group, SCORE_METRICS)
     rows = dataset.group_positions(group)
-    if dataset.score is None:
-        raise InputError("calibration needs risk scores, none loaded")
-    score = dataset.score[rows]
-    if np.isnan(score).any():
-        raise InputError(f"group {group!r} has records without scores")
-    outcome = dataset.outcome[rows]
+    score, outcome = dataset.score[rows], dataset.outcome[rows]
 
     edges = np.linspace(0.0, 1.0, bins + 1)
     # score * bins, rounded up, is at most one bin off, and never past the last bin

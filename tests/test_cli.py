@@ -650,6 +650,29 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "fairaudit: no decisions: bind a decision column or apply a threshold\n"
 
+    def test_threshold_without_a_score_column(self, capsys, three_group_csv):
+        argv = ["audit", "--input", three_group_csv, "--outcome", "y", "--group", "g"]
+        code, out, err = run(capsys, *argv, "--decision", "d", "--threshold", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "fairaudit: cannot apply a threshold: risk scores not loaded\n"
+
+    def test_threshold_with_blank_scores(self, capsys, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("y,g,s,d\n1,a,0.9,1\n0,a,,0\n1,b,0.7,0\n0,b,0.4,1\n")
+        argv = ["audit", "--input", str(path), "--outcome", "y", "--group", "g", "--score", "s"]
+        code, out, err = run(capsys, *argv, "--decision", "d", "--threshold", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "fairaudit: cannot apply a threshold: risk scores missing for some records\n"
+
+    def test_meta_notes_missing_decisions_as_audit_refuses_them(self, capsys, clinical_csv):
+        io = ("--input", clinical_csv, "--outcome", "died", "--group", "sex", "--score", "risk")
+        code, out, err = run(capsys, "meta", *io, "--metric", "fpr", "--format", "json")
+        assert (code, err) == (0, "")
+        notes = {entry["note"] for entry in json.loads(out)["meta_metrics"]}
+        code, _, err = run(capsys, "audit", *io)
+        assert code == 1
+        assert [f"fairaudit: {note}\n" for note in notes] == [err]
+
     def test_unknown_reference_group(self, capsys, clinical_csv):
         # the pair is checked before the decisions, so without --threshold the
         # unknown reference is still the one reported

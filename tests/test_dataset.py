@@ -377,8 +377,20 @@ class TestApplyThreshold:
             group=np.array(["a", "b"], dtype=object),
             decision=np.array([1, 0]),
         )
-        with pytest.raises(InputError, match="no score"):
+        with pytest.raises(InputError) as caught:
             apply_threshold(ds, 0.5)
+        assert str(caught.value) == "cannot apply a threshold: risk scores not loaded"
+
+    def test_needs_every_score(self):
+        ds = AuditDataset(
+            outcome=np.array([1, 0]),
+            group=np.array(["a", "b"], dtype=object),
+            score=np.array([0.9, np.nan]),
+            decision=np.array([1, 0]),
+        )
+        with pytest.raises(InputError) as caught:
+            apply_threshold(ds, 0.5)
+        assert str(caught.value) == "cannot apply a threshold: risk scores missing for some records"
 
     def test_cutoff_range(self):
         ds = AuditDataset(
@@ -492,9 +504,9 @@ class TestAuditDataset:
             score=np.array([0.9, 0.2, 0.6, 0.4]),
             covariates={"age": np.array([40.0, np.nan, 50.0, 60.0])},
             threshold=0.5,
-            n_dropped=3,
             imputation_log={"weight": 70.0},
             dropped_covariates={"ward": 0.5},
+            dropped_by_reason={"outcome": 2, "score_and_decision": 1},
         )
         imputed = impute_medians(ds, max_missing=0.5)
         assert imputed.imputation_log == {"weight": 70.0, "age": 50.0}
@@ -506,6 +518,23 @@ class TestAuditDataset:
             assert out.dropped_covariates == {"ward": 0.5}
         for out in (ds.take(np.array([3, 0, 2])), thresholded):
             assert out.imputation_log == {"weight": 70.0}
+
+    def test_n_dropped_is_the_sum_of_the_reasons(self, toy):
+        assert "n_dropped" not in {f.name for f in dataclasses.fields(AuditDataset)}
+        assert toy.n_dropped == 0
+        reasons = {"outcome": 2, "group": 0, "score_and_decision": 5}
+        assert dataclasses.replace(toy, dropped_by_reason=reasons).n_dropped == 7
+
+    def test_drop_reasons_are_the_loaders(self, toy):
+        with pytest.raises(InputError) as caught:
+            dataclasses.replace(toy, dropped_by_reason={"outcome": 1, "typo": 1})
+        assert str(caught.value) == "drop reasons must be among outcome, group, score_and_decision"
+
+    @pytest.mark.parametrize("count", [-1, np.int64(1), 1.0, True, "1"])
+    def test_drop_counts_are_non_negative_ints(self, toy, count):
+        with pytest.raises(InputError) as caught:
+            dataclasses.replace(toy, dropped_by_reason={"outcome": 0, "group": count})
+        assert str(caught.value) == "drop counts must be non-negative integers"
 
     def test_equality_and_hash_are_by_identity(self, toy):
         assert toy == toy
@@ -802,7 +831,6 @@ def reference_load(path, *, outcome, group, score=None, decision=None):
         score=np.array(kept["score"]) if score is not None else None,
         decision=np.array(kept["decision"]) if decision is not None else None,
         covariates=columns,
-        n_dropped=sum(reasons.values()),
         dropped_covariates=dropped,
         dropped_by_reason=reasons,
     )

@@ -137,8 +137,9 @@ class TestCapabilityErrors:
             group=np.array(["a", "b"], dtype=object),
             decision=np.array([1, 0]),
         )
-        with pytest.raises(InputError, match="risk scores"):
+        with pytest.raises(InputError) as caught:
             group_metric(ds, "a", MetricId.BRIER_SCORE)
+        assert str(caught.value) == "risk scores not loaded"
 
     def test_decision_metric_without_decisions(self):
         ds = AuditDataset(
@@ -146,8 +147,9 @@ class TestCapabilityErrors:
             group=np.array(["a", "b"], dtype=object),
             score=np.array([0.9, 0.1]),
         )
-        with pytest.raises(InputError, match="needs decisions"):
+        with pytest.raises(InputError) as caught:
             group_metric(ds, "a", MetricId.TPR)
+        assert str(caught.value) == "no decisions: bind a decision column or apply a threshold"
 
     def test_a_group_with_unset_scores_keeps_its_decision_metrics(self):
         ds = AuditDataset(
@@ -397,8 +399,9 @@ class TestCalibrationCurve:
             group=np.array(["a", "b"], dtype=object),
             decision=np.array([1, 0]),
         )
-        with pytest.raises(InputError, match="risk scores"):
+        with pytest.raises(InputError) as caught:
             calibration_curve(ds, "a")
+        assert str(caught.value) == "risk scores not loaded"
 
     def test_needs_every_score_of_the_group(self):
         ds = AuditDataset(

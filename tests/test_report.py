@@ -165,7 +165,7 @@ class TestBuildDocument:
 
     def test_dataset_block_counts_drops_by_reason(self):
         reasons = {"outcome": 2, "group": 0, "score_and_decision": 1}
-        ds = dataclasses.replace(toy_dataset(), n_dropped=3, dropped_by_reason=reasons)
+        ds = dataclasses.replace(toy_dataset(), dropped_by_reason=reasons)
         doc = json.loads(render_json(build_document(dataset=ds)))
         assert list(doc["dataset"])[:3] == ["n", "n_dropped", "dropped_by_reason"]
         assert doc["dataset"]["dropped_by_reason"] == reasons
