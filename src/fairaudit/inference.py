@@ -271,9 +271,15 @@ def _check_discarded(kept: np.ndarray, config: BootstrapConfig, what: str) -> in
     return discarded
 
 
-def _wald(va, vb, point_a: float, point_b: float, config: BootstrapConfig, log: bool) -> Interval:
+def _wald(va, vb, point_a, point_b, config: BootstrapConfig, log: bool) -> Interval:
     """Wald interval for point_a - point_b or, with ``log``, for point_a / point_b:
-    the same interval on the log scale, exponentiated back."""
+    the same interval on the log scale, exponentiated back. Before it reads a
+    replicate it raises InputError, one text per reason no interval forms:
+    ``point estimate undefined``, or with ``log`` ``needs strictly positive values``."""
+    if not (is_defined(point_a) and is_defined(point_b)):
+        raise InputError("point estimate undefined")
+    if log and (point_a <= 0.0 or point_b <= 0.0):
+        raise InputError("needs strictly positive values")
     with np.errstate(invalid="ignore"):
         kept = np.isfinite(va) & np.isfinite(vb)
         if log:
@@ -299,12 +305,6 @@ def _single_interval(dataset, metric, group_a, group_b, config, log: bool) -> In
     metric = coerce_metric(metric)
     point_a = group_metric(dataset, group_a, metric)
     point_b = group_metric(dataset, group_b, metric)
-    if not is_defined(point_a) or not is_defined(point_b):
-        raise InputError(f"point estimate of {metric.value} is undefined")
-    if log and (point_a <= 0.0 or point_b <= 0.0):
-        raise InputError(
-            f"ratio interval for {metric.value} needs strictly positive point estimates"
-        )
     va = _group_replicates(dataset, group_a, (metric,), config)[:, 0]
     vb = _group_replicates(dataset, group_b, (metric,), config)[:, 0]
     return _wald(va, vb, point_a, point_b, config, log)
@@ -336,8 +336,7 @@ def ci_ratio(
 class PairIntervals:
     """Difference and ratio intervals for one metric over a group pair.
 
-    Either interval is None when its preconditions fail (undefined or
-    non-positive point estimates); ``notes`` says which and why.
+    Either interval is None when :func:`_wald` refuses it; ``notes`` says why.
     """
 
     diff: Interval | None
@@ -357,9 +356,10 @@ def bootstrap_intervals(
     All requested metrics share one draw per (iteration, group), so adding
     a metric never changes the resamples of the others, and each group's
     replicates depend only on that group, never on the pair it joins.
-    Precondition failures are reported per metric in notes rather than
-    raised; exceeding the discard tolerance still raises, naming the
-    metric and the pair.
+    The InputError of :func:`_wald`, with the text ``ci_diff``/``ci_ratio``
+    raise, becomes the metric's note: ``intervals skipped: …``, or ``ratio
+    interval skipped: …`` when only the ratio cannot form. Exceeding the
+    discard tolerance still raises, naming the metric and the pair.
     """
     config = config or BootstrapConfig()
     metrics = tuple(dict.fromkeys(coerce_metric(m) for m in metrics))
@@ -372,18 +372,14 @@ def bootstrap_intervals(
     for metric, va, vb in zip(metrics, values_a.T, values_b.T):
         point_a = group_metric(dataset, group_a, metric)
         point_b = group_metric(dataset, group_b, metric)
-        notes: list[str] = []
         diff = ratio = None
+        notes: tuple[str, ...] = ()
         try:
-            if is_defined(point_a) and is_defined(point_b):
-                diff = _wald(va, vb, point_a, point_b, config, log=False)
-                if point_a > 0.0 and point_b > 0.0:
-                    ratio = _wald(va, vb, point_a, point_b, config, log=True)
-                else:
-                    notes.append("ratio interval skipped: needs strictly positive values")
-            else:
-                notes.append("intervals skipped: point estimate undefined")
+            diff = _wald(va, vb, point_a, point_b, config, log=False)
+            ratio = _wald(va, vb, point_a, point_b, config, log=True)
+        except InputError as exc:
+            notes = (f"{'intervals' if diff is None else 'ratio interval'} skipped: {exc}",)
         except ComputationError as exc:
             raise ComputationError(f"{metric.value}, {group_a!r} vs {group_b!r}: {exc}") from None
-        out[metric] = PairIntervals(diff=diff, ratio=ratio, notes=tuple(notes))
+        out[metric] = PairIntervals(diff=diff, ratio=ratio, notes=notes)
     return out

@@ -288,6 +288,22 @@ class TestImputeMedians:
         # non-missing cells untouched
         assert out.covariates["age"][0] == 10.0
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 11])
+    def test_median_is_numpys_bit_for_bit(self, size):
+        # np.median imports numpy.ma, so the imputed median is taken without it;
+        # repeated values and zeros of either sign test the middle pair's mean
+        rng = np.random.Generator(np.random.PCG64(size))
+        for _ in range(200):
+            values = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e300, rng.normal()], size)
+            ds = AuditDataset(
+                outcome=np.zeros(size + 1, dtype=int),
+                group=np.resize(np.array(["a", "b"], dtype=object), size + 1),
+                score=np.full(size + 1, 0.5),
+                covariates={"x": np.append(values, np.nan)},
+            )
+            median = impute_medians(ds, max_missing=1.0).imputation_log["x"]
+            assert np.float64(median).tobytes() == np.float64(np.median(values)).tobytes()
+
     def test_drop_when_too_missing(self, tmp_path):
         ds = self.make(tmp_path, ["10", "", "30", "", "", "40", "", "", "", "80"])
         out = impute_medians(ds, max_missing=0.10)

@@ -972,3 +972,21 @@ class TestBatchedIntervals:
         ).values()
         assert intervals.diff is not None and intervals.ratio is None
         assert intervals.notes == ("ratio interval skipped: needs strictly positive values",)
+
+    # tpr is undefined for group a (no positives), so no interval forms;
+    # fpr is 0 for group b, so only the ratio cannot form
+    @pytest.mark.parametrize(
+        "metric, interval, note",
+        [(MetricId.TPR, ci_diff, "intervals"), (MetricId.FPR, ci_ratio, "ratio interval")],
+    )
+    def test_the_raised_text_is_the_note_text(self, metric, interval, note):
+        ds = AuditDataset(
+            outcome=np.array([0, 0, 0, 0, 1, 0, 0, 0]),
+            group=np.array(["a"] * 4 + ["b"] * 4, dtype=object),
+            decision=np.array([1, 0, 1, 0, 1, 0, 0, 0]),
+        )
+        config = BootstrapConfig(iterations=40, seed=3, degenerate_tolerance=1.0)
+        with pytest.raises(InputError) as raised:
+            interval(ds, metric, "a", "b", config)
+        (noted,) = bootstrap_intervals(ds, (metric,), "a", "b", config)[metric].notes
+        assert noted == f"{note} skipped: {raised.value}"

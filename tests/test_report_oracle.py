@@ -10,6 +10,11 @@ message that stands for it) is rebuilt the same way. Scores are multiples
 of 1/8, so every sum and bin edge is exact and each value must match to
 the last bit; only the chi-square statistic and its p-value, which take a
 sum of quotients and scipy's tail, are compared to a relative tolerance.
+A third audit asks for bootstrap intervals, and each interval (or its
+skip note, or the exit-2 message of the first interval that discards a
+resample) is rebuilt as a Wald interval over the reference resampler's
+resamples, each counted in plain Python; its bounds, which take a
+standard deviation, are compared to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ import os
 import tempfile
 from fractions import Fraction
 from itertools import product
+from statistics import NormalDist, stdev
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from fairaudit import AuditDataset
 from fairaudit.cli import main
+
+from reference import resample_within_groups
 
 # Each criterion the audit runs, in report row order, with the metrics it
 # compares; the two calibration criteria have a run of their own.
@@ -369,3 +378,134 @@ def test_calibration_matches_brute_force(audit_case, bins, min_bin_count):
             )
         else:
             assert (pair["calibration"], pair["notes"]) == (block, [])
+
+
+# The CLI's discard tolerance is 0.01, so at B = 40 an interval that
+# discards one resample ends the audit, and a formed one discards none.
+ITERATIONS = 40
+Z = NormalDist().inv_cdf(1 - 0.05 / 2)
+# Every criterion, or a few whose metrics are defined on every resample,
+# though a resample may still give a ratio a zero
+BOOTSTRAP_CRITERIA = (
+    ",".join(CRITERIA),
+    "statistical_parity,conditional_statistical_parity,overall_accuracy,brier_parity",
+)
+# Few random examples form a conditional row's ratio; these records, cut at
+# x >= 5, form every interval of the second set
+FORMED = [
+    (i % 2, "ab"[i % 2 if i < 4 else i // 3 % 2], int(i % 5 > 0), (3 + i % 3) / 8, i % 10)
+    for i in range(48)
+]
+
+
+def replicates(records, seed) -> list[dict]:
+    """Each group's metrics on each of the reference resampler's resamples."""
+    y, g, d, s, _ = zip(*records)
+    dataset = AuditDataset(
+        outcome=list(y),
+        group=list(g),
+        decision=list(d),
+        score=[math.nan if v is None else v for v in s],
+    )
+    out = []
+    for iteration in range(ITERATIONS):
+        drawn = resample_within_groups(dataset, seed, iteration)
+        columns = (drawn.outcome.tolist(), drawn.group.tolist(), drawn.decision.tolist())
+        scores = [None if math.isnan(v) else v for v in drawn.score.tolist()]
+        rows = [(y, g, d, s, 0) for (y, g, d), s in zip(zip(*columns), scores)]
+        out.append({label: brute_force([r for r in rows if r[1] == label]) for label in set(g)})
+    return out
+
+
+def wald(point_a, point_b, pairs, log) -> list[float] | str | ValueError:
+    """The interval's bounds, the reason it is skipped, or the discard that ends the audit."""
+    if point_a is None or point_b is None:
+        return "point estimate undefined"
+    if log and (point_a <= 0 or point_b <= 0):
+        return "needs strictly positive values"
+    kept = [(a, b) for a, b in pairs if a is not None and b is not None and (not log or a > 0 < b)]
+    if len(kept) < ITERATIONS:
+        what = "ratio" if log else "difference"
+        discarded = ITERATIONS - len(kept)
+        return ValueError(
+            f"bootstrap discarded {discarded} of {ITERATIONS} iterations for the {what}; "
+            "tolerance is 0.01"
+        )
+    scale = math.log if log else float
+    center = scale(point_a) - scale(point_b)
+    margin = Z * stdev(scale(a) - scale(b) for a, b in kept)
+    bounds = [center - margin, center + margin]
+    return [math.exp(bound) for bound in bounds] if log else bounds
+
+
+@settings(max_examples=15)
+@example((FORMED, 5), BOOTSTRAP_CRITERIA[1], 0)
+@given(audits(), st.sampled_from(BOOTSTRAP_CRITERIA), st.integers(0, 2**16))
+def test_intervals_match_a_wald_oracle(audit_case, criteria, seed):
+    records, cut = audit_case
+    code, out, err = audit(
+        records, "--criteria", criteria, "--condition", f"c=x >= {cut}",
+        "--bootstrap", str(ITERATIONS), "--seed", str(seed),
+    )
+    labels = sorted({g for _, g, _, _, _ in records})
+    scored = all(s is not None for _, _, _, s, _ in records)
+    kept = [r for r in records if r[4] >= cut]
+    strata = {None: records}
+    if {g for _, g, _, _, _ in kept} == set(labels):  # the condition forms its stratum
+        strata["c"] = kept
+    selected = criteria.split(",")
+    planned = {
+        name: {
+            metric
+            for criterion in selected
+            if (criterion == "conditional_statistical_parity") == (name is not None)
+            for metric in CRITERIA[criterion]
+            if scored or metric not in SCORE_METRICS
+        }
+        for name in strata
+    }
+    draws = {name: replicates(rows, seed) for name, rows in strata.items() if planned[name]}
+    # the audit bootstraps pair by pair, the whole dataset first, each
+    # stratum's metrics in name order, and the difference before the ratio;
+    # the first discard ends it
+    expected, failure = {}, None
+    for other in labels[1:]:
+        pair = (labels[0], other)
+        for name, rows in strata.items():
+            groups = {label: [r for r in rows if r[1] == label] for label in pair}
+            points = {label: brute_force(part) for label, part in groups.items()}
+            for metric in sorted(planned[name]):
+                point_a, point_b = (points[label][metric] for label in pair)
+                values = [(rep[pair[0]][metric], rep[pair[1]][metric]) for rep in draws[name]]
+                diff = wald(point_a, point_b, values, log=False)
+                ratio = wald(point_a, point_b, values, log=True) if isinstance(diff, list) else None
+                expected[pair, name, metric] = diff, ratio
+                broken = next((r for r in (diff, ratio) if isinstance(r, ValueError)), None)
+                if broken is not None and failure is None:
+                    prefix = f"condition {name!r}, " if name else ""
+                    failure = f"{prefix}{metric}, {pair[0]!r} vs {pair[1]!r}: {broken}"
+    if failure is not None:
+        assert (code, out, err) == (2, "", f"fairaudit: {failure}\n")
+        return
+    assert (code, err) == (0, "")
+    for pair in json.loads(out)["fairness"]:
+        for row in pair["rows"]:
+            key = (pair["group_a"], pair["group_b"]), row["condition"], row["metric"]
+            if key not in expected:  # an error or not-evaluated row
+                assert row["ci_diff"] is row["ci_ratio"] is None
+                continue
+            diff, ratio = expected[key]
+            skipped = (
+                [f"intervals skipped: {diff}"] if isinstance(diff, str)
+                else [f"ratio interval skipped: {ratio}"] if isinstance(ratio, str)
+                else []
+            )
+            assert [note for note in row["notes"] if "skipped" in note] == skipped
+            blocks = ((row["ci_diff"], diff, "wald_diff"), (row["ci_ratio"], ratio, "wald_log_ratio"))
+            for block, bounds, method in blocks:
+                if not isinstance(bounds, list):
+                    assert block is None
+                    continue
+                assert (block["method"], block["discarded"]) == (method, 0)
+                assert math.isclose(block["lower"], bounds[0], rel_tol=1e-9)
+                assert math.isclose(block["upper"], bounds[1], rel_tol=1e-9)
