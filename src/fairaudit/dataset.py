@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import suppress
 from itertools import chain, compress
 from operator import itemgetter
 from dataclasses import dataclass, field, replace
@@ -378,7 +379,7 @@ def _rejection(column: str, cell: str, binary: bool) -> str:
 
 def _fitted(row: list[str], width: int) -> tuple[list[str], bool]:
     """A row padded or cut to ``width`` cells, and whether the cut cells held anything."""
-    return (row + [""] * (width - len(row)))[:width], bool("".join(row[width:]).strip())
+    return (row + [""] * width)[:width], bool("".join(row[width:]).strip())
 
 
 def _holds_line_break(row: list[str]) -> bool:
@@ -405,24 +406,21 @@ def _csv_block(
     Returns the rows' cells, ``width`` per row (short rows padded, long ones
     cut), whether each row's cut cells held anything, and the error that
     ended the rows early: a csv error, or the first row holding a line break.
-    Such a row is read again, on into ``handle``, as a quote it left open
-    past the block's end may run into csv's field limit.
+    That row, or else the row csv stopped at, is read again, on into ``handle``,
+    as a quote it left open past the block's end may run into csv's field limit.
     """
     rows: list[list[str]] = []
     error = None
-    try:
+    with suppress(csv.Error):  # e.g. an open quote swallowing more than the field limit
         rows.extend(csv.reader(lines))  # keeps the rows read before an error
-    except csv.Error as exc:  # e.g. an open quote swallowing more than the field limit
-        error = InputError(f"line {first + len(rows)} of {path!r}: {exc}")
-    if len(rows) < len(lines) or _holds_line_break(rows[-1]):  # a row spans lines?
+    if len(rows) < len(lines) or _holds_line_break(rows[-1]):  # a row spans lines or fails?
         n = next((i for i, row in enumerate(rows) if _holds_line_break(row)), len(rows))
-        if n < len(rows):  # each row before it is one line, so it begins on line first + n
-            error = _line_break_error(first + n, path)
-            try:
-                next(csv.reader(chain(lines[n:], handle)))
-            except csv.Error as exc:
-                error = InputError(f"line {first + n} of {path!r}: {exc}")
-            del rows[n:]
+        error = _line_break_error(first + n, path)
+        try:
+            next(csv.reader(chain(lines[n:], handle)))
+        except csv.Error as exc:
+            error = InputError(f"line {first + n} of {path!r}: {exc}")
+        del rows[n:]
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     extra = np.zeros(len(rows), dtype=bool)
     for i in np.flatnonzero(lengths != width).tolist():

@@ -42,9 +42,10 @@ the pairs of an audit share them.
 Intervals are normal-approximation (Wald): the difference interval uses
 the standard deviation of resampled differences, and the ratio interval
 is the difference interval on the log scale (of the log-transformed
-replicates and point estimates), exponentiated. Iterations where a
-statistic is undefined (or non-positive, for ratios) are discarded; more
-than ``degenerate_tolerance`` of them is an error.
+replicates and point estimates), exponentiated. :func:`_wald` refuses a
+point estimate that is undefined (or non-positive, for ratios) before it
+calls for replicates, and discards the iterations whose replicate is so;
+more than ``degenerate_tolerance`` of them is an error.
 """
 
 from __future__ import annotations
@@ -271,15 +272,16 @@ def _check_discarded(kept: np.ndarray, config: BootstrapConfig, what: str) -> in
     return discarded
 
 
-def _wald(va, vb, point_a, point_b, config: BootstrapConfig, log: bool) -> Interval:
+def _wald(point_a, point_b, replicates, config: BootstrapConfig, log: bool) -> Interval:
     """Wald interval for point_a - point_b or, with ``log``, for point_a / point_b:
-    the same interval on the log scale, exponentiated back. Before it reads a
-    replicate it raises InputError, one text per reason no interval forms:
-    ``point estimate undefined``, or with ``log`` ``needs strictly positive values``."""
+    the same interval on the log scale, exponentiated back. It raises InputError
+    (``point estimate undefined``, or with ``log`` ``needs strictly positive values``)
+    before it calls ``replicates()`` for the two groups' replicate columns."""
     if not (is_defined(point_a) and is_defined(point_b)):
         raise InputError("point estimate undefined")
     if log and (point_a <= 0.0 or point_b <= 0.0):
         raise InputError("needs strictly positive values")
+    va, vb = replicates()
     with np.errstate(invalid="ignore"):
         kept = np.isfinite(va) & np.isfinite(vb)
         if log:
@@ -303,11 +305,12 @@ def _single_interval(dataset, metric, group_a, group_b, config, log: bool) -> In
     _check_pair(dataset, group_a, group_b)
     config = config or BootstrapConfig()
     metric = coerce_metric(metric)
-    point_a = group_metric(dataset, group_a, metric)
-    point_b = group_metric(dataset, group_b, metric)
-    va = _group_replicates(dataset, group_a, (metric,), config)[:, 0]
-    vb = _group_replicates(dataset, group_b, (metric,), config)[:, 0]
-    return _wald(va, vb, point_a, point_b, config, log)
+    points = [group_metric(dataset, g, metric) for g in (group_a, group_b)]
+
+    def replicates():
+        return [_group_replicates(dataset, g, (metric,), config)[:, 0] for g in (group_a, group_b)]
+
+    return _wald(*points, replicates, config, log)
 
 
 def ci_diff(
@@ -370,13 +373,12 @@ def bootstrap_intervals(
     values_b = _group_replicates(dataset, group_b, metrics, config)
     out: dict[MetricId, PairIntervals] = {}
     for metric, va, vb in zip(metrics, values_a.T, values_b.T):
-        point_a = group_metric(dataset, group_a, metric)
-        point_b = group_metric(dataset, group_b, metric)
+        points = [group_metric(dataset, g, metric) for g in (group_a, group_b)]
         diff = ratio = None
         notes: tuple[str, ...] = ()
         try:
-            diff = _wald(va, vb, point_a, point_b, config, log=False)
-            ratio = _wald(va, vb, point_a, point_b, config, log=True)
+            diff = _wald(*points, lambda: (va, vb), config, log=False)
+            ratio = _wald(*points, lambda: (va, vb), config, log=True)
         except InputError as exc:
             notes = (f"{'intervals' if diff is None else 'ratio interval'} skipped: {exc}",)
         except ComputationError as exc:

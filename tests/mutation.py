@@ -12,8 +12,10 @@ run first; a mutant they miss runs the whole suite, and a mutant that
 passes that too survives. Both runs are first timed once unmutated, and a
 mutant's run that takes longer than ``TIMEOUT_FACTOR`` times its unmutated
 time plus ``TIMEOUT_FLOOR`` seconds (say, one that loops forever) counts
-as killed. Prints one line per mutant and the score; exits 1 when any
-survives, and 2, scoring none, when an unmutated run fails.
+as killed. A swap listed in ``tests/mutation_equivalents.py`` changes
+nothing the program does, so it is not run. Prints one line per mutant and
+the score; exits 1 when any unlisted mutant survives, and 2, scoring
+none, when an unmutated run fails.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import ast
 import io
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -39,8 +42,10 @@ SWAPS = {
 TIMEOUT_FACTOR, TIMEOUT_FLOOR = 5, 30  # a mutant's run may take 5x the unmutated run, plus 30 s
 
 
-def sites(source: str) -> list[tuple[tuple[int, int], str, str]]:
-    """Every swappable operator token: its (line, column), text and replacement."""
+def sites(source: str) -> list[tuple[tuple[int, int], str, str, str]]:
+    """Every swappable operator token: its (line, column), text and replacement,
+    and the swap it makes, as the operation before and after (``old -> new``),
+    each its operands' source around the operator, single-spaced."""
     spans = []  # (operator, end of the left operand, start of the right operand)
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.BinOp):
@@ -64,12 +69,13 @@ def sites(source: str) -> list[tuple[tuple[int, int], str, str]]:
         before = position(right.lineno, right.col_offset)
         between = [t.start for t in tokens if after <= t.start < before and t.string == old]
         if len(between) == 1:  # before Python 3.12 an f-string's operators are no tokens
-            found.append((between[0], old, new))
+            a, b = (" ".join(ast.get_source_segment(source, side).split()) for side in (left, right))
+            found.append((between[0], old, new, f"{a} {old} {b} -> {a} {new} {b}"))
     return sorted(found)
 
 
-def mutate(source: str, site: tuple[tuple[int, int], str, str]) -> str:
-    (line, column), old, new = site
+def mutate(source: str, site: tuple[tuple[int, int], str, str, str]) -> str:
+    (line, column), old, new, _ = site
     lines = source.splitlines(keepends=True)
     text = lines[line - 1]
     lines[line - 1] = text[:column] + new + text[column + len(old):]
@@ -93,7 +99,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     module = args.module.resolve().relative_to(ROOT)
     source = (ROOT / module).read_text(encoding="utf-8")
-    chosen = sites(source)
+    every = sites(source)
+    equivalents = runpy.run_path(str(ROOT / "tests/mutation_equivalents.py"))["EQUIVALENTS"]
+    listed = {(line, swap) for name, line, swap, _ in equivalents if name == module.stem}
+    lines = source.splitlines()
+    chosen = [site for site in every if (lines[site[0][0] - 1].strip(), site[3]) not in listed]
+    equivalent = len(every) - len(chosen)
     if args.lines:
         wanted = {int(line) for line in args.lines.split(",")}
         chosen = [site for site in chosen if site[0][0] in wanted]
@@ -124,9 +135,12 @@ def main(argv: list[str] | None = None) -> int:
                 survivors.append(site)
             else:
                 verdict = f"killed by {killer}"
-            (line, column), old, new = site
-            print(f"{module}:{line}:{column + 1}: {old} -> {new}: {verdict}", flush=True)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
+            (line, column), _, _, swap = site
+            print(f"{module}:{line}:{column + 1}: {swap}: {verdict}", flush=True)
+    print(
+        f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed "
+        f"({equivalent} of the module's listed as equivalent, not run)"
+    )
     return 1 if survivors else 0
 
 

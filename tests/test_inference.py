@@ -931,6 +931,29 @@ class TestRatioInterval:
             ci_ratio(ds, MetricId.MEAN_SCORE_NEG, "a", "b", BootstrapConfig(iterations=50))
 
 
+@pytest.mark.parametrize(
+    "interval, metric, text",
+    [
+        (ci_diff, MetricId.TPR, "point estimate undefined"),
+        (ci_ratio, MetricId.TPR, "point estimate undefined"),
+        (ci_diff, MetricId.MEAN_SCORE_POS, "point estimate undefined"),
+        (ci_ratio, MetricId.FPR, "needs strictly positive values"),
+    ],
+)
+def test_a_refused_interval_draws_no_replicates(interval, metric, text):
+    # group a has no positives, so its tpr and mean positive score are
+    # undefined; group b decides 0 for all its negatives, so its fpr is 0
+    ds = AuditDataset(
+        outcome=np.array([0, 0, 0, 0, 1, 0, 0, 0]),
+        group=np.array(["a"] * 4 + ["b"] * 4, dtype=object),
+        decision=np.array([1, 0, 1, 0, 1, 0, 0, 0]),
+        score=np.linspace(0.1, 0.8, 8),
+    )
+    with pytest.raises(InputError, match=f"^{text}$"):
+        interval(ds, metric, "a", "b", BootstrapConfig(iterations=50))
+    assert [key for key in ds._memo if key[0] == "replicates"] == []
+
+
 class TestBatchedIntervals:
     def test_matches_single_metric_calls_exactly(self, toy):
         config = BootstrapConfig(iterations=50, seed=17, degenerate_tolerance=0.5)
